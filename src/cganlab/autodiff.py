@@ -8,6 +8,13 @@ is how frozen networks are evaluated without gradient bookkeeping. One
 graph lives for one training step and is dropped after the optimizer
 update.
 
+Vector-Jacobian closures capture arrays and shapes, never Tensors. A
+Tensor holds its graph and the graph holds the closures, so a closure
+that held a Tensor would close a reference cycle and keep every
+activation of the step alive until the cyclic garbage collector ran.
+Without such cycles a graph and its activations are freed by reference
+counting as soon as the step drops its last Tensor.
+
 All values are 64-bit reals. ``log`` clamps its input to
 ``[LOG_EPS, 1.0]`` so that cross-entropy terms evaluated at saturated
 probabilities stay finite.
@@ -210,24 +217,26 @@ def _check_broadcast(op, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
+    sa, sb = a.values.shape, b.values.shape
     return _result(
         "add",
         a.values + b.values,
         [
-            (a, lambda g: _unbroadcast(g, a.values.shape)),
-            (b, lambda g: _unbroadcast(g, b.values.shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(g, sb)),
         ],
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
+    sa, sb = a.values.shape, b.values.shape
     return _result(
         "sub",
         a.values - b.values,
         [
-            (a, lambda g: _unbroadcast(g, a.values.shape)),
-            (b, lambda g: _unbroadcast(-g, b.values.shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(-g, sb)),
         ],
     )
 
@@ -318,19 +327,20 @@ def log(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    n = a.values.size
+    n, sa = a.values.size, a.values.shape
     return _result(
         "mean",
         np.asarray(a.values.mean()),
-        [(a, lambda g: np.full(a.values.shape, float(g) / n))],
+        [(a, lambda g: np.full(sa, float(g) / n))],
     )
 
 
 def tensor_sum(a: Tensor) -> Tensor:
+    sa = a.values.shape
     return _result(
         "sum",
         np.asarray(a.values.sum()),
-        [(a, lambda g: np.full(a.values.shape, float(g)))],
+        [(a, lambda g: np.full(sa, float(g)))],
     )
 
 
@@ -370,12 +380,13 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast("min_elem", a, b)
     take_a = a.values <= b.values
+    sa, sb = a.values.shape, b.values.shape
     return _result(
         "min_elem",
         np.minimum(a.values, b.values),
         [
-            (a, lambda g: _unbroadcast(g * take_a, a.values.shape)),
-            (b, lambda g: _unbroadcast(g * ~take_a, b.values.shape)),
+            (a, lambda g: _unbroadcast(g * take_a, sa)),
+            (b, lambda g: _unbroadcast(g * ~take_a, sb)),
         ],
     )
 

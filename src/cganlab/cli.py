@@ -31,6 +31,7 @@ from .evalcond import (
     oracle_accuracy,
     write_histogram_csv,
 )
+from .fileio import _atomic_open
 from .losses import FORMULATIONS, GEN_LOSS_MODES, LossSpec
 from .nets import Discriminator, Generator, gen_forward
 from .pairing import load_dataset_csv, save_dataset_csv
@@ -137,7 +138,7 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
 
 
 def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

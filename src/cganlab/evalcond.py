@@ -10,13 +10,14 @@ because the sigmoid saturates and hides the mode structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
+from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
 from .pairing import ConditionalDataset, assemble_pairings, sample_pair_batch
-from .tasks import GaussModesTask, oracle_classify
+from .tasks import GaussModesTask, _sq_dists, oracle_classify
 
 PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
 
@@ -139,7 +140,13 @@ def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> fl
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             iters: int = 50) -> np.ndarray:
-    """Plain Lloyd iterations with greedy ++-style seeding; deterministic."""
+    """Plain Lloyd iterations with greedy ++-style seeding; deterministic.
+
+    Runs at most `iters` iterations and stops early at a fixed point: an
+    iteration maps the centroids to new ones deterministically, so once it
+    returns them bit-identical every later iteration would too, and the
+    result equals that of all `iters` iterations.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -150,7 +157,8 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         centroids[j] = points[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     for _ in range(iters):
-        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        previous = centroids.copy()
+        dist = _sq_dists(points, centroids)
         assign = dist.argmin(axis=1)
         for j in range(k):
             members = assign == j
@@ -159,22 +167,27 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             else:
                 # reseed an empty cluster at the worst-covered point
                 centroids[j] = points[dist[np.arange(n), assign].argmax()]
+        if np.array_equal(centroids, previous):
+            break
     return centroids
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-    return dist.argmin(axis=1)
+    return _sq_dists(points, centroids).argmin(axis=1)
 
 
 def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
               alpha: float = 0.05, seed: int = 0) -> NdbReport:
     """Number of statistically different bins, as a fraction of k.
 
-    Bins are k-means clusters fitted on the real samples (fixed seed, 50
-    Lloyd iterations); each bin is tested with a pooled two-proportion
-    z-test at level alpha.
+    Bins are k-means clusters fitted on the real samples (fixed seed, at
+    most 50 Lloyd iterations); each bin is tested with a pooled
+    two-proportion z-test at level alpha. The two-sided critical value is
+    the standard normal quantile at 1 - alpha/2, from the standard
+    library's `statistics.NormalDist().inv_cdf`.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     real = np.atleast_2d(np.asarray(real_samples, dtype=np.float64))
     gen = np.atleast_2d(np.asarray(gen_samples, dtype=np.float64))
     if real.shape[0] < 10 * k or gen.shape[0] < 10 * k:
@@ -194,7 +207,7 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
     z = np.zeros(k)
     nonzero = se > 0
     z[nonzero] = (p_r[nonzero] - p_g[nonzero]) / se[nonzero]
-    z_crit = stats.norm.ppf(1.0 - alpha / 2.0)
+    z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     significant = np.abs(z) > z_crit
     return NdbReport(k=k, alpha=alpha, real_proportions=p_r, gen_proportions=p_g,
                      z_values=z, significant=significant,
@@ -203,7 +216,7 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
 
 def write_histogram_csv(hist: FourWayHistogram, path) -> None:
     """Plot-ready CSV: one row per bin, one count column per pairing."""
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write("bin_lo,bin_hi,count_real_cond,count_gen_cond,count_real_ac,count_gen_ac\n")
         for i in range(len(hist.bin_edges) - 1):
             cells = [repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1]))]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import _atomic_open
+
 MAX_SAMPLER_ATTEMPTS = 10_000
 
 
@@ -171,32 +173,38 @@ def assemble_pairings(ds: ConditionalDataset, batch: PairBatch, y_g: np.ndarray)
 # -- dataset CSV format (shared with tasks and cli) ----------------------
 
 def save_dataset_csv(ds: ConditionalDataset, path) -> None:
+    """Write the dataset as CSV: a header, then one row per sample.
+
+    Floats are written with `repr`, so they load back bit-exact; lines end
+    in CRLF, as the `csv` module's default dialect writes them.
+    """
     dx, dy = ds.xs.shape[1], ds.ys.shape[1]
     header = [f"x_{i}" for i in range(dx)] + [f"y_{i}" for i in range(dy)]
+    rows = np.hstack([ds.xs, ds.ys]).tolist()
+    lines = [",".join(map(repr, row)) for row in rows]
     if ds.labels is not None:
         header.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.xs[i]] + [repr(float(v)) for v in ds.ys[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)
+        lines = [f"{line},{label}" for line, label in zip(lines, ds.labels.tolist())]
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(line + "\r\n" for line in lines))
 
 
 def load_dataset_csv(path, seed: int = 0) -> ConditionalDataset:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+        header = next(csv.reader(fh))
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
     y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
     has_label = "label" in header
     if not x_cols or not y_cols:
         raise ValueError(f"dataset csv {path} missing x_*/y_* columns")
-    label_col = header.index("label") if has_label else None
-    xs = np.array([[float(r[i]) for i in x_cols] for r in rows])
-    ys = np.array([[float(r[i]) for i in y_cols] for r in rows])
-    labels = np.array([int(r[label_col]) for r in rows]) if has_label else None
-    return ConditionalDataset(xs=xs, ys=ys, labels=labels, seed=seed)
+    if body.shape[0] == 0 or body.shape[1] != len(header):
+        raise ValueError(f"dataset csv {path} has no rows of {len(header)} columns")
+    labels = None
+    if has_label:
+        column = body[:, header.index("label")]
+        labels = column.astype(np.int64)
+        if not np.array_equal(labels, column):
+            raise ValueError(f"dataset csv {path} has a non-integer label")
+    return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels, seed=seed)

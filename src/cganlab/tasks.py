@@ -105,13 +105,29 @@ def sample_dataset(task, n: int, seed: int) -> ConditionalDataset:
     raise TypeError(f"cannot sample from {type(task).__name__}")
 
 
+def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, accumulated one coordinate at a time.
+
+    Equal to ``((points[:, None] - centroids[None]) ** 2).sum(-1)`` bit for
+    bit up to 7 coordinates (numpy sums so short an axis in order), without
+    the (n, k, d) temporary or a reduction over a tiny axis.
+    """
+    if points.shape[1] != centroids.shape[1]:
+        raise ValueError(
+            f"points have {points.shape[1]} coordinates, centroids {centroids.shape[1]}"
+        )
+    dist = (points[:, 0, None] - centroids[None, :, 0]) ** 2
+    for j in range(1, points.shape[1]):
+        dist += (points[:, j, None] - centroids[None, :, j]) ** 2
+    return dist
+
+
 def oracle_classify(task: GaussModesTask, ys: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels; ties resolve to the lowest label index."""
     if not isinstance(task, GaussModesTask):
         raise TypeError("oracle_classify requires a GaussModesTask")
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    d2 = ((ys[:, None, :] - task.centers()[None, :, :]) ** 2).sum(axis=-1)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_sq_dists(ys, task.centers()), axis=1)
 
 
 def regression_metrics(pred: np.ndarray, target: np.ndarray) -> dict:

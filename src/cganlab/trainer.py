@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Graph, Tensor, backward
+from .fileio import _atomic_open
 from .losses import LossBreakdown, LossSpec, d_loss_total, g_loss, l1_loss
 from .nets import (
     Discriminator,
@@ -130,7 +131,7 @@ class RunLog:
         return np.array([row[name] for row in self.rows])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with _atomic_open(path) as fh:
             fh.write(",".join(METRICS_COLUMNS) + "\n")
             for row in self.rows:
                 cells = [str(row["step"])] + [repr(float(row[c])) for c in METRICS_COLUMNS[1:]]
@@ -366,8 +367,8 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
         "ema_g": params_to_jsonable(state.ema_g) if state.ema_g is not None else None,
         "rng_state": state.rng.bit_generator.state,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
@@ -383,12 +384,21 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"malformed checkpoint {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"malformed checkpoint {path}: not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format_version {version!r} unsupported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
+    try:
+        return _checkpoint_from_doc(doc)
+    except KeyError as e:
+        raise CheckpointError(f"malformed checkpoint {path}: missing key {e.args[0]!r}") from None
+
+
+def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainState, dict]:
     gen = Generator(
         spec=MlpSpec.from_dict(doc["generator"]["spec"]),
         params=params_from_jsonable(doc["generator"]["params"]),

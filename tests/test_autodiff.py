@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -203,3 +206,37 @@ def test_values_stay_finite_at_saturation():
     assert np.all(np.isfinite(big.tanh().values))
     assert np.all(np.isfinite(big.sigmoid().log().values))
     assert np.all(np.isfinite((1.0 - big.sigmoid()).log().values))
+
+
+def _every_op(a, b):
+    h = ad.concat([a, b], axis=1) @ Tensor(np.ones((4, 3)))
+    h = ad.clamp(h.relu() + h.leaky_relu(0.1) - h.tanh() * h.sigmoid(), -5.0, 5.0)
+    return (-(h.softmax().log() * 0.5)).mean() + ad.minimum(a, b).sum()
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b: (a + b).sum(),
+    lambda a, b: (a - b).sum(),
+    lambda a, b: a.mean(),
+    lambda a, b: a.sum(),
+    lambda a, b: ad.minimum(a, b).sum(),
+    _every_op,
+], ids=["add", "sub", "mean", "sum", "minimum", "every_op"])
+def test_graph_freed_by_refcount_without_gc(build):
+    # a vjp closure holding a Tensor would form graph -> node -> closure ->
+    # Tensor -> graph, and only the cyclic collector could free the step
+    rng = np.random.default_rng(0)
+    gc.collect()
+    gc.disable()
+    try:
+        g = Graph()
+        a = g.leaf(rng.standard_normal((3, 2)))
+        b = g.leaf(rng.standard_normal((3, 2)))
+        root = build(a, b)
+        backward(root)
+        graph_ref, root_ref = weakref.ref(g), weakref.ref(root.values)
+        del g, a, b, root
+        assert graph_ref() is None
+        assert root_ref() is None
+    finally:
+        gc.enable()

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cganlab
+from cganlab import cli
 from cganlab.cli import main
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
@@ -230,6 +234,59 @@ def test_checkpoint_without_task_refused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
     assert capsys.readouterr().err.startswith("error: task-mismatch:")
+
+
+@pytest.mark.parametrize("path", [("seed",), ("generator", "params")],
+                         ids=["seed", "generator.params"])
+def test_checkpoint_missing_key_reported_as_bad(tmp_path, capsys, path):
+    p1, out = _setup_run(tmp_path, "nokey")
+    assert main(["train", "--config", str(p1)]) == 0
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-checkpoint:") and repr(path[-1]) in err
+
+
+def test_checkpoint_not_an_object_reported_as_bad(tmp_path, capsys):
+    p1, out = _setup_run(tmp_path, "list")
+    ckpt = out / "checkpoint.json"
+    ckpt.write_text("[1, 2]")
+    capsys.readouterr()
+    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad-checkpoint:")
+
+
+def test_report_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    cli.write_json({"a": 1}, path)
+    before = path.read_bytes()
+
+    def broken_dump(obj, fh, **kw):
+        fh.write('{"a": ')
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        cli.write_json({"a": 2}, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cganlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, cganlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_seed_and_out_overrides(tmp_path):

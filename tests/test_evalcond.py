@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from statistics import NormalDist
+
 from cganlab.evalcond import (
     PAIRINGS,
+    _kmeans,
     build_histogram,
     classification_rates,
     collect_logits,
@@ -249,3 +252,74 @@ def test_ndb_preconditions():
     dup = np.tile(np.arange(3.0)[:, None], (100, 2))
     with pytest.raises(ValueError, match="distinct"):
         ndb_score(dup, big, k=8)
+
+
+def test_ndb_alpha_outside_unit_interval_rejected():
+    rng = np.random.default_rng(16)
+    real = rng.standard_normal((100, 2))
+    for alpha in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            ndb_score(real, real, k=4, alpha=alpha)
+
+
+def test_ndb_critical_value_matches_scipy_norm_ppf():
+    from scipy import stats
+
+    alphas = np.concatenate([[0.001, 0.01, 0.05, 0.1, 0.2], np.linspace(1e-6, 0.999, 400)])
+    for alpha in alphas:
+        p = 1.0 - alpha / 2.0
+        assert abs(NormalDist().inv_cdf(p) - stats.norm.ppf(p)) <= 1e-12, alpha
+
+    rng = np.random.default_rng(17)
+    real = rng.standard_normal((600, 2))
+    gen = rng.standard_normal((600, 2)) * 1.3 + 0.2
+    for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5):
+        report = ndb_score(real, gen, k=12, alpha=alpha, seed=2)
+        expected = np.abs(report.z_values) > stats.norm.ppf(1.0 - alpha / 2.0)
+        np.testing.assert_array_equal(report.significant, expected)
+
+
+def _kmeans_fixed_iterations(points, k, rng, iters=50):
+    """Lloyd's loop as it was before the fixed-point stop: always `iters`
+    passes over the broadcast distance table. Also returns how many times
+    a cluster came up empty and was reseeded."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centroids[j] = points[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    reseeds = 0
+    for _ in range(iters):
+        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        assign = dist.argmin(axis=1)
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centroids[j] = points[members].mean(axis=0)
+            else:
+                reseeds += 1
+                centroids[j] = points[dist[np.arange(n), assign].argmax()]
+    return centroids, reseeds
+
+
+@pytest.mark.parametrize("case", ["modes8", "modes32", "empty_cluster"])
+def test_kmeans_equals_fixed_iteration_loop(case):
+    if case == "modes8":
+        points, k = sample_dataset(GaussModesTask(), 4000, seed=21).ys, 20
+    elif case == "modes32":
+        task = GaussModesTask(n_modes=32, radius=8.0)
+        points, k = sample_dataset(task, 8000, seed=22).ys, 20
+    else:
+        # three distinct points and five clusters: seeding has to place
+        # centroids on duplicates, so some cluster is empty every pass
+        points, k = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]), 40, axis=0), 5
+    for seed in (0, 1, 2):
+        expected, reseeds = _kmeans_fixed_iterations(points, k, np.random.default_rng(seed))
+        got = _kmeans(points, k, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes(), (case, seed)
+        if case == "empty_cluster":
+            assert reseeds > 0

@@ -1,7 +1,14 @@
+import csv
 import itertools
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cganlab.pairing import (
     ConditionalDataset,
@@ -179,6 +186,76 @@ def test_dataset_csv_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
     save_dataset_csv(back, tmp_path / "ds2.csv")
     assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ds2.csv").read_bytes()
+
+
+def _csv_writer_reference(ds, path):
+    """The dataset writer as it was before it built lines itself: csv.writer rows."""
+    dx, dy = ds.xs.shape[1], ds.ys.shape[1]
+    header = [f"x_{i}" for i in range(dx)] + [f"y_{i}" for i in range(dy)]
+    if ds.labels is not None:
+        header.append("label")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(ds)):
+            row = [repr(float(v)) for v in ds.xs[i]] + [repr(float(v)) for v in ds.ys[i]]
+            if ds.labels is not None:
+                row.append(str(int(ds.labels[i])))
+            writer.writerow(row)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_dataset_csv_bytes_match_csv_writer(tmp_path, labelled):
+    ds = sample_dataset(GaussModesTask(), 200, seed=5)
+    ys = ds.ys.copy()
+    ys.ravel()[: len(EXTREMES)] = EXTREMES
+    ds = ConditionalDataset(xs=ds.xs, ys=ys, labels=ds.labels if labelled else None)
+    save_dataset_csv(ds, tmp_path / "new.csv")
+    _csv_writer_reference(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), dx=st.integers(1, 3), dy=st.integers(1, 3),
+       labelled=st.booleans())
+def test_dataset_csv_round_trip_bit_exact_property(data, n, dx, dy, labelled):
+    xs = data.draw(hnp.arrays(np.float64, (n, dx), elements=_finite))
+    ys = data.draw(hnp.arrays(np.float64, (n, dy), elements=_finite))
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10**6))) \
+        if labelled else None
+    ds = ConditionalDataset(xs=xs, ys=ys, labels=labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        save_dataset_csv(ds, path)
+        back = load_dataset_csv(path)
+    assert back.xs.tobytes() == xs.tobytes()
+    assert back.ys.tobytes() == ys.tobytes()
+    if labelled:
+        assert back.labels.dtype == np.int64
+        np.testing.assert_array_equal(back.labels, labels)
+    else:
+        assert back.labels is None
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "1.0,2.0,3\r\n1.0,2.0\r\n",
+    "1.0,2.0,3\r\n1.0,2.0,abc\r\n",
+    "1.0,2.0,3\r\n1.0,2.0,2.5\r\n",
+], ids=["header_only", "ragged", "text_cell", "fractional_label"])
+def test_malformed_dataset_csv_rejected(tmp_path, body):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(("x_0,y_0,label\r\n" + body).encode())
+    with pytest.raises(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: "input contained no data"
+        load_dataset_csv(path)
 
 
 def test_dataset_invariants():

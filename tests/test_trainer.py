@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -308,3 +309,34 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    gen, disc = small_nets()
+    config = small_config(1)
+    _, state = train(gen, disc, small_dataset(), config)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(gen, disc, state, config, path)
+    before = path.read_bytes()
+
+    def broken_dumps(*args, **kwargs):
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(tr.json, "dumps", broken_dumps)
+    gen.params[0] += 1.0
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        save_checkpoint(gen, disc, state, config, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
+
+
+def test_failed_metrics_write_keeps_previous_file(tmp_path):
+    log, _ = train(*small_nets(), small_dataset(), small_config(1))
+    path = tmp_path / "metrics.csv"
+    log.to_csv(path)
+    before = path.read_bytes()
+    log.rows[3]["d_total"] = "not a number"
+    with pytest.raises(ValueError):
+        log.to_csv(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["metrics.csv"]
