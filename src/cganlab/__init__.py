@@ -7,15 +7,7 @@ conditional accuracy, and NDB mode-collapse scoring.
 """
 
 from .autodiff import Graph, Tensor, backward
-from .losses import (
-    LossBreakdown,
-    LossSpec,
-    d_loss_acontrario,
-    d_loss_classic,
-    d_loss_total,
-    g_loss,
-    hinge_losses,
-)
+from .losses import LossBreakdown, LossSpec, d_loss_total, g_loss
 from .nets import Discriminator, Generator, MlpSpec, disc_forward, gen_forward, init_params
 from .pairing import (
     ConditionalDataset,

@@ -15,16 +15,15 @@ activation of the step alive until the cyclic garbage collector ran.
 Without such cycles a graph and its activations are freed by reference
 counting as soon as the step drops its last Tensor.
 
-All values are 64-bit reals. ``log`` clamps its input to
-``[LOG_EPS, 1.0]`` so that cross-entropy terms evaluated at saturated
-probabilities stay finite.
+All values are 64-bit reals and no op clamps its input. Cross-entropy
+terms are built from ``softplus`` on raw logits, which is exact in both
+tails and never overflows, so values and gradients stay right where a
+sigmoid would saturate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-LOG_EPS = 1e-12
 
 
 class ShapeMismatch(ValueError):
@@ -123,7 +122,7 @@ class Tensor:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
-        return mul(self, other)
+        return mul(self, _wrap(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -149,17 +148,11 @@ class Tensor:
     def softmax(self):
         return softmax(self)
 
-    def log(self):
-        return log(self)
-
     def mean(self):
         return mean(self)
 
     def sum(self):
         return tensor_sum(self)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
 
     def backward(self) -> dict[int, np.ndarray]:
         return backward(self)
@@ -292,15 +285,26 @@ def tanh(a: Tensor) -> Tensor:
     return _result("tanh", t, [(a, lambda g: g * (1.0 - t * t))])
 
 
+def _sigmoid_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|v|) and sigmoid(v) built from it; neither overflows.
+
+    The two branches 1/(1+e) for v >= 0 and e/(1+e) for v < 0 keep full
+    relative precision in both tails.
+    """
+    e = np.exp(-np.abs(v))
+    return e, np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    v = a.values
-    # two-branch form avoids exp overflow for large |v|
-    s = np.empty_like(v)
-    pos = v >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    s[~pos] = ev / (1.0 + ev)
+    _, s = _sigmoid_parts(a.values)
     return _result("sigmoid", s, [(a, lambda g: g * s * (1.0 - s))])
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + exp(a)) as max(a, 0) + log1p(exp(-|a|)); its gradient is sigmoid(a)."""
+    v = a.values
+    e, s = _sigmoid_parts(v)
+    return _result("softplus", np.maximum(v, 0.0) + np.log1p(e), [(a, lambda g: g * s)])
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -312,18 +316,6 @@ def softmax(a: Tensor) -> Tensor:
         return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
     return _result("softmax", s, [(a, vjp)])
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with input clamped to [LOG_EPS, 1]; never raises.
-
-    The clamp matches the operand domain here (probabilities); gradient
-    is zero outside the clamp interval.
-    """
-    v = a.values
-    c = np.clip(v, LOG_EPS, 1.0)
-    mask = (v >= LOG_EPS) & (v <= 1.0)
-    return _result("log", np.log(c), [(a, lambda g: g * mask / c)])
 
 
 def mean(a: Tensor) -> Tensor:
@@ -367,12 +359,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
         return vjp
 
     return _result("concat", values, [(t, make_vjp(i)) for i, t in enumerate(tensors)])
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    v = a.values
-    mask = (v >= lo) & (v <= hi)
-    return _result("clamp", np.clip(v, lo, hi), [(a, lambda g: g * mask)])
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

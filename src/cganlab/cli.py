@@ -64,7 +64,7 @@ MODEL_DEFAULTS = {"gen_hidden": [128, 128], "disc_hidden": [128, 128],
 
 TRAIN_DEFAULTS = {"epochs": 16, "batch_size": 64, "lr": 2e-4, "beta1": 0.5,
                   "beta2": 0.999, "d_steps_per_g_step": 1, "checkpoint_every": 0,
-                  "ema_decay": 0.0, "ac_mode": "within_batch"}
+                  "ac_mode": "within_batch"}
 
 LOSS_DEFAULTS = {"formulation": "classic", "gen_loss_mode": "non_saturating",
                  "recon_weight": 0.0}
@@ -163,8 +163,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
             epochs=t["epochs"], batch_size=t["batch_size"], lr=t["lr"],
             beta1=t["beta1"], beta2=t["beta2"], seed=cfg["seed"],
             loss=build_loss_spec(cfg), d_steps_per_g_step=t["d_steps_per_g_step"],
-            checkpoint_every=t["checkpoint_every"], ema_decay=t["ema_decay"],
-            ac_mode=t["ac_mode"],
+            checkpoint_every=t["checkpoint_every"], ac_mode=t["ac_mode"],
         )
     except ValueError as e:
         raise CliError("invalid-config", str(e)) from None
@@ -192,7 +191,7 @@ def _load_run_dataset(cfg: dict, task):
     path = _dataset_path(cfg)
     if not os.path.exists(path):
         raise CliError("missing-file", f"dataset not found: {path} (run gen-data first)")
-    ds = load_dataset_csv(path, seed=cfg["seed"])
+    ds = load_dataset_csv(path)
     if ds.xs.shape[1] != task.dim_x or ds.ys.shape[1] != task.dim_y:
         raise CliError("task-mismatch",
                        f"dataset dims ({ds.xs.shape[1]},{ds.ys.shape[1]}) do not match "

@@ -87,7 +87,7 @@ def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
         y_g = samples[batch.idx]
     pairs = assemble_pairings(ds, batch, y_g)
     return {
-        name: disc_forward(disc, px, py, "logit").values.ravel()
+        name: disc_forward(disc, px, py).values.ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)
     }
 

@@ -1,23 +1,29 @@
-"""Adversarial objectives over the four data pairings.
+"""Adversarial objectives over the four data pairings, on raw logits.
 
-All discriminator losses are written in descent form (the trainer
-minimizes them), so the cross-entropy discriminator objective is
-``-E[log D(x,y)] - E[log(1 - D(x,G(x)))]`` and the a-contrario extension
-adds ``-E[log(1 - D(x_tilde,y))] - E[log(1 - D(x_tilde,G(x)))]``.
-Expectations are batch means. Probabilities pass through the clamped log,
-so every loss value is finite even at saturation.
+All losses are written in descent form (the trainer minimizes them). With
+``D = sigmoid(l)`` for the discriminator logit ``l``, the cross-entropy
+discriminator objective ``-E[log D(x,y)] - E[log(1 - D(x,G(x)))]`` is
+``E[softplus(-l)]`` on the real-conditional pairing plus ``E[softplus(l)]``
+on the generated one, and the a-contrario extension adds ``E[softplus(l)]``
+on ``(x_tilde, y)`` and ``(x_tilde, G(x))``. Hinge replaces
+``softplus(-s*l)`` by ``relu(1 - s*l)``. Expectations are batch means.
+``softplus`` is exact in both tails, so values and gradients stay right
+where the discriminator saturates.
+
+A pairing whose lambda is zero is logged only: its logits are evaluated
+off the tape, so it adds nothing to the loss or to the gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .autodiff import Tensor, minimum
+import numpy as np
+
+from .autodiff import Tensor, relu, softplus, tensor_sum
 
 FORMULATIONS = ("classic", "acontrario", "hinge_classic", "hinge_acontrario")
 GEN_LOSS_MODES = ("minmax", "non_saturating")
-
-PAIRING_NAMES = ("real_cond", "gen_cond", "real_ac", "gen_ac")
 
 
 @dataclass(frozen=True)
@@ -67,38 +73,13 @@ class LossSpec:
 
 @dataclass
 class LossBreakdown:
-    """Unweighted per-pairing discriminator terms plus the weighted totals."""
+    """Unweighted per-pairing discriminator terms plus the weighted total."""
 
     d_real_cond: float = 0.0
     d_gen_cond: float = 0.0
     d_real_ac: float = 0.0
     d_gen_ac: float = 0.0
     d_total: float = 0.0
-    g_adv: float = 0.0
-    g_recon: float = 0.0
-    g_total: float = 0.0
-
-
-# -- per-pairing terms ---------------------------------------------------
-
-def _bce_true(p: Tensor) -> Tensor:
-    """-E[log p]: push p toward 1."""
-    return -(p.log().mean())
-
-
-def _bce_false(p: Tensor) -> Tensor:
-    """-E[log(1 - p)]: push p toward 0."""
-    return -((1.0 - p).log().mean())
-
-
-def _hinge_true(logit: Tensor) -> Tensor:
-    """-E[min(0, -1 + logit)]: zero once the real margin is met."""
-    return -(minimum(Tensor(0.0), logit - 1.0).mean())
-
-
-def _hinge_false(logit: Tensor) -> Tensor:
-    """-E[min(0, -1 - logit)]: zero once the fake margin is met."""
-    return -(minimum(Tensor(0.0), -1.0 - logit).mean())
 
 
 def l1_loss(y_g: Tensor, y_true: Tensor) -> Tensor:
@@ -107,91 +88,65 @@ def l1_loss(y_g: Tensor, y_true: Tensor) -> Tensor:
     return (diff.relu() + (-diff).relu()).mean()
 
 
-def _detach(t: Tensor) -> Tensor:
-    return Tensor(t.values)
+def d_loss_total(logits: Tensor, spec: LossSpec,
+                 logged: Tensor | None = None) -> tuple[Tensor, LossBreakdown]:
+    """Lambda-weighted discriminator loss on stacked logits.
+
+    `logits` stacks the pairings whose lambda is positive, in the order
+    real_cond, gen_cond, real_ac, gen_ac, with the same number of rows each;
+    `logged` stacks the zero-lambda pairings the same way (None when every
+    lambda is positive). A row of pairing k with logit l costs lambda_k / B
+    times relu(1 - s*l) for hinge or softplus(-s*l) otherwise, where s is
+    +1 on real_cond rows (pushed toward "true") and -1 on the others
+    (pushed toward "false"); the loss is the sum over rows. Zero-lambda
+    pairings enter only the breakdown, so the total reduces exactly to the
+    classic loss when lambda3 = lambda4 = 0.
+    """
+    active = [k for k, lam in enumerate(spec.lambdas) if lam > 0]
+    idle = [k for k, lam in enumerate(spec.lambdas) if lam == 0]
+    b = logits.shape[0] // len(active)
+    if logits.shape != (b * len(active), 1) or b == 0:
+        raise ValueError(f"logits shape {logits.shape} is not {len(active)} stacked batches")
+    n_logged = 0 if logged is None else logged.shape[0]
+    if n_logged != b * len(idle):
+        raise ValueError(f"{n_logged} logged rows for {len(idle)} zero-lambda pairings of {b}")
+
+    def costs(ks, rows):
+        signs = np.repeat([1.0 if k == 0 else -1.0 for k in ks], b)[:, None]
+        return relu(1.0 - rows * signs) if spec.is_hinge else softplus(rows * -signs)
+
+    cost = costs(active, logits)
+    weights = np.repeat([spec.lambdas[k] / b for k in active], b)[:, None]
+    total = tensor_sum(cost * weights)
+
+    terms = np.zeros(4)
+    terms[active] = cost.values.reshape(len(active), b).mean(axis=1)
+    if idle:
+        terms[idle] = costs(idle, logged).values.reshape(len(idle), b).mean(axis=1)
+    return total, LossBreakdown(*terms.tolist(), d_total=float(total.values))
 
 
-def d_loss_classic(p_real: Tensor, p_fake: Tensor) -> Tensor:
-    """Cross-entropy discriminator loss on the two conditional pairings."""
-    return _bce_true(p_real) + _bce_false(p_fake)
+def g_loss(logit: Tensor, spec: LossSpec, y_g: Tensor | None = None,
+           y_true: Tensor | None = None) -> tuple[Tensor, float, float]:
+    """Generator loss on the generated-conditional logits, plus optional L1.
 
-
-def d_loss_acontrario(p_real_ac: Tensor, p_gen_ac: Tensor) -> Tensor:
-    """Both a-contrario pairings pushed toward the fake class."""
-    return _bce_false(p_real_ac) + _bce_false(p_gen_ac)
-
-
-def d_loss_total(d_real_cond: Tensor, d_gen_cond: Tensor, d_real_ac: Tensor,
-                 d_gen_ac: Tensor, spec: LossSpec) -> tuple[Tensor, LossBreakdown]:
-    """Lambda-weighted discriminator loss over the four pairings.
-
-    Inputs are discriminator outputs in the formulation's native scale:
-    probabilities for the cross-entropy formulations, raw logits for the
-    hinge ones. Terms with a zero lambda are evaluated on detached copies,
-    so they are logged but contribute no gradient; the weighted total
-    therefore reduces exactly to the classic loss when lambda3=lambda4=0.
+    The adversarial part is E[-l] for the hinge formulations, and otherwise
+    E[-softplus(l)] (minmax, i.e. E[log(1 - D)]) or E[softplus(-l)]
+    (non-saturating, i.e. -E[log D]). Returns (total tensor, adversarial
+    value, reconstruction value).
     """
     if spec.is_hinge:
-        term_fns = (_hinge_true, _hinge_false, _hinge_false, _hinge_false)
+        adv = -(logit.mean())
+    elif spec.gen_loss_mode == "minmax":
+        adv = -(softplus(logit).mean())
     else:
-        term_fns = (_bce_true, _bce_false, _bce_false, _bce_false)
-    inputs = (d_real_cond, d_gen_cond, d_real_ac, d_gen_ac)
-
-    terms = []
-    total = None
-    for fn, t, lam in zip(term_fns, inputs, spec.lambdas):
-        if lam > 0:
-            term = fn(t)
-            weighted = term * lam
-            total = weighted if total is None else total + weighted
-        else:
-            term = fn(_detach(t))
-        terms.append(float(term.values))
-
-    breakdown = LossBreakdown(
-        d_real_cond=terms[0], d_gen_cond=terms[1],
-        d_real_ac=terms[2], d_gen_ac=terms[3],
-        d_total=float(total.values),
-    )
-    return total, breakdown
-
-
-def g_loss(p_fake_cond: Tensor, mode: str = "non_saturating", y_g: Tensor | None = None,
-           y_true: Tensor | None = None, recon_weight: float = 0.0):
-    """Generator loss: adversarial part plus optional L1 reconstruction.
-
-    Returns (total tensor, adversarial value, reconstruction value).
-    """
-    if mode not in GEN_LOSS_MODES:
-        raise ValueError(f"unknown generator loss mode {mode!r}")
-    if mode == "minmax":
-        adv = (1.0 - p_fake_cond).log().mean()
-    else:
-        adv = _bce_true(p_fake_cond)
+        adv = softplus(-logit).mean()
     total = adv
     recon_value = 0.0
-    if recon_weight > 0:
+    if spec.recon_weight > 0:
         if y_g is None or y_true is None:
             raise ValueError("recon_weight > 0 requires y_g and y_true")
-        recon = l1_loss(y_g, y_true) * recon_weight
+        recon = l1_loss(y_g, y_true) * spec.recon_weight
         recon_value = float(recon.values)
         total = total + recon
     return total, float(adv.values), recon_value
-
-
-def hinge_losses(logit_real: Tensor, logit_gen: Tensor, logit_real_ac: Tensor,
-                 logit_gen_ac: Tensor, logit_gen_for_g: Tensor) -> tuple[Tensor, Tensor]:
-    """Margin-based discriminator and generator losses on raw logits.
-
-    Each of the four discriminator terms is zero once its margin is
-    satisfied; the generator part is -E[logit] on the generated-conditional
-    pairing.
-    """
-    d = (
-        _hinge_true(logit_real)
-        + _hinge_false(logit_gen)
-        + _hinge_false(logit_real_ac)
-        + _hinge_false(logit_gen_ac)
-    )
-    g = -(logit_gen_for_g.mean())
-    return d, g

@@ -1,15 +1,16 @@
 """Generator and discriminator MLPs with early-fusion conditioning.
 
-The discriminator is ``D(x, y) = sigmoid(f(x, y))`` where ``f`` is a plain
-MLP over the concatenation of condition and data; ``f`` (the raw logit) is
-what the conditionality histograms are built from. Both networks keep
+The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
+the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
+never formed, because the losses and the conditionality histograms all
+work on the logit. Both networks keep
 their parameters as bare float64 arrays; a forward pass either wraps them
 as constants (evaluation) or receives graph-bound leaves from the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,10 +139,8 @@ def gen_forward(gen: Generator, x, z=None, params=None) -> Tensor:
     return _mlp_apply(gen.spec, ps, h)
 
 
-def disc_forward(disc: Discriminator, x, y, mode: str = "logit", params=None) -> Tensor:
-    """f(x, y) when mode='logit'; sigmoid of the same graph path when 'prob'."""
-    if mode not in ("logit", "prob"):
-        raise ValueError(f"disc_forward mode must be 'logit' or 'prob', got {mode!r}")
+def disc_forward(disc: Discriminator, x, y, params=None) -> Tensor:
+    """The raw logit f(x, y), one row per sample."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     y = y if isinstance(y, Tensor) else Tensor(y)
     if x.shape[0] != y.shape[0]:
@@ -154,8 +153,7 @@ def disc_forward(disc: Discriminator, x, y, mode: str = "logit", params=None) ->
             f"disc_forward: fused dim {h.shape[1]} != spec input {disc.spec.widths[0]}"
         )
     ps = params if params is not None else [Tensor(p) for p in disc.params]
-    logit = _mlp_apply(disc.spec, ps, h)
-    return logit.sigmoid() if mode == "prob" else logit
+    return _mlp_apply(disc.spec, ps, h)
 
 
 def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:

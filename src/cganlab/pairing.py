@@ -1,10 +1,18 @@
 """Construction of the four data pairings for conditional training.
 
 real-conditional (x, y), generated-conditional (x, y_G), and the two
-a-contrario pairings (x_tilde, y) and (x_tilde, y_G), where x_tilde is a
-shuffle of the batch conditions with no fixed point. Shuffling without
-replacement means the a-contrario conditions are a bijection of the batch
-conditions, realized as a uniform random derangement.
+a-contrario pairings (x_tilde, y) and (x_tilde, y_G). In every a-contrario
+pair x_tilde differs from x by key: by label when the data has labels, by
+value otherwise.
+
+The default `within_batch` sampler shuffles the batch's own conditions,
+so x_tilde is a bijection of them. When all keys in the batch differ, the
+shuffle is a uniform random derangement. When keys repeat (discrete
+labels), `_keyed_derangement` repairs a uniform permutation by random
+swaps. That is not uniform over the valid permutations, but the label a
+row is shuffled to is close to uniform over the other labels; a test pins
+it at 8 modes and batch 64. The `outside_batch` sampler draws x_tilde
+from distinct rows outside the batch instead.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ class ConditionalDataset:
     xs: np.ndarray  # (N, dim_x)
     ys: np.ndarray  # (N, dim_y)
     labels: np.ndarray | None = None  # integer labels for oracle tasks
-    seed: int = 0
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -48,7 +55,8 @@ class PairBatch:
 
     ac_perm is a derangement of batch positions; ac_source_idx (set only
     by the outside-batch sampler variant) holds dataset rows to draw the
-    shuffled conditions from instead.
+    shuffled conditions from instead: distinct rows outside the batch,
+    each with a key other than that of its batch row.
     """
 
     idx: np.ndarray
@@ -81,21 +89,27 @@ def _row_keys(ds: ConditionalDataset, idx: np.ndarray) -> np.ndarray:
 
 
 def _keyed_derangement(keys: np.ndarray, rng: np.random.Generator,
+                       source_keys: np.ndarray | None = None,
                        max_sweeps: int = 200) -> np.ndarray | None:
-    """Permutation with no same-key mapping, or None if one was not found.
+    """Permutation p with source_keys[p] != keys everywhere, or None.
 
-    Whole-permutation rejection collapses once keys repeat (acceptance
-    falls like exp(-expected collisions)), so colliding positions are
-    repaired by random swaps instead; each sweep shrinks the collision
-    set geometrically while keeping targets well mixed.
+    `source_keys` defaults to `keys`, which makes p a derangement of the
+    batch by key. Whole-permutation rejection collapses once keys repeat
+    (acceptance falls like exp(-expected collisions)), so colliding
+    positions are repaired by random swaps instead; each sweep shrinks the
+    collision set geometrically. The result is not uniform over the valid
+    permutations (some are drawn over ten times as often as others), but the key
+    each position maps to is close to uniform over the other keys. None
+    means no valid mapping exists or the sweeps ran out.
     """
+    source_keys = keys if source_keys is None else source_keys
     b = keys.shape[0]
-    counts = np.bincount(keys - keys.min())
-    if 2 * counts.max() > b:
-        return None  # some key group exceeds half the batch: no valid mapping
+    both = np.concatenate([keys, source_keys])
+    if np.bincount(both - both.min()).max() > b:
+        return None  # a key fills more than b of the 2b slots: no valid mapping
     perm = rng.permutation(b)
     for _ in range(max_sweeps):
-        bad = np.nonzero(keys[perm] == keys)[0]
+        bad = np.nonzero(source_keys[perm] == keys)[0]
         if bad.size == 0:
             return perm
         for i in bad:
@@ -116,7 +130,10 @@ def sample_pair_batch(
     batches of distinct conditions use the uniform derangement directly,
     batches with repeated conditions (discrete labels) use the swap-repair
     sampler and are redrawn when no valid mapping exists. Label batches
-    are also redrawn until at least two distinct labels appear.
+    are also redrawn until at least two distinct labels appear. The
+    outside-batch variant draws distinct rows from outside the batch; when
+    one of them shares its batch row's key, the same swap repair reassigns
+    them to batch positions, and the batch is redrawn when that fails.
     """
     if ac_mode not in ("within_batch", "outside_batch"):
         raise ValueError(f"unknown ac_mode {ac_mode!r}")
@@ -137,6 +154,12 @@ def sample_pair_batch(
                     f"batch, have {outside.size}"
                 )
             src = rng.choice(outside, size=batch_size, replace=False)
+            keys = _row_keys(ds, np.concatenate([idx, src]))
+            if np.any(keys[batch_size:] == keys[:batch_size]):
+                perm = _keyed_derangement(keys[:batch_size], rng, keys[batch_size:])
+                if perm is None:
+                    continue
+                src = src[perm]
             return PairBatch(idx=idx, ac_perm=np.arange(batch_size), ac_source_idx=src)
 
         keys = _row_keys(ds, idx)
@@ -190,7 +213,7 @@ def save_dataset_csv(ds: ConditionalDataset, path) -> None:
         fh.write("".join(line + "\r\n" for line in lines))
 
 
-def load_dataset_csv(path, seed: int = 0) -> ConditionalDataset:
+def load_dataset_csv(path) -> ConditionalDataset:
     with open(path, newline="") as fh:
         header = next(csv.reader(fh))
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -207,4 +230,4 @@ def load_dataset_csv(path, seed: int = 0) -> ConditionalDataset:
         labels = column.astype(np.int64)
         if not np.array_equal(labels, column):
             raise ValueError(f"dataset csv {path} has a non-integer label")
-    return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels, seed=seed)
+    return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels)

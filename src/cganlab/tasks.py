@@ -96,12 +96,12 @@ def sample_dataset(task, n: int, seed: int) -> ConditionalDataset:
         labels = rng.permutation(labels)
         ys = task.centers()[labels] + task.sigma * rng.standard_normal((n, 2))
         xs = np.eye(k)[labels]
-        return ConditionalDataset(xs=xs, ys=ys, labels=labels, seed=seed)
+        return ConditionalDataset(xs=xs, ys=ys, labels=labels)
     if isinstance(task, CondRegressionTask):
         xs = rng.standard_normal((n, task.dim_x))
         noise = task.noise_std * rng.standard_normal((n, task.dim_y))
         ys = task.clean_map(xs) + noise
-        return ConditionalDataset(xs=xs, ys=ys, labels=None, seed=seed)
+        return ConditionalDataset(xs=xs, ys=ys)
     raise TypeError(f"cannot sample from {type(task).__name__}")
 
 

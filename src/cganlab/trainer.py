@@ -1,24 +1,26 @@
 """Alternating min-max training of generator and discriminator.
 
-One training step = d-steps-per-g-step discriminator updates on a fresh
-pair batch followed by one generator update on the same batch. All four
-per-pairing loss components are logged every step, even when their
-lambdas are zero (evaluation-only logging reads the discriminator but
-never writes). The optimal-discriminator phase re-runs the discriminator
-side alone with the generator frozen, verified by checksum.
+One training step draws a fresh pair batch, runs the generator forward
+once, makes d-steps-per-g-step discriminator updates on the four pairings
+built from that output, then one generator update on the same batch. Each
+discriminator update is one forward pass over the pairings with a
+positive lambda, stacked; the zero-lambda pairings are still logged every
+step through one untracked pass (it reads the discriminator but never
+writes). The optimal-discriminator phase runs the same step with the
+generator frozen, verified by checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import Graph, Tensor, backward
 from .fileio import _atomic_open
-from .losses import LossBreakdown, LossSpec, d_loss_total, g_loss, l1_loss
+from .losses import LossSpec, d_loss_total, g_loss
 from .nets import (
     Discriminator,
     Generator,
@@ -64,7 +66,6 @@ class TrainConfig:
     loss: LossSpec = field(default_factory=LossSpec)
     d_steps_per_g_step: int = 1
     checkpoint_every: int = 0  # steps; 0 disables intermediate checkpoints
-    ema_decay: float = 0.0  # 0 disables the parameter EMA
     ac_mode: str = "within_batch"
 
     def __post_init__(self):
@@ -112,14 +113,12 @@ class TrainState:
     adam_d: AdamState
     rng: np.random.Generator
     step: int = 0
-    ema_g: list[np.ndarray] | None = None
 
     @classmethod
     def fresh(cls, gen: Generator, disc: Discriminator, config: TrainConfig) -> "TrainState":
-        ema = [p.copy() for p in gen.params] if config.ema_decay > 0 else None
         return cls(adam_g=AdamState.for_params(gen.params),
                    adam_d=AdamState.for_params(disc.params),
-                   rng=np.random.default_rng(config.seed), ema_g=ema)
+                   rng=np.random.default_rng(config.seed))
 
 
 @dataclass
@@ -152,29 +151,27 @@ def _mean_abs_grad(grads: list[np.ndarray]) -> float:
     return total / count
 
 
-def _draw_noise(gen: Generator, batch_size: int, rng: np.random.Generator):
-    if gen.noise_dim == 0:
-        return None
-    return rng.standard_normal((batch_size, gen.noise_dim))
-
-
 def _check_finite(value: float, term: str, step: int) -> None:
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite {term} at step {step}")
 
 
-def _discriminator_update(gen, disc, ds, config, batch, z, adam_d, step):
-    x = ds.xs[batch.idx]
-    y_g = gen_forward(gen, x, z).values
-    pairs = assemble_pairings(ds, batch, y_g)
+def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stack (x, y) pairings into one (x, y) batch."""
+    return np.concatenate([x for x, _ in pairs]), np.concatenate([y for _, y in pairs])
 
-    graph = Graph()
-    d_params = bind_params(disc, graph)
-    mode = "logit" if config.loss.is_hinge else "prob"
-    outs = [disc_forward(disc, px, py, mode, params=d_params) for px, py in pairs]
-    total, breakdown = d_loss_total(*outs, config.loss)
-    for name in ("d_real_cond", "d_gen_cond", "d_real_ac", "d_gen_ac", "d_total"):
-        _check_finite(getattr(breakdown, name), name, step)
+
+def _discriminator_update(disc, pairs, config, adam_d, step):
+    """One Adam step of D on the four pairings; returns (breakdown, grad norm)."""
+    lambdas = config.loss.lambdas
+    d_params = bind_params(disc, Graph())
+    active = [p for p, lam in zip(pairs, lambdas) if lam > 0]
+    logits = disc_forward(disc, *_stack(active), params=d_params)
+    idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
+    logged = disc_forward(disc, *_stack(idle)) if idle else None
+    total, breakdown = d_loss_total(logits, config.loss, logged)
+    for name, value in asdict(breakdown).items():
+        _check_finite(value, name, step)
 
     table = backward(total)
     grads = [table.get(p.node_id, np.zeros_like(p.values)) for p in d_params]
@@ -182,34 +179,37 @@ def _discriminator_update(gen, disc, ds, config, batch, z, adam_d, step):
     return breakdown, _mean_abs_grad(grads)
 
 
-def _generator_update(gen, disc, ds, config, batch, z, adam_g, step):
-    x = ds.xs[batch.idx]
-    y_true = ds.ys[batch.idx]
+def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
+    """One training step on a fresh pair batch; returns its metrics row.
 
-    graph = Graph()
-    g_params = bind_params(gen, graph)
-    y_g = gen_forward(gen, Tensor(x), Tensor(z) if z is not None else None, params=g_params)
-    spec = config.loss
-    if spec.is_hinge:
-        logit = disc_forward(disc, x, y_g, "logit")
-        total = -(logit.mean())
-        g_adv = float(total.values)
-        g_recon = 0.0
-        if spec.recon_weight > 0:
-            recon = l1_loss(y_g, Tensor(y_true)) * spec.recon_weight
-            g_recon = float(recon.values)
-            total = total + recon
-    else:
-        p = disc_forward(disc, x, y_g, "prob")
-        total, g_adv, g_recon = g_loss(p, spec.gen_loss_mode, y_g, Tensor(y_true),
-                                       spec.recon_weight)
+    The generator runs forward once, on the tape when it trains (`adam_g`
+    given), and its values feed every discriminator update. With `adam_g`
+    None the generator is frozen: one D update, no G update, and the G
+    columns of the row read 0.
+    """
+    batch = sample_pair_batch(ds, config.batch_size, rng, config.ac_mode)
+    z = rng.standard_normal((config.batch_size, gen.noise_dim)) if gen.noise_dim else None
+    x = ds.xs[batch.idx]
+    g_params = None if adam_g is None else bind_params(gen, Graph())
+    y_g = gen_forward(gen, x, z, params=g_params)
+    pairs = assemble_pairings(ds, batch, y_g.values)
+    for _ in range(1 if adam_g is None else config.d_steps_per_g_step):
+        breakdown, gnorm_d = _discriminator_update(disc, pairs, config, adam_d, step)
+    row = {"step": step, **asdict(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
+           "grad_norm_G": 0.0, "grad_norm_D": gnorm_d}
+    if adam_g is None:
+        return row
+
+    logit = disc_forward(disc, x, y_g)
+    total, g_adv, g_recon = g_loss(logit, config.loss, y_g, Tensor(ds.ys[batch.idx]))
     _check_finite(g_adv, "g_adv", step)
     _check_finite(g_recon, "g_recon", step)
-
     table = backward(total)
     grads = [table.get(p.node_id, np.zeros_like(p.values)) for p in g_params]
     adam_step(gen.params, grads, adam_g, config.lr, config.beta1, config.beta2)
-    return float(total.values), g_adv, g_recon, _mean_abs_grad(grads)
+    row.update(g_adv=g_adv, g_recon=g_recon, g_total=float(total.values),
+               grad_norm_G=_mean_abs_grad(grads))
+    return row
 
 
 def _rng_fingerprint(rng: np.random.Generator) -> str:
@@ -235,34 +235,9 @@ def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
     for epoch in range(config.epochs):
         for _ in range(steps_per_epoch):
             step = state.step + 1
-            batch = sample_pair_batch(dataset, config.batch_size, state.rng, config.ac_mode)
-            z = _draw_noise(gen, config.batch_size, state.rng)
-
-            for _ in range(config.d_steps_per_g_step):
-                breakdown, gnorm_d = _discriminator_update(
-                    gen, disc, dataset, config, batch, z, state.adam_d, step)
-            g_total, g_adv, g_recon, gnorm_g = _generator_update(
-                gen, disc, dataset, config, batch, z, state.adam_g, step)
-
-            if state.ema_g is not None:
-                d = config.ema_decay
-                for ema, p in zip(state.ema_g, gen.params):
-                    ema[...] = d * ema + (1.0 - d) * p
-
+            log.rows.append(_step(gen, disc, dataset, config, state.rng, state.adam_d, step,
+                                  state.adam_g))
             state.step = step
-            log.rows.append({
-                "step": step,
-                "d_real_cond": breakdown.d_real_cond,
-                "d_gen_cond": breakdown.d_gen_cond,
-                "d_real_ac": breakdown.d_real_ac,
-                "d_gen_ac": breakdown.d_gen_ac,
-                "d_total": breakdown.d_total,
-                "g_adv": g_adv,
-                "g_recon": g_recon,
-                "g_total": g_total,
-                "grad_norm_G": gnorm_g,
-                "grad_norm_D": gnorm_d,
-            })
             if checkpoint_dir is not None and config.checkpoint_every > 0 \
                     and step % config.checkpoint_every == 0:
                 save_checkpoint(gen, disc, state, config,
@@ -296,36 +271,16 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
 
     log = RunLog()
     losses: list[float] = []
-    done = False
-    for _ in range(epochs):
-        for _ in range(steps_per_epoch):
-            step = len(losses) + 1
-            batch = sample_pair_batch(dataset, config.batch_size, rng, config.ac_mode)
-            z = _draw_noise(gen, config.batch_size, rng)
-            breakdown, gnorm_d = _discriminator_update(
-                gen, disc, dataset, config, batch, z, adam_d, step)
-            losses.append(breakdown.d_total)
-            log.rows.append({
-                "step": step,
-                "d_real_cond": breakdown.d_real_cond,
-                "d_gen_cond": breakdown.d_gen_cond,
-                "d_real_ac": breakdown.d_real_ac,
-                "d_gen_ac": breakdown.d_gen_ac,
-                "d_total": breakdown.d_total,
-                "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
-                "grad_norm_G": 0.0, "grad_norm_D": gnorm_d,
-            })
-            if plateau_tol is not None and len(losses) >= 2 * plateau_window:
-                ma_now = float(np.mean(losses[-plateau_window:]))
-                ma_prev = float(np.mean(losses[-2 * plateau_window:-plateau_window]))
-                if abs(ma_prev - ma_now) < plateau_tol:
-                    done = True
-                    break
-        if done:
-            break
+    for step in range(1, epochs * steps_per_epoch + 1):
+        log.rows.append(_step(gen, disc, dataset, config, rng, adam_d, step))
+        losses.append(log.rows[-1]["d_total"])
+        if plateau_tol is not None and step >= 2 * plateau_window:
+            ma_now = float(np.mean(losses[-plateau_window:]))
+            ma_prev = float(np.mean(losses[-2 * plateau_window:-plateau_window]))
+            if abs(ma_prev - ma_now) < plateau_tol:
+                break
 
-    after = params_checksum(gen.params)
-    if after != before:
+    if params_checksum(gen.params) != before:
         raise FreezeViolation("generator parameters changed during the frozen phase")
     return log
 
@@ -364,7 +319,6 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
         },
         "adam_g": _adam_to_jsonable(state.adam_g),
         "adam_d": _adam_to_jsonable(state.adam_d),
-        "ema_g": params_to_jsonable(state.ema_g) if state.ema_g is not None else None,
         "rng_state": state.rng.bit_generator.state,
     }
     with _atomic_open(path) as fh:
@@ -415,6 +369,5 @@ def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainStat
         adam_d=_adam_from_jsonable(doc["adam_d"]),
         rng=rng,
         step=doc["step"],
-        ema_g=params_from_jsonable(doc["ema_g"]) if doc.get("ema_g") else None,
     )
     return gen, disc, state, {"seed": doc["seed"], "step": doc["step"], "task": doc["task"]}

@@ -117,6 +117,17 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
+def test_removed_ema_decay_key_refused(tmp_path, capsys):
+    # the parameter EMA was never read by any output and is gone
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
+           "train": {"ema_decay": 0.9}}
+    p = tmp_path / "ema.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "ema_decay" in err
+
+
 def test_invalid_loss_config_rejected(tmp_path, capsys):
     cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
            "loss": {"formulation": "classic", "lambdas": [1, 1, 1, 1]}}

@@ -87,24 +87,9 @@ def test_zero_discriminator_logit_zero_prob_half():
     disc = Discriminator.build(3, 2, hidden=(8,), seed=0)
     disc.params = [np.zeros_like(p) for p in disc.params]
     x, y = np.ones((4, 3)), np.ones((4, 2))
-    np.testing.assert_array_equal(disc_forward(disc, x, y, "logit").values, np.zeros((4, 1)))
-    np.testing.assert_array_equal(disc_forward(disc, x, y, "prob").values, np.full((4, 1), 0.5))
-
-
-def test_prob_strictly_inside_unit_interval():
-    disc = Discriminator.build(3, 2, seed=3)
-    rng = np.random.default_rng(1)
-    p = disc_forward(disc, rng.standard_normal((16, 3)), rng.standard_normal((16, 2)), "prob").values
-    assert np.all(p > 0.0) and np.all(p < 1.0)
-
-
-def test_prob_equals_sigmoid_of_logit():
-    disc = Discriminator.build(3, 2, seed=4)
-    rng = np.random.default_rng(2)
-    x, y = rng.standard_normal((8, 3)), rng.standard_normal((8, 2))
-    logit = disc_forward(disc, x, y, "logit").values
-    prob = disc_forward(disc, x, y, "prob").values
-    np.testing.assert_allclose(prob, 1.0 / (1.0 + np.exp(-logit)), atol=1e-12)
+    logit = disc_forward(disc, x, y)
+    np.testing.assert_array_equal(logit.values, np.zeros((4, 1)))
+    np.testing.assert_array_equal(logit.sigmoid().values, np.full((4, 1), 0.5))
 
 
 def test_batch_permutation_equivariance():
@@ -113,8 +98,8 @@ def test_batch_permutation_equivariance():
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
     perm = rng.permutation(10)
-    out = disc_forward(disc, x, y, "logit").values
-    out_p = disc_forward(disc, x[perm], y[perm], "logit").values
+    out = disc_forward(disc, x, y).values
+    out_p = disc_forward(disc, x[perm], y[perm]).values
     # blocked matmul reorders float sums, so equality holds to the ulp level
     np.testing.assert_allclose(out[perm], out_p, rtol=1e-12, atol=1e-15)
 

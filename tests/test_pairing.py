@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -62,7 +62,7 @@ def test_batch_size_one_rejected():
 def _toy_dataset(n=20, dx=3, dy=2, seed=0):
     rng = np.random.default_rng(seed)
     return ConditionalDataset(xs=rng.standard_normal((n, dx)),
-                              ys=rng.standard_normal((n, dy)), seed=seed)
+                              ys=rng.standard_normal((n, dy)))
 
 
 def test_assemble_pairings_definitions():
@@ -145,7 +145,7 @@ def _collect_ac_pairs(ds, n_pairs, batch_size, rng, ac_mode="within_batch"):
     return np.concatenate(xt_rows), np.concatenate(y_rows)
 
 
-def test_shuffled_conditions_decorrelate_up_to_exclusion_bias():
+def _assert_decorrelated_up_to_exclusion_bias(ac_mode, seed):
     # independence surrogate. The x_tilde != x exclusion leaves exactly one
     # unavoidable dependence: conditioned on x_tilde = k the target's own
     # label is never k, so E[y | x_tilde=k] = -c_k / (K-1) and
@@ -153,8 +153,7 @@ def test_shuffled_conditions_decorrelate_up_to_exclusion_bias():
     # correlation must match that closed form and nothing more.
     task = GaussModesTask()
     ds = sample_dataset(task, 2000, seed=11)
-    rng = np.random.default_rng(12)
-    xt, y = _collect_ac_pairs(ds, 10_000, 50, rng)
+    xt, y = _collect_ac_pairs(ds, 10_000, 50, np.random.default_rng(seed), ac_mode)
     k = task.n_modes
     centers = task.centers()
     sigma_x = np.sqrt((1 / k) * (1 - 1 / k))
@@ -166,14 +165,66 @@ def test_shuffled_conditions_decorrelate_up_to_exclusion_bias():
             assert abs(corr - predicted) < 0.03
 
 
+def test_shuffled_conditions_decorrelate_up_to_exclusion_bias():
+    _assert_decorrelated_up_to_exclusion_bias("within_batch", seed=12)
+
+
 def test_outside_batch_conditions_fully_independent():
-    # without the within-batch exclusion the pairing factorizes outright
-    ds = sample_dataset(GaussModesTask(), 2000, seed=11)
-    rng = np.random.default_rng(13)
-    xt, y = _collect_ac_pairs(ds, 10_000, 50, rng, ac_mode="outside_batch")
-    for i in range(xt.shape[1]):
-        for j in range(y.shape[1]):
-            assert abs(np.corrcoef(xt[:, i], y[:, j])[0, 1]) < 0.05
+    # outside-batch pairs share no row with the batch and no key with their
+    # target row, so apart from that same-key exclusion they are independent:
+    # the same closed form as the within-batch shuffle, and nothing more
+    _assert_decorrelated_up_to_exclusion_bias("outside_batch", seed=13)
+
+
+def test_keyed_derangement_label_marginal_near_uniform():
+    # The swap-repair sampler is not uniform over valid permutations, but the
+    # label a row is shuffled to is close to uniform over the 7 other labels.
+    # Band: 1/7 +- 0.0175, about six binomial standard deviations for one cell
+    # at 2000 batches of 64; measured 0.137-0.149 at this seed.
+    ds = sample_dataset(GaussModesTask(), 8000, seed=1)
+    rng = np.random.default_rng(1)
+    counts = np.zeros((8, 8))
+    for _ in range(2000):
+        batch = sample_pair_batch(ds, 64, rng)
+        lab = ds.labels[batch.idx]
+        np.add.at(counts, (lab, lab[batch.ac_perm]), 1)
+    share = counts / counts.sum(axis=1, keepdims=True)
+    assert np.all(np.diag(share) == 0.0)
+    off_diagonal = share[~np.eye(8, dtype=bool)]
+    assert np.all(np.abs(off_diagonal - 1 / 7) < 0.0175)
+
+
+@st.composite
+def _keyed_datasets(draw):
+    """Small datasets whose condition keys repeat: labels, or repeated x rows."""
+    k = draw(st.integers(2, 5))
+    per_key = draw(st.integers(4, 12))
+    keys = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(
+        np.repeat(np.arange(k), per_key))
+    ys = np.arange(keys.size, dtype=float)[:, None]
+    if draw(st.booleans()):
+        return ConditionalDataset(xs=np.eye(k)[keys], ys=ys, labels=keys)
+    pool = draw(hnp.arrays(np.float64, (k, 2), elements=st.integers(-3, 3).map(float),
+                           unique=True))
+    return ConditionalDataset(xs=pool[keys], ys=ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ds=_keyed_datasets(), data=st.data(), ac_mode=st.sampled_from(
+    ["within_batch", "outside_batch"]), seed=st.integers(0, 2**32 - 1))
+def test_no_acontrario_pair_shares_a_key(ds, data, ac_mode, seed):
+    batch_size = data.draw(st.integers(2, len(ds) // 2))
+    n_keys = np.unique(ds.xs, axis=0).shape[0]
+    # with two keys, an odd batch has no key-derangement of itself at all
+    assume(not (ac_mode == "within_batch" and n_keys == 2 and batch_size % 2))
+    batch = sample_pair_batch(ds, batch_size, np.random.default_rng(seed), ac_mode)
+    src = batch.idx[batch.ac_perm] if batch.ac_source_idx is None else batch.ac_source_idx
+    if ds.labels is not None:
+        assert not np.any(ds.labels[src] == ds.labels[batch.idx])
+    assert not np.any(np.all(ds.xs[src] == ds.xs[batch.idx], axis=1))
+    if ac_mode == "outside_batch":
+        assert np.unique(src).size == batch_size
+        assert not np.intersect1d(src, batch.idx).size
 
 
 def test_dataset_csv_round_trip_bitwise(tmp_path):

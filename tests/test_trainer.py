@@ -139,16 +139,6 @@ def test_non_finite_loss_aborts_with_term_name():
         train(gen, disc, ds, small_config(1))
 
 
-def test_ema_tracks_generator():
-    ds = small_dataset()
-    gen, disc = small_nets()
-    cfg = small_config(1, ema_decay=0.9)
-    _, state = train(gen, disc, ds, cfg)
-    assert state.ema_g is not None
-    # ema lags the raw parameters but is no longer the initial value
-    assert any(e.tobytes() != p.tobytes() for e, p in zip(state.ema_g, gen.params))
-
-
 # -- frozen-generator phase ----------------------------------------------
 
 def _separable_setup(n=2000, seed=0):
@@ -175,13 +165,13 @@ def test_phase_preserves_generator_bitwise():
 def test_phase_detects_generator_mutation(monkeypatch):
     ds, gen, disc = _separable_setup()
     cfg = TrainConfig(epochs=1, batch_size=50, seed=1, loss=LossSpec("classic"))
-    real_update = tr._discriminator_update
+    real_step = tr._step
 
-    def corrupting_update(gen_, disc_, *args, **kw):
+    def corrupting_step(gen_, disc_, *args, **kw):
         gen_.params[0][0] += 1e-9
-        return real_update(gen_, disc_, *args, **kw)
+        return real_step(gen_, disc_, *args, **kw)
 
-    monkeypatch.setattr(tr, "_discriminator_update", corrupting_update)
+    monkeypatch.setattr(tr, "_step", corrupting_step)
     with pytest.raises(FreezeViolation):
         optimal_discriminator_phase(gen, disc, ds, cfg, epochs=1)
 
@@ -191,9 +181,9 @@ def test_phase_separable_toy_reaches_99_percent():
     ds, gen, disc = _separable_setup()
     cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
     optimal_discriminator_phase(gen, disc, ds, cfg, epochs=10)
-    real_logits = disc_forward(disc, ds.xs, ds.ys, "logit").values
+    real_logits = disc_forward(disc, ds.xs, ds.ys).values
     fake = gen_forward(gen, ds.xs).values
-    fake_logits = disc_forward(disc, ds.xs, fake, "logit").values
+    fake_logits = disc_forward(disc, ds.xs, fake).values
     accuracy = 0.5 * (np.mean(real_logits > 0) + np.mean(fake_logits < 0))
     assert accuracy >= 0.99
 
