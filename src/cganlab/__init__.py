@@ -3,12 +3,15 @@
 Classic and a-contrario conditional adversarial training on synthetic
 tasks, with the tooling to check conditionality claims directly: optimal-
 discriminator logit histograms, per-pairing classification rates, oracle
-conditional accuracy, and NDB mode-collapse scoring.
+conditional accuracy, and NDB mode-collapse scoring. Everything is numpy:
+both networks are MLPs whose gradients are written out in closed form
+(`mlp_forward`, `mlp_backward`), chained with the losses' gradients by
+the trainer.
 """
 
-from .autodiff import Graph, Tensor, backward
 from .losses import LossBreakdown, LossSpec, d_loss_total, g_loss
-from .nets import Discriminator, Generator, MlpSpec, disc_forward, gen_forward, init_params
+from .nets import (Discriminator, Generator, MlpSpec, disc_forward, gen_forward, init_params,
+                   mlp_backward, mlp_forward)
 from .pairing import (
     ConditionalDataset,
     PairBatch,

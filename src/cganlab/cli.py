@@ -34,11 +34,12 @@ from .evalcond import (
 from .fileio import _atomic_open
 from .losses import FORMULATIONS, GEN_LOSS_MODES, LossSpec
 from .nets import Discriminator, Generator, gen_forward
-from .pairing import load_dataset_csv, save_dataset_csv
+from .pairing import _check_pairable, load_dataset_csv, save_dataset_csv
 from .tasks import GaussModesTask, sample_dataset, task_from_dict
 from .trainer import (
     CheckpointError,
     TrainConfig,
+    TrainingDiverged,
     load_checkpoint,
     optimal_discriminator_phase,
     save_checkpoint,
@@ -238,13 +239,22 @@ def cmd_train(cfg: dict) -> None:
     ds = _load_run_dataset(cfg, task)
     gen, disc = build_nets(cfg, task)
     tc = build_train_config(cfg)
+    try:
+        _check_pairable(ds, tc.batch_size, tc.ac_mode)
+    except ValueError as e:
+        raise CliError("invalid-config", str(e)) from None
     ckpt_dir = None
     if tc.checkpoint_every > 0:
         ckpt_dir = os.path.join(cfg["out_dir"], "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
     task_dict = task.to_dict()
-    log, state = train(gen, disc, ds, tc, checkpoint_dir=ckpt_dir, task=task_dict)
-    log.to_csv(os.path.join(cfg["out_dir"], "metrics.csv"))
+    metrics_path = os.path.join(cfg["out_dir"], "metrics.csv")
+    try:
+        log, state = train(gen, disc, ds, tc, checkpoint_dir=ckpt_dir, task=task_dict)
+    except TrainingDiverged as e:
+        e.log.to_csv(metrics_path)  # the steps before the divergence
+        raise
+    log.to_csv(metrics_path)
     save_checkpoint(gen, disc, state, tc, os.path.join(cfg["out_dir"], "checkpoint.json"),
                     task=task_dict)
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
@@ -253,7 +263,7 @@ def cmd_train(cfg: dict) -> None:
 def _generated_over_dataset(gen: Generator, ds, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed, 2])
     z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
-    return gen_forward(gen, ds.xs, z).values
+    return gen_forward(gen, ds.xs, z)
 
 
 def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:

@@ -79,7 +79,7 @@ def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
     if isinstance(gen_or_samples, Generator):
         gen = gen_or_samples
         z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
-        y_g = gen_forward(gen, ds.xs[batch.idx], z).values
+        y_g = gen_forward(gen, ds.xs[batch.idx], z)
     else:
         samples = np.asarray(gen_or_samples, dtype=np.float64)
         if samples.shape[0] != len(ds):
@@ -87,7 +87,7 @@ def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
         y_g = samples[batch.idx]
     pairs = assemble_pairings(ds, batch, y_g)
     return {
-        name: disc_forward(disc, px, py).values.ravel()
+        name: disc_forward(disc, px, py).ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)
     }
 
@@ -133,7 +133,7 @@ def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> fl
         x = np.zeros((n_per_label, k))
         x[:, label] = 1.0
         z = rng.standard_normal((n_per_label, gen.noise_dim)) if gen.noise_dim > 0 else None
-        y = gen_forward(gen, x, z).values
+        y = gen_forward(gen, x, z)
         correct += int(np.sum(oracle_classify(task, y) == label))
     return correct / (k * n_per_label)
 

@@ -7,11 +7,13 @@ discriminator objective ``-E[log D(x,y)] - E[log(1 - D(x,G(x)))]`` is
 on the generated one, and the a-contrario extension adds ``E[softplus(l)]``
 on ``(x_tilde, y)`` and ``(x_tilde, G(x))``. Hinge replaces
 ``softplus(-s*l)`` by ``relu(1 - s*l)``. Expectations are batch means.
-``softplus`` is exact in both tails, so values and gradients stay right
-where the discriminator saturates.
 
-A pairing whose lambda is zero is logged only: its logits are evaluated
-off the tape, so it adds nothing to the loss or to the gradient.
+Each loss returns its values together with its gradient w.r.t. the
+logits (and, for the generator's L1 term, w.r.t. the generated rows),
+which the trainer feeds to `nets.mlp_backward`. ``softplus`` is exact in
+both tails, so values and gradients stay right where the discriminator
+saturates. A pairing whose lambda is zero is logged only: it adds nothing
+to the loss or to the gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, relu, softplus, tensor_sum
+from .nets import _sigmoid_parts
 
 FORMULATIONS = ("classic", "acontrario", "hinge_classic", "hinge_acontrario")
 GEN_LOSS_MODES = ("minmax", "non_saturating")
@@ -53,18 +55,12 @@ class LossSpec:
             )
         if self.recon_weight < 0:
             raise ValueError("recon_weight must be non-negative")
+        if self.is_hinge and self.gen_loss_mode == "minmax":
+            raise ValueError(f"{self.formulation} has the generator loss -E[l], not minmax")
 
     @property
     def is_hinge(self) -> bool:
         return self.formulation.startswith("hinge")
-
-    def to_dict(self) -> dict:
-        return {
-            "formulation": self.formulation,
-            "lambdas": list(self.lambdas),
-            "gen_loss_mode": self.gen_loss_mode,
-            "recon_weight": self.recon_weight,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
@@ -82,15 +78,15 @@ class LossBreakdown:
     d_total: float = 0.0
 
 
-def l1_loss(y_g: Tensor, y_true: Tensor) -> Tensor:
-    """Mean absolute deviation, built from relu so it stays differentiable."""
-    diff = y_g - y_true
-    return (diff.relu() + (-diff).relu()).mean()
+def _softplus(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + exp(v)) as max(v, 0) + log1p(exp(-|v|)), and its slope sigmoid(v)."""
+    e, s = _sigmoid_parts(v)
+    return np.maximum(v, 0.0) + np.log1p(e), s
 
 
-def d_loss_total(logits: Tensor, spec: LossSpec,
-                 logged: Tensor | None = None) -> tuple[Tensor, LossBreakdown]:
-    """Lambda-weighted discriminator loss on stacked logits.
+def d_loss_total(logits: np.ndarray, spec: LossSpec,
+                 logged: np.ndarray | None = None) -> tuple[LossBreakdown, np.ndarray]:
+    """Lambda-weighted discriminator loss on stacked logits, and dL/dlogits.
 
     `logits` stacks the pairings whose lambda is positive, in the order
     real_cond, gen_cond, real_ac, gen_ac, with the same number of rows each;
@@ -98,9 +94,10 @@ def d_loss_total(logits: Tensor, spec: LossSpec,
     lambda is positive). A row of pairing k with logit l costs lambda_k / B
     times relu(1 - s*l) for hinge or softplus(-s*l) otherwise, where s is
     +1 on real_cond rows (pushed toward "true") and -1 on the others
-    (pushed toward "false"); the loss is the sum over rows. Zero-lambda
-    pairings enter only the breakdown, so the total reduces exactly to the
-    classic loss when lambda3 = lambda4 = 0.
+    (pushed toward "false"); the loss is the sum over rows, and its
+    gradient w.r.t. that row is -s * [s*l < 1] or -s * sigmoid(-s*l),
+    times lambda_k / B. Zero-lambda pairings enter only the breakdown, so
+    the total reduces exactly to the classic loss when lambda3 = lambda4 = 0.
     """
     active = [k for k, lam in enumerate(spec.lambdas) if lam > 0]
     idle = [k for k, lam in enumerate(spec.lambdas) if lam == 0]
@@ -111,42 +108,55 @@ def d_loss_total(logits: Tensor, spec: LossSpec,
     if n_logged != b * len(idle):
         raise ValueError(f"{n_logged} logged rows for {len(idle)} zero-lambda pairings of {b}")
 
-    def costs(ks, rows):
-        signs = np.repeat([1.0 if k == 0 else -1.0 for k in ks], b)[:, None]
-        return relu(1.0 - rows * signs) if spec.is_hinge else softplus(rows * -signs)
+    def signs(ks):
+        return np.repeat([1.0 if k == 0 else -1.0 for k in ks], b)[:, None]
 
-    cost = costs(active, logits)
+    def costs(ks, rows):  # per-row cost, and its slope w.r.t. -s*l
+        if spec.is_hinge:
+            cost = np.maximum(1.0 - rows * signs(ks), 0.0)
+            return cost, cost > 0
+        return _softplus(rows * -signs(ks))
+
+    cost, slope = costs(active, logits)
     weights = np.repeat([spec.lambdas[k] / b for k in active], b)[:, None]
-    total = tensor_sum(cost * weights)
+    grad = weights * slope * -signs(active)
 
     terms = np.zeros(4)
-    terms[active] = cost.values.reshape(len(active), b).mean(axis=1)
+    terms[active] = cost.reshape(len(active), b).mean(axis=1)
     if idle:
-        terms[idle] = costs(idle, logged).values.reshape(len(idle), b).mean(axis=1)
-    return total, LossBreakdown(*terms.tolist(), d_total=float(total.values))
+        terms[idle] = costs(idle, logged)[0].reshape(len(idle), b).mean(axis=1)
+    return LossBreakdown(*terms.tolist(), d_total=float((cost * weights).sum())), grad
 
 
-def g_loss(logit: Tensor, spec: LossSpec, y_g: Tensor | None = None,
-           y_true: Tensor | None = None) -> tuple[Tensor, float, float]:
+def g_loss(logit: np.ndarray, spec: LossSpec, y_g: np.ndarray | None = None,
+           y_true: np.ndarray | None = None) -> tuple[dict, np.ndarray, np.ndarray | None]:
     """Generator loss on the generated-conditional logits, plus optional L1.
 
-    The adversarial part is E[-l] for the hinge formulations, and otherwise
-    E[-softplus(l)] (minmax, i.e. E[log(1 - D)]) or E[softplus(-l)]
-    (non-saturating, i.e. -E[log D]). Returns (total tensor, adversarial
-    value, reconstruction value).
+    The adversarial part is E[-softplus(l)] for minmax (E[log(1 - D)]),
+    E[softplus(-l)] for non-saturating (-E[log D]), and -E[l] for hinge
+    whatever the mode. With recon_weight w > 0, w * mean|y_g - y_true| is
+    added. Returns (values, dL/dlogit, dL/dy_g): values maps g_adv, g_recon
+    and g_total to floats; dL/dy_g is None when w is 0.
     """
+    inv_b = 1.0 / logit.size
     if spec.is_hinge:
-        adv = -(logit.mean())
+        adv = -float(logit.mean())
+        g_logit = np.full(logit.shape, -inv_b)
     elif spec.gen_loss_mode == "minmax":
-        adv = -(softplus(logit).mean())
+        value, slope = _softplus(logit)
+        adv = -float(value.mean())
+        g_logit = -inv_b * slope
     else:
-        adv = softplus(-logit).mean()
-    total = adv
-    recon_value = 0.0
+        value, slope = _softplus(-logit)
+        adv = float(value.mean())
+        g_logit = -inv_b * slope
+    values = {"g_adv": adv, "g_recon": 0.0, "g_total": adv}
+    g_y = None
     if spec.recon_weight > 0:
         if y_g is None or y_true is None:
             raise ValueError("recon_weight > 0 requires y_g and y_true")
-        recon = l1_loss(y_g, y_true) * spec.recon_weight
-        recon_value = float(recon.values)
-        total = total + recon
-    return total, float(adv.values), recon_value
+        diff = y_g - y_true
+        recon = float(np.abs(diff).mean() * spec.recon_weight)
+        values.update(g_recon=recon, g_total=adv + recon)
+        g_y = (spec.recon_weight / diff.size) * np.sign(diff)
+    return values, g_logit, g_y

@@ -3,9 +3,11 @@
 The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
 never formed, because the losses and the conditionality histograms all
-work on the logit. Both networks keep
-their parameters as bare float64 arrays; a forward pass either wraps them
-as constants (evaluation) or receives graph-bound leaves from the trainer.
+work on the logit. Both networks keep their parameters as bare float64
+arrays. An MLP is affine layers with leaky-ReLU between them and an
+identity, tanh, sigmoid or softmax output, so its gradient is closed
+form: `mlp_forward` keeps each layer's input, and `mlp_backward` turns
+the gradient w.r.t. the output into parameter and input gradients.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Graph, Tensor
-
 OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid", "softmax")
 
 WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
@@ -24,7 +23,11 @@ WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths plus activations; at least one hidden layer."""
+    """Layer widths plus activations; at least one hidden layer.
+
+    The leaky-ReLU slope must be non-negative, so that a hidden unit's
+    output is positive exactly where its pre-activation is.
+    """
 
     widths: tuple[int, ...]
     hidden_slope: float = 0.2
@@ -35,6 +38,8 @@ class MlpSpec:
             raise ValueError(f"MlpSpec needs at least one hidden layer, got widths {self.widths}")
         if any(w <= 0 for w in self.widths):
             raise ValueError(f"MlpSpec widths must be positive, got {self.widths}")
+        if self.hidden_slope < 0:
+            raise ValueError(f"hidden_slope must be non-negative, got {self.hidden_slope}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -49,11 +54,6 @@ class MlpSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
         return cls(tuple(d["widths"]), d["hidden_slope"], d["output_activation"])
-
-
-def param_count(spec: MlpSpec) -> int:
-    w = spec.widths
-    return sum(w[i] * w[i + 1] + w[i + 1] for i in range(len(w) - 1))
 
 
 def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
@@ -99,61 +99,87 @@ class Discriminator:
         return cls(spec, init_params(spec, seed))
 
 
-def bind_params(net, graph: Graph) -> list[Tensor]:
-    """Register a network's parameters as leaves on a graph."""
-    return [graph.leaf(p) for p in net.params]
+def _sigmoid_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|v|) and sigmoid(v) as 1/(1+e) or e/(1+e): no overflow, exact in both tails."""
+    e = np.exp(-np.abs(v))
+    return e, np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _mlp_apply(spec: MlpSpec, params: list[Tensor], h: Tensor) -> Tensor:
+def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
+                h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Output of the MLP on rows `h`, and the cache `mlp_backward` needs.
+
+    The cache holds each layer's input, then the output.
+    """
     n_layers = len(spec.widths) - 1
+    cache = []
     for i in range(n_layers):
+        cache.append(h)
         h = h @ params[2 * i] + params[2 * i + 1]
         if i < n_layers - 1:
-            h = h.leaky_relu(spec.hidden_slope)
+            h = np.where(h > 0, h, spec.hidden_slope * h)
     if spec.output_activation == "tanh":
-        h = h.tanh()
+        h = np.tanh(h)
     elif spec.output_activation == "sigmoid":
-        h = h.sigmoid()
+        h = _sigmoid_parts(h)[1]
     elif spec.output_activation == "softmax":
-        h = h.softmax()
-    return h
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        h = e / e.sum(axis=-1, keepdims=True)
+    cache.append(h)
+    return h, cache
 
 
-def gen_forward(gen: Generator, x, z=None, params=None) -> Tensor:
-    """Generator forward pass; z is required iff noise_dim > 0."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray],
+                 g_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradients of a loss from its gradient `g_out` w.r.t. the MLP output.
+
+    Returns (parameter gradients in the order of `params`, gradient w.r.t.
+    the input rows). A hidden unit passes the gradient where its output is
+    positive and scales it by the slope elsewhere.
+    """
+    out = cache[-1]
+    g = g_out
+    if spec.output_activation == "tanh":
+        g = g * (1.0 - out * out)
+    elif spec.output_activation == "sigmoid":
+        g = g * out * (1.0 - out)
+    elif spec.output_activation == "softmax":
+        g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+    n_layers = len(spec.widths) - 1
+    grads = [None] * (2 * n_layers)
+    for i in reversed(range(n_layers)):
+        if i < n_layers - 1:
+            g = g * np.where(cache[i + 1] > 0, 1.0, spec.hidden_slope)
+        grads[2 * i] = cache[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ params[2 * i].T
+    return grads, g
+
+
+def gen_forward(gen: Generator, x, z=None) -> np.ndarray:
+    """Generator output; z is required iff noise_dim > 0."""
+    h = np.asarray(x, dtype=np.float64)
     if gen.noise_dim > 0:
         if z is None:
             raise ValueError("generator has noise_dim > 0 but no z was supplied")
-        z = z if isinstance(z, Tensor) else Tensor(z)
-        h = ad.concat([x, z], axis=1)
-    else:
-        if z is not None:
-            raise ValueError("generator has noise_dim == 0 but z was supplied")
-        h = x
+        h = np.concatenate([h, np.asarray(z, dtype=np.float64)], axis=1)
+    elif z is not None:
+        raise ValueError("generator has noise_dim == 0 but z was supplied")
     if h.shape[1] != gen.spec.widths[0]:
-        raise ad.ShapeMismatch(
-            f"gen_forward: input dim {h.shape[1]} != spec input {gen.spec.widths[0]}"
-        )
-    ps = params if params is not None else [Tensor(p) for p in gen.params]
-    return _mlp_apply(gen.spec, ps, h)
+        raise ValueError(f"gen_forward: input dim {h.shape[1]} != spec input {gen.spec.widths[0]}")
+    return mlp_forward(gen.spec, gen.params, h)[0]
 
 
-def disc_forward(disc: Discriminator, x, y, params=None) -> Tensor:
+def disc_forward(disc: Discriminator, x, y) -> np.ndarray:
     """The raw logit f(x, y), one row per sample."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    y = y if isinstance(y, Tensor) else Tensor(y)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
-        raise ad.ShapeMismatch(
-            f"disc_forward: batch sizes {x.shape[0]} and {y.shape[0]} differ"
-        )
-    h = ad.concat([x, y], axis=1)
+        raise ValueError(f"disc_forward: batch sizes {x.shape[0]} and {y.shape[0]} differ")
+    h = np.concatenate([x, y], axis=1)
     if h.shape[1] != disc.spec.widths[0]:
-        raise ad.ShapeMismatch(
-            f"disc_forward: fused dim {h.shape[1]} != spec input {disc.spec.widths[0]}"
-        )
-    ps = params if params is not None else [Tensor(p) for p in disc.params]
-    return _mlp_apply(disc.spec, ps, h)
+        raise ValueError(f"disc_forward: fused dim {h.shape[1]} != spec input "
+                         f"{disc.spec.widths[0]}")
+    return mlp_forward(disc.spec, disc.params, h)[0]
 
 
 def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:
@@ -161,6 +187,4 @@ def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:
 
 
 def params_from_jsonable(entries: list[dict]) -> list[np.ndarray]:
-    return [
-        np.array(e["data"], dtype=np.float64).reshape(e["shape"]) for e in entries
-    ]
+    return [np.array(e["data"], dtype=np.float64).reshape(e["shape"]) for e in entries]

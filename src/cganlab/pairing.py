@@ -118,6 +118,19 @@ def _keyed_derangement(keys: np.ndarray, rng: np.random.Generator,
     return None
 
 
+def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> None:
+    """Raise ValueError when labelled data admits no within-batch a-contrario batch.
+
+    A batch has a key-derangement exactly when no label fills more than
+    half of it, so some batch has one iff sum_k min(count_k, B // 2) >= B.
+    """
+    if ac_mode == "within_batch" and ds.labels is not None:
+        counts = np.bincount(ds.labels - ds.labels.min())
+        if np.minimum(counts, batch_size // 2).sum() < batch_size:
+            raise ValueError(f"within_batch pairing: no batch of {batch_size} keeps each "
+                             f"label to half of it (label counts {counts.tolist()})")
+
+
 def sample_pair_batch(
     ds: ConditionalDataset,
     batch_size: int,
@@ -130,16 +143,20 @@ def sample_pair_batch(
     batches of distinct conditions use the uniform derangement directly,
     batches with repeated conditions (discrete labels) use the swap-repair
     sampler and are redrawn when no valid mapping exists. Label batches
-    are also redrawn until at least two distinct labels appear. The
-    outside-batch variant draws distinct rows from outside the batch; when
-    one of them shares its batch row's key, the same swap repair reassigns
-    them to batch positions, and the batch is redrawn when that fails.
+    are also redrawn until at least two distinct labels appear. So only
+    batches in which no label fills more than half are returned: with two
+    labels, only exactly balanced batches. Labelled data that admits no
+    such batch raises ValueError at once. The outside-batch variant draws
+    distinct rows from outside the batch; when one of them shares its
+    batch row's key, the same swap repair reassigns them to batch
+    positions, and the batch is redrawn when that fails.
     """
     if ac_mode not in ("within_batch", "outside_batch"):
         raise ValueError(f"unknown ac_mode {ac_mode!r}")
     n = len(ds)
     if batch_size < 2 or batch_size > n:
         raise ValueError(f"batch_size {batch_size} invalid for dataset of {n}")
+    _check_pairable(ds, batch_size, ac_mode)
 
     for _ in range(MAX_SAMPLER_ATTEMPTS):
         idx = rng.choice(n, size=batch_size, replace=False)

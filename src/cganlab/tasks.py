@@ -160,5 +160,5 @@ def regression_error(task: CondRegressionTask, gen: Generator, n_eval: int,
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n_eval, task.dim_x))
     z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
-    pred = gen_forward(gen, xs, z).values
+    pred = gen_forward(gen, xs, z)
     return regression_metrics(pred, task.clean_map(xs))

@@ -3,11 +3,14 @@
 One training step draws a fresh pair batch, runs the generator forward
 once, makes d-steps-per-g-step discriminator updates on the four pairings
 built from that output, then one generator update on the same batch. Each
-discriminator update is one forward pass over the pairings with a
-positive lambda, stacked; the zero-lambda pairings are still logged every
-step through one untracked pass (it reads the discriminator but never
-writes). The optimal-discriminator phase runs the same step with the
-generator frozen, verified by checksum.
+discriminator update is one forward and one backward pass over the
+pairings with a positive lambda, stacked; the zero-lambda pairings are
+still logged every step through one more forward pass (it reads the
+discriminator but never writes). The generator update runs the
+discriminator on the generated-conditional pairing, takes its input
+gradient on the y columns, adds the L1 gradient and backpropagates the
+sum through the generator. The optimal-discriminator phase runs the same
+step with the generator frozen, verified by checksum.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, backward
 from .fileio import _atomic_open
 from .losses import LossSpec, d_loss_total, g_loss
 from .nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    bind_params,
     disc_forward,
-    gen_forward,
+    mlp_backward,
+    mlp_forward,
     params_from_jsonable,
     params_to_jsonable,
 )
@@ -44,7 +46,9 @@ _PHASE_STREAM = 0x0D  # decorrelates the phase rng from the training rng
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss term went non-finite; the offending term is named."""
+    """A loss term went non-finite; `log` holds the steps completed before it."""
+
+    log: RunLog | None = None  # set by `train`
 
 
 class FreezeViolation(RuntimeError):
@@ -124,10 +128,6 @@ class TrainState:
 @dataclass
 class RunLog:
     rows: list[dict] = field(default_factory=list)
-    epoch_snapshots: list[dict] = field(default_factory=list)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows])
 
     def to_csv(self, path) -> None:
         with _atomic_open(path) as fh:
@@ -156,25 +156,24 @@ def _check_finite(value: float, term: str, step: int) -> None:
         raise TrainingDiverged(f"non-finite {term} at step {step}")
 
 
-def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stack (x, y) pairings into one (x, y) batch."""
-    return np.concatenate([x for x, _ in pairs]), np.concatenate([y for _, y in pairs])
+def _fused(pairs) -> np.ndarray:
+    """Row-stack (x, y) pairings into one discriminator input, x then y columns."""
+    return np.concatenate([np.concatenate([x for x, _ in pairs]),
+                           np.concatenate([y for _, y in pairs])], axis=1)
 
 
 def _discriminator_update(disc, pairs, config, adam_d, step):
     """One Adam step of D on the four pairings; returns (breakdown, grad norm)."""
     lambdas = config.loss.lambdas
-    d_params = bind_params(disc, Graph())
     active = [p for p, lam in zip(pairs, lambdas) if lam > 0]
-    logits = disc_forward(disc, *_stack(active), params=d_params)
+    logits, cache = mlp_forward(disc.spec, disc.params, _fused(active))
     idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
-    logged = disc_forward(disc, *_stack(idle)) if idle else None
-    total, breakdown = d_loss_total(logits, config.loss, logged)
+    logged = mlp_forward(disc.spec, disc.params, _fused(idle))[0] if idle else None
+    breakdown, g_logits = d_loss_total(logits, config.loss, logged)
     for name, value in asdict(breakdown).items():
         _check_finite(value, name, step)
 
-    table = backward(total)
-    grads = [table.get(p.node_id, np.zeros_like(p.values)) for p in d_params]
+    grads, _ = mlp_backward(disc.spec, disc.params, cache, g_logits)
     adam_step(disc.params, grads, adam_d, config.lr, config.beta1, config.beta2)
     return breakdown, _mean_abs_grad(grads)
 
@@ -182,17 +181,16 @@ def _discriminator_update(disc, pairs, config, adam_d, step):
 def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     """One training step on a fresh pair batch; returns its metrics row.
 
-    The generator runs forward once, on the tape when it trains (`adam_g`
-    given), and its values feed every discriminator update. With `adam_g`
-    None the generator is frozen: one D update, no G update, and the G
-    columns of the row read 0.
+    The generator runs forward once, and its output feeds every
+    discriminator update. With `adam_g` None the generator is frozen: one
+    D update, no G update, and the G columns of the row read 0.
     """
     batch = sample_pair_batch(ds, config.batch_size, rng, config.ac_mode)
     z = rng.standard_normal((config.batch_size, gen.noise_dim)) if gen.noise_dim else None
     x = ds.xs[batch.idx]
-    g_params = None if adam_g is None else bind_params(gen, Graph())
-    y_g = gen_forward(gen, x, z, params=g_params)
-    pairs = assemble_pairings(ds, batch, y_g.values)
+    y_g, g_cache = mlp_forward(gen.spec, gen.params,
+                               x if z is None else np.concatenate([x, z], axis=1))
+    pairs = assemble_pairings(ds, batch, y_g)
     for _ in range(1 if adam_g is None else config.d_steps_per_g_step):
         breakdown, gnorm_d = _discriminator_update(disc, pairs, config, adam_d, step)
     row = {"step": step, **asdict(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
@@ -200,20 +198,17 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     if adam_g is None:
         return row
 
-    logit = disc_forward(disc, x, y_g)
-    total, g_adv, g_recon = g_loss(logit, config.loss, y_g, Tensor(ds.ys[batch.idx]))
-    _check_finite(g_adv, "g_adv", step)
-    _check_finite(g_recon, "g_recon", step)
-    table = backward(total)
-    grads = [table.get(p.node_id, np.zeros_like(p.values)) for p in g_params]
+    logit, d_cache = mlp_forward(disc.spec, disc.params, np.concatenate([x, y_g], axis=1))
+    values, g_logit, g_y = g_loss(logit, config.loss, y_g, ds.ys[batch.idx])
+    for name, value in values.items():
+        _check_finite(value, name, step)
+    g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
+    if g_y is not None:
+        g_y_g = g_y_g + g_y
+    grads, _ = mlp_backward(gen.spec, gen.params, g_cache, g_y_g)
     adam_step(gen.params, grads, adam_g, config.lr, config.beta1, config.beta2)
-    row.update(g_adv=g_adv, g_recon=g_recon, g_total=float(total.values),
-               grad_norm_G=_mean_abs_grad(grads))
+    row.update(values, grad_norm_G=_mean_abs_grad(grads))
     return row
-
-
-def _rng_fingerprint(rng: np.random.Generator) -> str:
-    return hashlib.sha256(repr(rng.bit_generator.state).encode()).hexdigest()[:16]
 
 
 def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
@@ -232,23 +227,19 @@ def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
         raise ValueError("dataset smaller than one batch")
 
     log = RunLog()
-    for epoch in range(config.epochs):
-        for _ in range(steps_per_epoch):
-            step = state.step + 1
-            log.rows.append(_step(gen, disc, dataset, config, state.rng, state.adam_d, step,
-                                  state.adam_g))
-            state.step = step
-            if checkpoint_dir is not None and config.checkpoint_every > 0 \
-                    and step % config.checkpoint_every == 0:
-                save_checkpoint(gen, disc, state, config,
-                                f"{checkpoint_dir}/step_{step:08d}.json", task=task)
-        log.epoch_snapshots.append({
-            "epoch": epoch,
-            "step": state.step,
-            "d_total_mean": float(np.mean([r["d_total"] for r in log.rows[-steps_per_epoch:]])),
-            "g_total_mean": float(np.mean([r["g_total"] for r in log.rows[-steps_per_epoch:]])),
-            "rng_fingerprint": _rng_fingerprint(state.rng),
-        })
+    for _ in range(config.epochs * steps_per_epoch):
+        step = state.step + 1
+        try:
+            row = _step(gen, disc, dataset, config, state.rng, state.adam_d, step, state.adam_g)
+        except TrainingDiverged as e:
+            e.log = log
+            raise
+        log.rows.append(row)
+        state.step = step
+        if checkpoint_dir is not None and config.checkpoint_every > 0 \
+                and step % config.checkpoint_every == 0:
+            save_checkpoint(gen, disc, state, config,
+                            f"{checkpoint_dir}/step_{step:08d}.json", task=task)
     return log, state
 
 

@@ -138,6 +138,61 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
+    # the hinge generator loss is -E[l] whatever gen_loss_mode says
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
+           "loss": {"formulation": "hinge_acontrario", "gen_loss_mode": "minmax"}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "minmax" in err
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_two_labels_odd_batch_refused_before_training(tmp_path, capsys, monkeypatch):
+    # with two labels no batch of 51 rows splits into halves: no key-derangement
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "r"),
+           "task": dict(MINI_TASK, n_modes=2),
+           "train": {"epochs": 1, "batch_size": 51}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(p)]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "within_batch" in err
+
+
+def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    from cganlab import trainer
+    p, out = _setup_run(tmp_path, "div")
+    real_step = trainer._step
+    k = 4
+
+    def diverging_step(gen, disc, ds, config, rng, adam_d, step, adam_g=None):
+        if step == k:
+            gen.params[-1][:] = np.nan
+        return real_step(gen, disc, ds, config, rng, adam_d, step, adam_g)
+
+    monkeypatch.setattr(trainer, "_step", diverging_step)
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    assert f"non-finite d_gen_cond at step {k}" in capsys.readouterr().err
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 1 + (k - 1)
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, k))
+    assert not (out / "checkpoint.json").exists()
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv", "metrics.csv"]
+
+
 def test_missing_files_reported(tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "nope.json")]) == 1
     assert "missing-file" in capsys.readouterr().err

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cganlab.autodiff import Graph, Tensor, backward
-from cganlab.losses import LossSpec, d_loss_total, g_loss, l1_loss
+from cganlab.losses import GEN_LOSS_MODES, LossSpec, _softplus, d_loss_total, g_loss
+
+from finite_differences import central_differences
 
 LN2 = math.log(2.0)
 
@@ -14,12 +18,12 @@ ACONTRARIO = LossSpec("acontrario", (1, 1, 1, 1))
 
 
 def t(values):
-    return Tensor(np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 def stack(*pairings):
     """Logits of several pairings, one list of rows each, stacked as D returns them."""
-    return t(np.concatenate([np.asarray(p, dtype=float) for p in pairings])[:, None])
+    return np.concatenate([np.asarray(p, dtype=float) for p in pairings])[:, None]
 
 
 def logit(p):
@@ -31,15 +35,15 @@ def softplus(v):
 
 
 def test_classic_symmetry_point():
-    total, bd = d_loss_total(stack([0.0], [0.0]), CLASSIC, stack([0.0], [0.0]))
-    assert abs(float(total.values) - 2 * LN2) < 1e-15
+    bd, _ = d_loss_total(stack([0.0], [0.0]), CLASSIC, stack([0.0], [0.0]))
+    assert abs(bd.d_total - 2 * LN2) < 1e-15
     for term in (bd.d_real_cond, bd.d_gen_cond, bd.d_real_ac, bd.d_gen_ac):
         assert abs(term - LN2) < 1e-15
 
 
 def test_classic_perfect_discriminator_limit():
-    total, _ = d_loss_total(stack([40.0], [-40.0]), CLASSIC, stack([0.0], [0.0]))
-    assert 0.0 < float(total.values) < 1e-17
+    bd, _ = d_loss_total(stack([40.0], [-40.0]), CLASSIC, stack([0.0], [0.0]))
+    assert 0.0 < bd.d_total < 1e-17
 
 
 def test_classic_two_element_batch_value():
@@ -47,29 +51,28 @@ def test_classic_two_element_batch_value():
     # -(ln .9 + ln .8)/2 - (ln .9 + ln .7)/2
     expected = -(math.log(0.9) + math.log(0.8)) / 2 - (math.log(0.9) + math.log(0.7)) / 2
     real, fake = [logit(0.9), logit(0.8)], [logit(0.1), logit(0.3)]
-    total, _ = d_loss_total(stack(real, fake), CLASSIC, stack([0.0, 0.0], [0.0, 0.0]))
-    assert abs(float(total.values) - expected) < 1e-12
+    bd, _ = d_loss_total(stack(real, fake), CLASSIC, stack([0.0, 0.0], [0.0, 0.0]))
+    assert abs(bd.d_total - expected) < 1e-12
     assert abs(expected - 0.3952703) < 1e-6
 
 
 def test_acontrario_rejected_limit():
-    _, bd = d_loss_total(stack([0.0], [0.0], [-40.0], [-40.0]), ACONTRARIO)
+    bd, _ = d_loss_total(stack([0.0], [0.0], [-40.0], [-40.0]), ACONTRARIO)
     assert 0.0 < bd.d_real_ac + bd.d_gen_ac < 1e-17
 
 
 def test_acontrario_symmetry_point():
-    _, bd = d_loss_total(stack([5.0], [-5.0], [0.0], [0.0]), ACONTRARIO)
+    bd, _ = d_loss_total(stack([5.0], [-5.0], [0.0], [0.0]), ACONTRARIO)
     assert abs(bd.d_real_ac + bd.d_gen_ac - 2 * LN2) < 1e-15
 
 
 def test_acontrario_confident_mistake_cost():
-    _, bd = d_loss_total(stack([0.0], [0.0], [logit(0.99)], [-40.0]), ACONTRARIO)
+    bd, _ = d_loss_total(stack([0.0], [0.0], [logit(0.99)], [-40.0]), ACONTRARIO)
     assert abs(bd.d_real_ac + bd.d_gen_ac - (-math.log(0.01))) < 1e-12
 
 
 def test_total_strategy1_all_half():
-    total, bd = d_loss_total(stack([0.0], [0.0], [0.0], [0.0]), ACONTRARIO)
-    assert abs(float(total.values) - 4 * LN2) < 1e-15
+    bd, _ = d_loss_total(stack([0.0], [0.0], [0.0], [0.0]), ACONTRARIO)
     assert abs(bd.d_total - 4 * LN2) < 1e-15
 
 
@@ -77,11 +80,10 @@ def test_total_matches_weighted_sum_of_components():
     rng = np.random.default_rng(0)
     logits = [rng.normal(0, 2, 8) for _ in range(4)]
     spec = LossSpec("acontrario", (1.0, 0.33, 0.33, 0.33))
-    total, bd = d_loss_total(stack(*logits), spec)
+    bd, _ = d_loss_total(stack(*logits), spec)
     weighted = (1.0 * bd.d_real_cond + 0.33 * bd.d_gen_cond
                 + 0.33 * bd.d_real_ac + 0.33 * bd.d_gen_ac)
     assert abs(bd.d_total - weighted) < 1e-12
-    assert abs(float(total.values) - weighted) < 1e-12
     by_hand = [softplus(-logits[0]).mean()] + [softplus(v).mean() for v in logits[1:]]
     np.testing.assert_allclose(
         [bd.d_real_cond, bd.d_gen_cond, bd.d_real_ac, bd.d_gen_ac], by_hand, rtol=1e-14)
@@ -91,40 +93,34 @@ def test_total_classic_spec_reduces_to_classic():
     # the classic total is the two conditional terms, whatever the a-contrario logits
     rng = np.random.default_rng(1)
     active = stack(rng.normal(0, 2, 5), rng.normal(0, 2, 5))
-    total, bd = d_loss_total(active, CLASSIC, stack(rng.normal(0, 2, 5), rng.normal(0, 2, 5)))
-    other, _ = d_loss_total(active, CLASSIC, stack(rng.normal(0, 9, 5), rng.normal(0, 9, 5)))
-    assert float(total.values) == float(other.values)
-    assert abs(float(total.values) - (bd.d_real_cond + bd.d_gen_cond)) < 1e-14
+    bd, grad = d_loss_total(active, CLASSIC, stack(rng.normal(0, 2, 5), rng.normal(0, 2, 5)))
+    other, other_grad = d_loss_total(active, CLASSIC,
+                                     stack(rng.normal(0, 9, 5), rng.normal(0, 9, 5)))
+    assert bd.d_total == other.d_total
+    assert grad.tobytes() == other_grad.tobytes()
+    assert abs(bd.d_total - (bd.d_real_cond + bd.d_gen_cond)) < 1e-14
 
 
 def test_zero_lambda_terms_logged_but_not_differentiated():
     # lambda4 = 0 (strategy 3): the gen-ac pairing must not reach the gradient
-    g = Graph()
-    active_leaf = g.leaf(np.array([[0.8], [0.9], [0.2], [0.1], [0.3], [0.2]]))
-    ga_leaf = g.leaf(np.array([[0.1], [0.4]]))
+    active = np.array([[0.8], [0.9], [0.2], [0.1], [0.3], [0.2]])
     spec = LossSpec("acontrario", (0.5, 0.5, 0.5, 0.0))
-    total, bd = d_loss_total(active_leaf, spec, ga_leaf)
+    bd, grad = d_loss_total(active, spec, np.array([[0.1], [0.4]]))
     assert bd.d_gen_ac > 0.0  # still logged
-    table = backward(total)
-    assert active_leaf.node_id in table
-    assert ga_leaf.node_id not in table  # no gradient path
+    assert grad.shape == active.shape  # one gradient row per active logit only
+    _, moved = d_loss_total(active, spec, np.array([[9.0], [-9.0]]))
+    assert moved.tobytes() == grad.tobytes()
 
 
 def test_gradient_signs():
     for spec, l_real in itertools.product([CLASSIC, LossSpec("hinge_classic", (1, 1, 0, 0))],
                                           (-0.5, 0.0, 0.5)):
-        g = Graph()
-        logits = g.leaf(np.array([[l_real], [0.0]]))
-        total, _ = d_loss_total(logits, spec, stack([0.0], [0.0]))
-        grad = backward(total)[logits.node_id]
+        _, grad = d_loss_total(np.array([[l_real], [0.0]]), spec, stack([0.0], [0.0]))
         assert grad[0, 0] < 0  # push the real logit up
         assert grad[1, 0] > 0  # push the generated logit down
 
-        g = Graph()
-        logits = g.leaf(np.array([[0.0], [0.0], [l_real], [0.0]]))
         ac = LossSpec(spec.formulation.replace("classic", "acontrario"), (1, 1, 1, 1))
-        total, _ = d_loss_total(logits, ac)
-        grad = backward(total)[logits.node_id]
+        _, grad = d_loss_total(np.array([[0.0], [0.0], [l_real], [0.0]]), ac)
         assert grad[2, 0] > 0 and grad[3, 0] > 0  # both a-contrario pairings pushed down
 
 
@@ -133,83 +129,99 @@ def test_batch_permutation_invariance():
     real, fake = rng.normal(0, 2, 16), rng.normal(0, 2, 16)
     perm = rng.permutation(16)
     logged = stack(np.zeros(16), np.zeros(16))
-    a = float(d_loss_total(stack(real, fake), CLASSIC, logged)[0].values)
-    b = float(d_loss_total(stack(real[perm], fake[perm]), CLASSIC, logged)[0].values)
+    a = d_loss_total(stack(real, fake), CLASSIC, logged)[0].d_total
+    b = d_loss_total(stack(real[perm], fake[perm]), CLASSIC, logged)[0].d_total
     assert abs(a - b) < 1e-12
 
 
 def test_losses_finite_under_saturation():
     for spec in (ACONTRARIO, LossSpec("hinge_acontrario", (1, 1, 1, 1))):
-        g = Graph()
-        logits = g.leaf(np.array([[-1e4], [1e4], [1e4], [-1e4], [1e4], [1e4], [1e4], [1e4]]))
-        total, bd = d_loss_total(logits, spec)
+        logits = np.array([[-1e4], [1e4], [1e4], [-1e4], [1e4], [1e4], [1e4], [1e4]])
+        bd, grad = d_loss_total(logits, spec)
         assert np.isfinite(bd.d_total) and bd.d_total > 1e4
-        assert np.all(np.isfinite(backward(total)[logits.node_id]))
+        assert np.all(np.isfinite(grad))
+    for mode in GEN_LOSS_MODES:
+        values, g_logit, _ = g_loss(np.array([[-1e4], [1e4]]), LossSpec(gen_loss_mode=mode))
+        assert all(np.isfinite(v) for v in values.values())
+        assert np.all(np.isfinite(g_logit))
 
 
 def test_saturated_d_terms_have_exact_gradients():
     # a sigmoid clamped in a log reads 27.631 here with a zero gradient
     lam = (0.5, 0.25, 0.0, 0.0)
     b = 4
-    g = Graph()
-    logits = g.leaf(np.concatenate([np.full(b, -40.0), np.full(b, 40.0)])[:, None])
-    total, bd = d_loss_total(logits, LossSpec("classic", lam), stack(np.zeros(b), np.zeros(b)))
+    logits = np.concatenate([np.full(b, -40.0), np.full(b, 40.0)])[:, None]
+    bd, grad = d_loss_total(logits, LossSpec("classic", lam), stack(np.zeros(b), np.zeros(b)))
     assert bd.d_real_cond == 40.0 and bd.d_gen_cond == 40.0
-    grad = backward(total)[logits.node_id].ravel()
+    grad = grad.ravel()
     np.testing.assert_allclose(grad[:b], -lam[0] / b, rtol=1e-15)
     np.testing.assert_allclose(grad[b:], lam[1] / b, rtol=1e-15)
 
 
 def test_saturated_non_saturating_g_loss_exact():
     b = 4
-    g = Graph()
-    logit_gen = g.leaf(np.full((b, 1), -40.0))
-    total, adv, _ = g_loss(logit_gen, LossSpec())
-    assert adv == 40.0
-    np.testing.assert_allclose(backward(total)[logit_gen.node_id], -1.0 / b, rtol=1e-15)
+    values, g_logit, _ = g_loss(np.full((b, 1), -40.0), LossSpec())
+    assert values["g_adv"] == 40.0
+    np.testing.assert_allclose(g_logit, -1.0 / b, rtol=1e-15)
+
+
+def test_softplus_exact_in_both_tails():
+    # at |l| = 40 a sigmoid clamped in a log has lost everything; softplus has not
+    value, slope = _softplus(np.array([-40.0, 40.0]))
+    assert value[1] == 40.0
+    np.testing.assert_allclose(value[0], math.exp(-40.0), rtol=1e-15)
+    assert slope[1] == 1.0
+    np.testing.assert_allclose(slope[0], math.exp(-40.0), rtol=1e-15)
+
+
+def test_softplus_finite_far_out():
+    value, slope = _softplus(np.array([-1e4, 1e4]))
+    np.testing.assert_array_equal(value, [0.0, 1e4])
+    np.testing.assert_array_equal(slope, [0.0, 1.0])
 
 
 def test_g_loss_symmetry_point_both_modes():
-    minmax, adv, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="minmax"))
-    assert abs(float(minmax.values) + LN2) < 1e-15
-    nonsat, adv, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="non_saturating"))
-    assert abs(float(nonsat.values) - LN2) < 1e-15
+    minmax, _, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="minmax"))
+    assert abs(minmax["g_total"] + LN2) < 1e-15
+    nonsat, _, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="non_saturating"))
+    assert abs(nonsat["g_total"] - LN2) < 1e-15
 
 
 def test_recon_zero_at_identity():
-    total, adv, recon = g_loss(t([[0.0]]), LossSpec(recon_weight=5.0), t([[1.0, 2.0]]),
-                               t([[1.0, 2.0]]))
-    assert recon == 0.0
+    values, _, _ = g_loss(t([[0.0]]), LossSpec(recon_weight=5.0), t([[1.0, 2.0]]),
+                          t([[1.0, 2.0]]))
+    assert values["g_recon"] == 0.0
 
 
 def test_recon_mean_absolute_deviation_by_hand():
     # |0-3| and |0-4| average to 3.5
-    total, adv, recon = g_loss(t([[0.0]]), LossSpec(recon_weight=1.0), t([[0.0, 0.0]]),
-                               t([[3.0, 4.0]]))
-    assert abs(recon - 3.5) < 1e-12
-    assert abs(float(total.values) - (LN2 + 3.5)) < 1e-9
+    values, _, _ = g_loss(t([[0.0]]), LossSpec(recon_weight=1.0), t([[0.0, 0.0]]),
+                          t([[3.0, 4.0]]))
+    assert abs(values["g_recon"] - 3.5) < 1e-12
+    assert abs(values["g_total"] - (LN2 + 3.5)) < 1e-9
 
 
 def test_l1_loss_subgradient_flows():
-    g = Graph()
-    y = g.leaf(np.array([[0.0, 5.0]]))
-    table = backward(l1_loss(y, Tensor(np.array([[3.0, 4.0]]))))
-    np.testing.assert_allclose(table[y.node_id], np.array([[-0.5, 0.5]]))
+    _, _, g_y = g_loss(t([[0.0]]), LossSpec(recon_weight=1.0), t([[0.0, 5.0]]),
+                       t([[3.0, 4.0]]))
+    np.testing.assert_allclose(g_y, np.array([[-0.5, 0.5]]))
+    _, _, none = g_loss(t([[0.0]]), LossSpec(), t([[0.0, 5.0]]), t([[3.0, 4.0]]))
+    assert none is None  # no L1 term, no gradient w.r.t. the generated rows
 
 
 def test_hinge_margins_met_gives_zero():
     spec = LossSpec("hinge_acontrario", (1, 1, 1, 1))
     d, _ = d_loss_total(stack([1.0], [-1.0], [-1.0], [-1.0]), spec)
     g, _, _ = g_loss(t([[2.0], [-2.0]]), spec)
-    assert float(d.values) == 0.0
-    assert float(g.values) == 0.0  # mean of +-2 is 0
+    assert d.d_total == 0.0
+    assert g["g_total"] == 0.0  # mean of +-2 is 0
 
 
 def test_hinge_all_zero_logits_term_by_term():
     # each of the four terms contributes max(0, 1 - 0) = 1
-    d, bd = d_loss_total(stack([0.0], [0.0], [0.0], [0.0]),
+    bd, _ = d_loss_total(stack([0.0], [0.0], [0.0], [0.0]),
                          LossSpec("hinge_acontrario", (1, 1, 1, 1)))
-    assert float(d.values) == 4.0
+    assert bd.d_total == 4.0
     assert (bd.d_real_cond, bd.d_gen_cond, bd.d_real_ac, bd.d_gen_ac) == (1.0, 1.0, 1.0, 1.0)
 
 
@@ -218,8 +230,8 @@ def test_hinge_matches_total_with_unit_lambdas():
     logits = [rng.normal(0, 2, 6) for _ in range(4)]
     by_hand = np.maximum(0.0, 1.0 - logits[0]).mean() + sum(
         np.maximum(0.0, 1.0 + v).mean() for v in logits[1:])
-    total, _ = d_loss_total(stack(*logits), LossSpec("hinge_acontrario", (1, 1, 1, 1)))
-    assert abs(by_hand - float(total.values)) < 1e-12
+    bd, _ = d_loss_total(stack(*logits), LossSpec("hinge_acontrario", (1, 1, 1, 1)))
+    assert abs(by_hand - bd.d_total) < 1e-12
 
 
 def test_hinge_ac_logits_at_margin_reduce_to_classic_hinge():
@@ -230,7 +242,18 @@ def test_hinge_ac_logits_at_margin_reduce_to_classic_hinge():
                            LossSpec("hinge_acontrario", (1, 1, 1, 1)))
     classic, _ = d_loss_total(stack(lr, lg), LossSpec("hinge_classic", (1, 1, 0, 0)),
                               stack(at_margin, at_margin))
-    assert abs(float(full.values) - float(classic.values)) < 1e-12
+    assert abs(full.d_total - classic.d_total) < 1e-12
+
+
+def test_hinge_refuses_minmax_gen_loss_mode():
+    # the hinge generator loss is always -E[l]; a minmax setting would be ignored
+    for formulation, lam in (("hinge_classic", (1, 1, 0, 0)), ("hinge_acontrario", (1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="minmax"):
+            LossSpec(formulation, lam, gen_loss_mode="minmax")
+        spec = LossSpec(formulation, lam)
+        values, g_logit, _ = g_loss(t([[3.0], [-1.0]]), spec)
+        assert values["g_adv"] == -1.0
+        np.testing.assert_array_equal(g_logit, [[-0.5], [-0.5]])
 
 
 def test_stacked_rows_must_match_the_lambdas():
@@ -253,3 +276,57 @@ def test_spec_validation():
         LossSpec("classic", (1, 1, 0, 0), gen_loss_mode="bogus")
     with pytest.raises(ValueError):
         LossSpec("classic", (1, 1, 0, 0), recon_weight=-1.0)
+
+
+# -- property tests: returned gradients against central finite differences --
+
+# away from the hinge's kink at s*l = 1 and L1's at y_g = y by far more than the step
+_logits = st.floats(-6.0, 6.0).filter(lambda v: abs(abs(v) - 1.0) > 1e-3)
+_SPECS = [
+    LossSpec("classic", (1.0, 0.5, 0.0, 0.0)),
+    LossSpec("acontrario", (1.0, 0.7, 0.3, 0.0)),
+    LossSpec("acontrario", (0.0, 1.0, 0.0, 2.0)),
+    LossSpec("acontrario", (1.0, 1.0, 1.0, 1.0)),
+    LossSpec("hinge_classic", (1.0, 2.0, 0.0, 0.0)),
+    LossSpec("hinge_acontrario", (0.5, 1.0, 0.0, 1.5)),
+    LossSpec("hinge_acontrario", (1.0, 1.0, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: "-".join(
+    [s.formulation] + [f"{v:g}" for v in s.lambdas]))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), b=st.integers(1, 4))
+def test_d_loss_gradient_matches_finite_differences(spec, data, b):
+    n_active = sum(lam > 0 for lam in spec.lambdas)
+    logits = data.draw(hnp.arrays(np.float64, (n_active * b, 1), elements=_logits))
+    logged = data.draw(hnp.arrays(np.float64, ((4 - n_active) * b, 1), elements=_logits))
+    logged = logged if logged.size else None
+    _, grad = d_loss_total(logits, spec, logged)
+    numeric = central_differences(lambda: d_loss_total(logits, spec, logged)[0].d_total, logits)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("recon_weight", [0.0, 0.7])
+@pytest.mark.parametrize("formulation, mode", [("classic", "minmax"),
+                                               ("classic", "non_saturating"),
+                                               ("hinge_classic", "non_saturating")],
+                         ids=["minmax", "non_saturating", "hinge"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), b=st.integers(1, 4), dim_y=st.integers(1, 3))
+def test_g_loss_gradients_match_finite_differences(formulation, mode, recon_weight, data, b,
+                                                   dim_y):
+    spec = LossSpec(formulation, (1, 1, 0, 0), gen_loss_mode=mode, recon_weight=recon_weight)
+    logit = data.draw(hnp.arrays(np.float64, (b, 1), elements=_logits))
+    y_true = data.draw(hnp.arrays(np.float64, (b, dim_y), elements=st.floats(-3.0, 3.0)))
+    offset = data.draw(hnp.arrays(np.float64, (b, dim_y), elements=st.floats(-2.0, 2.0).filter(
+        lambda v: abs(v) > 1e-3)))
+    y_g = y_true + offset
+    _, g_logit, g_y = g_loss(logit, spec, y_g, y_true)
+    numeric = central_differences(lambda: g_loss(logit, spec, y_g, y_true)[0]["g_total"], logit)
+    np.testing.assert_allclose(g_logit, numeric, rtol=1e-5, atol=1e-8)
+    numeric = central_differences(lambda: g_loss(logit, spec, y_g, y_true)[0]["g_total"], y_g)
+    if recon_weight == 0:
+        assert g_y is None and not np.any(numeric)
+    else:
+        np.testing.assert_allclose(g_y, numeric, rtol=1e-5, atol=1e-8)

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cganlab.autodiff import Graph, ShapeMismatch, backward
 from cganlab.nets import (
+    OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
     MlpSpec,
-    bind_params,
     disc_forward,
     gen_forward,
     init_params,
-    param_count,
+    mlp_backward,
+    mlp_forward,
     params_from_jsonable,
     params_to_jsonable,
 )
+
+from finite_differences import central_differences
 
 
 def test_init_deterministic_from_seed():
@@ -39,23 +44,22 @@ def test_init_biases_exactly_zero():
         assert np.all(b == 0.0)
 
 
-def test_param_count_closed_form():
-    spec = MlpSpec((10, 128, 128, 1))
-    expected = 10 * 128 + 128 + 128 * 128 + 128 + 128 * 1 + 1
-    assert param_count(spec) == expected
-    assert sum(p.size for p in init_params(spec, 0)) == expected
-
-
 def test_spec_needs_hidden_layer():
     with pytest.raises(ValueError):
         MlpSpec((4, 2))
+
+
+def test_spec_refuses_negative_slope():
+    # the backward pass reads the leaky-ReLU mask from the layer output
+    with pytest.raises(ValueError, match="hidden_slope"):
+        MlpSpec((4, 8, 2), hidden_slope=-0.1)
 
 
 def test_zero_generator_identity_output_is_zero():
     gen = Generator.build(3, 2, hidden=(8,), seed=0)
     gen.params = [np.zeros_like(p) for p in gen.params]
     out = gen_forward(gen, np.ones((5, 3)))
-    np.testing.assert_array_equal(out.values, np.zeros((5, 2)))
+    np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_batch_size_preserved():
@@ -66,8 +70,8 @@ def test_batch_size_preserved():
 def test_gen_forward_deterministic():
     gen = Generator.build(3, 2, seed=2)
     x = np.random.default_rng(0).standard_normal((6, 3))
-    a = gen_forward(gen, x).values
-    b = gen_forward(gen, x).values
+    a = gen_forward(gen, x)
+    b = gen_forward(gen, x)
     assert a.tobytes() == b.tobytes()
 
 
@@ -88,8 +92,8 @@ def test_zero_discriminator_logit_zero_prob_half():
     disc.params = [np.zeros_like(p) for p in disc.params]
     x, y = np.ones((4, 3)), np.ones((4, 2))
     logit = disc_forward(disc, x, y)
-    np.testing.assert_array_equal(logit.values, np.zeros((4, 1)))
-    np.testing.assert_array_equal(logit.sigmoid().values, np.full((4, 1), 0.5))
+    np.testing.assert_array_equal(logit, np.zeros((4, 1)))
+    np.testing.assert_array_equal(1.0 / (1.0 + np.exp(-logit)), np.full((4, 1), 0.5))
 
 
 def test_batch_permutation_equivariance():
@@ -98,8 +102,8 @@ def test_batch_permutation_equivariance():
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
     perm = rng.permutation(10)
-    out = disc_forward(disc, x, y).values
-    out_p = disc_forward(disc, x[perm], y[perm]).values
+    out = disc_forward(disc, x, y)
+    out_p = disc_forward(disc, x[perm], y[perm])
     # blocked matmul reorders float sums, so equality holds to the ulp level
     np.testing.assert_allclose(out[perm], out_p, rtol=1e-12, atol=1e-15)
 
@@ -111,17 +115,38 @@ def test_discriminator_output_width_enforced():
 
 def test_disc_forward_batch_mismatch():
     disc = Discriminator.build(3, 2, seed=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="batch sizes 4 and 5"):
         disc_forward(disc, np.ones((4, 3)), np.ones((5, 2)))
 
 
 def test_gradients_flow_to_generator_params():
     gen = Generator.build(3, 2, hidden=(8,), seed=6)
-    g = Graph()
-    ps = bind_params(gen, g)
-    out = gen_forward(gen, np.ones((4, 3)), params=ps)
-    table = backward(out.mean())
-    assert any(np.any(table.get(p.node_id, 0) != 0) for p in ps)
+    out, cache = mlp_forward(gen.spec, gen.params, np.ones((4, 3)))
+    grads, g_in = mlp_backward(gen.spec, gen.params, cache, np.full(out.shape, 1.0 / out.size))
+    assert [g.shape for g in grads] == [p.shape for p in gen.params]
+    assert all(np.any(g != 0) for g in grads)
+    assert g_in.shape == (4, 3)
+
+
+def test_forward_matches_mlp_forward_and_caches_layer_inputs():
+    disc = Discriminator.build(3, 2, hidden=(8, 6), seed=4)
+    x, y = np.ones((5, 3)), np.full((5, 2), -0.5)
+    out, cache = mlp_forward(disc.spec, disc.params, np.concatenate([x, y], axis=1))
+    assert out.tobytes() == disc_forward(disc, x, y).tobytes()
+    assert [c.shape for c in cache] == [(5, 5), (5, 8), (5, 6), (5, 1)]
+    assert cache[-1] is out
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "softmax"])
+def test_outputs_and_gradients_finite_at_saturation(activation):
+    # pre-activations of +-1e4 saturate every output without overflow
+    spec = MlpSpec((2, 3, 2), output_activation=activation)
+    params = [np.zeros((2, 3)), np.array([1.0, 1.0, 1.0]),
+              np.full((3, 2), 1e4 / 3), np.array([0.0, -2e4])]
+    out, cache = mlp_forward(spec, params, np.zeros((2, 2)))
+    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out))
+    assert np.all(np.isfinite(out))
+    assert all(np.all(np.isfinite(g)) for g in grads) and np.all(np.isfinite(g_in))
 
 
 def test_params_jsonable_round_trip_exact():
@@ -130,3 +155,78 @@ def test_params_jsonable_round_trip_exact():
     for a, b in zip(params, back):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+# -- closed-form backprop against central finite differences ------------
+
+def assert_gradients_match_fd(spec, params, h, weights):
+    """Parameter and input gradients of sum(weights * output), analytic vs numeric."""
+
+    def loss():
+        return float((mlp_forward(spec, params, h)[0] * weights).sum())
+
+    _, cache = mlp_forward(spec, params, h)
+    grads, g_in = mlp_backward(spec, params, cache, weights)
+    for target, analytic in [(h, g_in)] + list(zip(params, grads)):
+        np.testing.assert_allclose(analytic, central_differences(loss, target),
+                                   rtol=1e-5, atol=1e-7)
+
+
+def test_bias_gradient_sums_over_batch():
+    spec = MlpSpec((3, 4, 2))
+    params = init_params(spec, 1)
+    _, cache = mlp_forward(spec, params, np.ones((5, 3)))
+    g_out = np.arange(10.0).reshape(5, 2)
+    grads, _ = mlp_backward(spec, params, cache, g_out)
+    np.testing.assert_array_equal(grads[-1], g_out.sum(axis=0))
+    np.testing.assert_array_equal(grads[-2], cache[1].T @ g_out)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mlp_gradients_on_random_networks(seed):
+    # each seed draws a depth, widths, slope and output activation
+    rng = np.random.default_rng(seed)
+    widths = tuple(int(w) for w in rng.integers(2, 5, size=rng.integers(3, 5)))
+    spec = MlpSpec(widths, hidden_slope=(0.0, 0.2, 1.5)[seed % 3],
+                   output_activation=OUTPUT_ACTIVATIONS[seed % 4])
+    params = [rng.normal(0, 0.8, p.shape) for p in init_params(spec, seed)]
+    h = rng.normal(0, 1.0, (3, widths[0]))
+    assert_gradients_match_fd(spec, params, h, rng.uniform(0.5, 1.5, (3, widths[-1])))
+
+
+_away_from_zero = st.floats(-1.5, -0.05) | st.floats(0.05, 1.5)
+
+
+@st.composite
+def _mlp_cases(draw, activation, slope):
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
+    if activation == "softmax":
+        widths = widths[:-1] + (max(widths[-1], 2),)
+    spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
+    params = [draw(hnp.arrays(np.float64, p.shape, elements=_away_from_zero))
+              for p in init_params(spec, 0)]
+    h = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), widths[0]),
+                        elements=_away_from_zero))
+    weights = draw(hnp.arrays(np.float64, (h.shape[0], widths[-1]),
+                              elements=st.floats(0.5, 1.5)))
+    return spec, params, h, weights
+
+
+def _pre_activations_clear_of_kink(spec, params, h, margin=1e-3):
+    """No hidden pre-activation within `margin` of the leaky-ReLU kink at 0."""
+    for i in range(len(spec.widths) - 2):
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if np.any(np.abs(h) < margin):
+            return False
+        h = np.where(h > 0, h, spec.hidden_slope * h)
+    return True
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.5])
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mlp_backward_matches_finite_differences(activation, slope, data):
+    spec, params, h, weights = data.draw(_mlp_cases(activation, slope))
+    assume(_pre_activations_clear_of_kink(spec, params, h))
+    assert_gradients_match_fd(spec, params, h, weights)

@@ -118,6 +118,28 @@ def test_large_grouped_batch_feasible():
     assert np.all(lab[batch.ac_perm] != lab)
 
 
+def test_two_labels_give_only_balanced_batches():
+    # a key-derangement of a batch exists only when no label fills more than half
+    ds = sample_dataset(GaussModesTask(n_modes=2), 800, seed=4)
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        batch = sample_pair_batch(ds, 64, rng)
+        assert np.bincount(ds.labels[batch.idx]).tolist() == [32, 32]
+
+
+@pytest.mark.parametrize("labels, batch_size", [
+    (np.repeat([0, 1], 200), 3),           # two labels, odd batch
+    (np.repeat([0, 1, 2], [1, 2, 97]), 8),  # 1 + 2 + 4 rows: too few beside label 2
+], ids=["two_labels_odd_batch", "dominant_label"])
+def test_impossible_within_batch_refused_at_once(labels, batch_size):
+    ds = ConditionalDataset(xs=np.eye(3)[labels], ys=np.zeros((labels.size, 1)), labels=labels)
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="within_batch"):
+        sample_pair_batch(ds, batch_size, rng)
+    assert rng.bit_generator.state == before  # refused before a single draw
+
+
 def test_outside_batch_mode():
     ds = _toy_dataset(n=40)
     rng = np.random.default_rng(8)
