@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cganlab.losses import GEN_LOSS_MODES, LossSpec, _softplus, d_loss_total, g_loss
+from cganlab.losses import GEN_LOSS_MODES, LossSpec, d_loss_total, g_loss
 
 from finite_differences import central_differences
 
@@ -163,21 +163,6 @@ def test_saturated_non_saturating_g_loss_exact():
     values, g_logit, _ = g_loss(np.full((b, 1), -40.0), LossSpec())
     assert values["g_adv"] == 40.0
     np.testing.assert_allclose(g_logit, -1.0 / b, rtol=1e-15)
-
-
-def test_softplus_exact_in_both_tails():
-    # at |l| = 40 a sigmoid clamped in a log has lost everything; softplus has not
-    value, slope = _softplus(np.array([-40.0, 40.0]))
-    assert value[1] == 40.0
-    np.testing.assert_allclose(value[0], math.exp(-40.0), rtol=1e-15)
-    assert slope[1] == 1.0
-    np.testing.assert_allclose(slope[0], math.exp(-40.0), rtol=1e-15)
-
-
-def test_softplus_finite_far_out():
-    value, slope = _softplus(np.array([-1e4, 1e4]))
-    np.testing.assert_array_equal(value, [0.0, 1e4])
-    np.testing.assert_array_equal(slope, [0.0, 1.0])
 
 
 def test_g_loss_symmetry_point_both_modes():
