@@ -234,15 +234,21 @@ def cmd_gen_data(cfg: dict) -> None:
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
+def _require_pairable(ds, ac_mode: str, *sizes: int) -> None:
+    """Refuse, before any work, batch sizes at which `ds` admits no a-contrario batch."""
+    try:
+        for size in sizes:
+            _check_pairable(ds, size, ac_mode)
+    except ValueError as e:
+        raise CliError("invalid-config", str(e)) from None
+
+
 def cmd_train(cfg: dict) -> None:
     task = build_task(cfg)
     ds = _load_run_dataset(cfg, task)
     gen, disc = build_nets(cfg, task)
     tc = build_train_config(cfg)
-    try:
-        _check_pairable(ds, tc.batch_size, tc.ac_mode)
-    except ValueError as e:
-        raise CliError("invalid-config", str(e)) from None
+    _require_pairable(ds, tc.ac_mode, tc.batch_size)
     ckpt_dir = None
     if tc.checkpoint_every > 0:
         ckpt_dir = os.path.join(cfg["out_dir"], "checkpoints")
@@ -269,9 +275,10 @@ def _generated_over_dataset(gen: Generator, ds, seed: int) -> np.ndarray:
 def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
     task = build_task(cfg)
     ds = _load_run_dataset(cfg, task)
-    gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, task)
     tc = build_train_config(cfg)
     ev = cfg["eval"]
+    _require_pairable(ds, tc.ac_mode, tc.batch_size, ev["n_eval"])
+    gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, task)
 
     optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
     logits = collect_logits(disc, gen, ds, ev["n_eval"], seed=cfg["seed"],

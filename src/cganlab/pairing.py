@@ -5,26 +5,32 @@ a-contrario pairings (x_tilde, y) and (x_tilde, y_G). In every a-contrario
 pair x_tilde differs from x by key: by label when the data has labels, by
 value otherwise.
 
-The default `within_batch` sampler shuffles the batch's own conditions,
-so x_tilde is a bijection of them. When all keys in the batch differ, the
-shuffle is a uniform random derangement. When keys repeat (discrete
-labels), `_keyed_derangement` repairs a uniform permutation by random
-swaps. That is not uniform over the valid permutations, but the label a
-row is shuffled to is close to uniform over the other labels; a test pins
-it at 8 modes and batch 64. The `outside_batch` sampler draws x_tilde
-from distinct rows outside the batch instead.
+Both samplers make one draw of m distinct rows per attempt: the batch is
+the first B and x_tilde comes from the last B, a pool that is the batch
+itself under `within_batch` (m = B) and B further rows under
+`outside_batch` (m = 2B); `PairBatch.ac_source_idx` holds these dataset
+rows in both modes. The pool is mapped to batch positions so that no pair
+shares a key: a within-batch pool of distinct keys by a uniform random
+derangement, an outside-batch pool with no key collision as drawn, and
+otherwise by `_keyed_derangement`, which repairs a uniform permutation by
+random swaps. That is not uniform over the valid mappings, but the label
+a row is mapped to is close to uniform over the other labels; a test pins
+it at 8 modes and batch 64. In both modes a valid draw exists iff some m
+rows keep each key to m // 2 of them (`_check_pairable`).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fileio import _atomic_open
 
+AC_MODES = ("within_batch", "outside_batch")
 MAX_SAMPLER_ATTEMPTS = 10_000
+MAX_REPAIR_SWEEPS = 200
 
 
 @dataclass
@@ -32,6 +38,8 @@ class ConditionalDataset:
     xs: np.ndarray  # (N, dim_x)
     ys: np.ndarray  # (N, dim_y)
     labels: np.ndarray | None = None  # integer labels for oracle tasks
+    # derived dense keys: equal keys mean equal labels, or equal xs rows if unlabelled
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -44,6 +52,8 @@ class ConditionalDataset:
             raise ValueError("dataset needs at least 2 rows")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.keys = np.unique(self.xs if self.labels is None else self.labels, axis=0,
+                              return_inverse=True)[1].reshape(-1)
 
     def __len__(self):
         return self.xs.shape[0]
@@ -51,17 +61,16 @@ class ConditionalDataset:
 
 @dataclass
 class PairBatch:
-    """Batch indices plus the a-contrario re-pairing.
+    """Batch rows plus the rows their a-contrario conditions come from.
 
-    ac_perm is a derangement of batch positions; ac_source_idx (set only
-    by the outside-batch sampler variant) holds dataset rows to draw the
-    shuffled conditions from instead: distinct rows outside the batch,
-    each with a key other than that of its batch row.
+    Both are dataset rows in both modes: ac_source_idx[i] is the row whose
+    condition is paired with batch row idx[i], and its key differs from
+    that row's. Under `within_batch` ac_source_idx is a permutation of
+    idx; under `outside_batch` it holds B further distinct rows.
     """
 
     idx: np.ndarray
-    ac_perm: np.ndarray
-    ac_source_idx: np.ndarray | None = None
+    ac_source_idx: np.ndarray
 
 
 def make_ac_permutation(batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,35 +89,23 @@ def make_ac_permutation(batch_size: int, rng: np.random.Generator) -> np.ndarray
             return perm
 
 
-def _row_keys(ds: ConditionalDataset, idx: np.ndarray) -> np.ndarray:
-    """Condition-identity keys: equal keys mean equal condition values."""
-    if ds.labels is not None:
-        return ds.labels[idx]
-    _, inv = np.unique(ds.xs[idx], axis=0, return_inverse=True)
-    return inv
-
-
 def _keyed_derangement(keys: np.ndarray, rng: np.random.Generator,
-                       source_keys: np.ndarray | None = None,
-                       max_sweeps: int = 200) -> np.ndarray | None:
+                       source_keys: np.ndarray) -> np.ndarray | None:
     """Permutation p with source_keys[p] != keys everywhere, or None.
 
-    `source_keys` defaults to `keys`, which makes p a derangement of the
-    batch by key. Whole-permutation rejection collapses once keys repeat
-    (acceptance falls like exp(-expected collisions)), so colliding
-    positions are repaired by random swaps instead; each sweep shrinks the
-    collision set geometrically. The result is not uniform over the valid
-    permutations (some are drawn over ten times as often as others), but the key
-    each position maps to is close to uniform over the other keys. None
-    means no valid mapping exists or the sweeps ran out.
+    Whole-permutation rejection collapses once keys repeat (acceptance
+    falls like exp(-expected collisions)), so colliding positions are
+    repaired by random swaps instead; each sweep shrinks the collision set
+    geometrically. The result is not uniform over the valid permutations
+    (some are drawn over ten times as often as others), but the key each
+    position maps to is close to uniform over the other keys. None means
+    no valid mapping exists, found without a draw, or the sweeps ran out.
     """
-    source_keys = keys if source_keys is None else source_keys
     b = keys.shape[0]
-    both = np.concatenate([keys, source_keys])
-    if np.bincount(both - both.min()).max() > b:
+    if np.bincount(np.concatenate([keys, source_keys])).max() > b:
         return None  # a key fills more than b of the 2b slots: no valid mapping
     perm = rng.permutation(b)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_REPAIR_SWEEPS):
         bad = np.nonzero(source_keys[perm] == keys)[0]
         if bad.size == 0:
             return perm
@@ -118,17 +115,22 @@ def _keyed_derangement(keys: np.ndarray, rng: np.random.Generator,
     return None
 
 
-def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> None:
-    """Raise ValueError when labelled data admits no within-batch a-contrario batch.
+def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> int:
+    """Return the draw size m, or raise ValueError when no draw of m rows pairs.
 
-    A batch has a key-derangement exactly when no label fills more than
-    half of it, so some batch has one iff sum_k min(count_k, B // 2) >= B.
+    m = B (`within_batch`) or 2B (`outside_batch`): the dataset rows of
+    `idx` and `ac_source_idx` together. They admit a key-respecting
+    mapping iff no key fills more than m // 2 of them, so some draw does
+    iff sum_k min(count_k, m // 2) >= m over `ds.keys`; one rule for both
+    modes, for labelled and unlabelled data, and for m > len(ds).
     """
-    if ac_mode == "within_batch" and ds.labels is not None:
-        counts = np.bincount(ds.labels - ds.labels.min())
-        if np.minimum(counts, batch_size // 2).sum() < batch_size:
-            raise ValueError(f"within_batch pairing: no batch of {batch_size} keeps each "
-                             f"label to half of it (label counts {counts.tolist()})")
+    m = batch_size if ac_mode == "within_batch" else 2 * batch_size
+    counts = np.bincount(ds.keys)
+    if np.minimum(counts, m // 2).sum() < m:
+        raise ValueError(f"{ac_mode} pairing at batch size {batch_size}: no {m} rows hold "
+                         f"each condition key at most {m // 2} times ({counts.size} keys, "
+                         f"the largest on {counts.max()} of {len(ds)} rows)")
+    return m
 
 
 def sample_pair_batch(
@@ -137,54 +139,37 @@ def sample_pair_batch(
     rng: np.random.Generator,
     ac_mode: str = "within_batch",
 ) -> PairBatch:
-    """Draw a batch and its a-contrario re-pairing.
+    """Draw a batch and the dataset rows of its a-contrario conditions.
 
-    The shuffled condition always differs from the original by value:
-    batches of distinct conditions use the uniform derangement directly,
-    batches with repeated conditions (discrete labels) use the swap-repair
-    sampler and are redrawn when no valid mapping exists. Label batches
-    are also redrawn until at least two distinct labels appear. So only
-    batches in which no label fills more than half are returned: with two
-    labels, only exactly balanced batches. Labelled data that admits no
-    such batch raises ValueError at once. The outside-batch variant draws
-    distinct rows from outside the batch; when one of them shares its
-    batch row's key, the same swap repair reassigns them to batch
-    positions, and the batch is redrawn when that fails.
+    Each attempt draws m distinct rows, m = B (`within_batch`) or 2B
+    (`outside_batch`): the batch is the first B, the source pool the last
+    B. The pool is mapped to batch positions so that no row gets a
+    condition with its own key, and the draw is repeated when no such
+    mapping exists (a key fills more than m // 2 of the rows) or the swap
+    repair fails. So under `within_batch` with two labels only exactly
+    balanced batches are returned. When no draw can succeed, by the
+    m // 2 rule of `_check_pairable`, ValueError is raised before any
+    draw. ac_source_idx holds dataset rows in both modes.
     """
-    if ac_mode not in ("within_batch", "outside_batch"):
+    if ac_mode not in AC_MODES:
         raise ValueError(f"unknown ac_mode {ac_mode!r}")
     n = len(ds)
     if batch_size < 2 or batch_size > n:
         raise ValueError(f"batch_size {batch_size} invalid for dataset of {n}")
-    _check_pairable(ds, batch_size, ac_mode)
+    m = _check_pairable(ds, batch_size, ac_mode)
 
     for _ in range(MAX_SAMPLER_ATTEMPTS):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        if ds.labels is not None and len(np.unique(ds.labels[idx])) < 2:
-            continue
-
-        if ac_mode == "outside_batch":
-            outside = np.setdiff1d(np.arange(n), idx)
-            if outside.size < batch_size:
-                raise ValueError(
-                    f"outside_batch sampler needs {batch_size} rows outside the "
-                    f"batch, have {outside.size}"
-                )
-            src = rng.choice(outside, size=batch_size, replace=False)
-            keys = _row_keys(ds, np.concatenate([idx, src]))
-            if np.any(keys[batch_size:] == keys[:batch_size]):
-                perm = _keyed_derangement(keys[:batch_size], rng, keys[batch_size:])
-                if perm is None:
-                    continue
-                src = src[perm]
-            return PairBatch(idx=idx, ac_perm=np.arange(batch_size), ac_source_idx=src)
-
-        keys = _row_keys(ds, idx)
-        if keys.shape[0] == np.unique(keys).shape[0]:
-            return PairBatch(idx=idx, ac_perm=make_ac_permutation(batch_size, rng))
-        perm = _keyed_derangement(keys, rng)
+        rows = rng.choice(n, size=m, replace=False)
+        idx, pool = rows[:batch_size], rows[-batch_size:]
+        keys, pool_keys = ds.keys[idx], ds.keys[pool]
+        if m > batch_size and not np.any(keys == pool_keys):
+            perm = np.arange(batch_size)
+        elif m == batch_size and np.unique(keys).size == batch_size:
+            perm = make_ac_permutation(batch_size, rng)
+        else:
+            perm = _keyed_derangement(keys, rng, pool_keys)
         if perm is not None:
-            return PairBatch(idx=idx, ac_perm=perm)
+            return PairBatch(idx=idx, ac_source_idx=pool[perm])
     raise RuntimeError(
         "could not build an a-contrario batch; condition values too repetitive"
     )
@@ -203,10 +188,7 @@ def assemble_pairings(ds: ConditionalDataset, batch: PairBatch, y_g: np.ndarray)
         )
     x = ds.xs[batch.idx]
     y = ds.ys[batch.idx]
-    if batch.ac_source_idx is not None:
-        x_tilde = ds.xs[batch.ac_source_idx]
-    else:
-        x_tilde = x[batch.ac_perm]
+    x_tilde = ds.xs[batch.ac_source_idx]
     return (x, y), (x, y_g), (x_tilde, y), (x_tilde, y_g)
 
 

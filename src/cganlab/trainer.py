@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .nets import (
     params_from_jsonable,
     params_to_jsonable,
 )
-from .pairing import ConditionalDataset, assemble_pairings, sample_pair_batch
+from .pairing import AC_MODES, ConditionalDataset, assemble_pairings, sample_pair_batch
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 0 or self.d_steps_per_g_step < 1:
             raise ValueError("epochs must be >= 0 and d_steps_per_g_step >= 1")
+        if self.ac_mode not in AC_MODES:
+            raise ValueError(f"unknown ac_mode {self.ac_mode!r}, expected one of {AC_MODES}")
 
 
 @dataclass
@@ -170,7 +172,7 @@ def _discriminator_update(disc, pairs, config, adam_d, step):
     idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
     logged = mlp_forward(disc.spec, disc.params, _fused(idle))[0] if idle else None
     breakdown, g_logits = d_loss_total(logits, config.loss, logged)
-    for name, value in asdict(breakdown).items():
+    for name, value in vars(breakdown).items():
         _check_finite(value, name, step)
 
     grads, _ = mlp_backward(disc.spec, disc.params, cache, g_logits)
@@ -193,7 +195,7 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     pairs = assemble_pairings(ds, batch, y_g)
     for _ in range(1 if adam_g is None else config.d_steps_per_g_step):
         breakdown, gnorm_d = _discriminator_update(disc, pairs, config, adam_d, step)
-    row = {"step": step, **asdict(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
+    row = {"step": step, **vars(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
            "grad_norm_G": 0.0, "grad_norm_D": gnorm_d}
     if adam_g is None:
         return row

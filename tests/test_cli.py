@@ -9,6 +9,7 @@ import pytest
 import cganlab
 from cganlab import cli
 from cganlab.cli import main
+from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
              "n_samples": 400}
@@ -152,6 +153,13 @@ def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
     assert not (tmp_path / "r" / "metrics.csv").exists()
 
 
+def _forbid(monkeypatch, name):
+    def started(*args, **kwargs):
+        raise AssertionError(f"{name} started")
+
+    monkeypatch.setattr(cli, name, started)
+
+
 def test_two_labels_odd_batch_refused_before_training(tmp_path, capsys, monkeypatch):
     # with two labels no batch of 51 rows splits into halves: no key-derangement
     cfg = {"seed": 0, "out_dir": str(tmp_path / "r"),
@@ -160,15 +168,55 @@ def test_two_labels_odd_batch_refused_before_training(tmp_path, capsys, monkeypa
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     assert main(["gen-data", "--config", str(p)]) == 0
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(cli, "train", no_training)
+    _forbid(monkeypatch, "train")
     capsys.readouterr()
     assert main(["train", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config:") and "within_batch" in err
+
+
+def test_unknown_ac_mode_refused_before_training(tmp_path, capsys, monkeypatch):
+    p, _ = _setup_run(tmp_path, "bogus", train_extra={"ac_mode": "bogus"})
+    _forbid(monkeypatch, "train")
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "bogus" in err
+
+
+@pytest.mark.parametrize("task, x_rows, labels, batch_size, ac_mode", [
+    ({"type": "cond_regression", "dim_x": 2, "n_samples": 400},
+     [[0.0, 0.0], [1.0, 0.0]] * 200, None, 3, "within_batch"),
+    (dict(MINI_TASK, n_modes=2),
+     [[1.0, 0.0]] * 35 + [[0.0, 1.0]] * 5, [0] * 35 + [1] * 5, 10, "outside_batch"),
+], ids=["two_values_unlabelled_odd_batch", "dominant_label_outside_batch"])
+def test_unpairable_dataset_refused_before_training(tmp_path, capsys, monkeypatch, task,
+                                                     x_rows, labels, batch_size, ac_mode):
+    p, out = _setup_run(tmp_path, "r", task=task,
+                        train_extra={"batch_size": batch_size, "ac_mode": ac_mode})
+    ys = load_dataset_csv(out / "dataset.csv").ys[:len(x_rows)]
+    save_dataset_csv(ConditionalDataset(np.array(x_rows), ys, labels), out / "dataset.csv")
+    _forbid(monkeypatch, "train")
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and ac_mode in err
+
+
+def test_oversized_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch):
+    # outside_batch at n_eval 250 needs 500 distinct rows; the dataset has 400
+    p, out = _setup_run(tmp_path, "r", train_extra={"ac_mode": "outside_batch"})
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, n_eval=250)
+    p.write_text(json.dumps(cfg))
+    _forbid(monkeypatch, "optimal_discriminator_phase")
+    capsys.readouterr()
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "outside_batch" in err
+    assert not (out / "report.json").exists()
 
 
 def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
