@@ -8,10 +8,28 @@ arrays. An MLP is affine layers with leaky-ReLU between them and an
 identity, tanh, sigmoid or softmax output, so its gradient is closed
 form: `mlp_forward` keeps each layer's input, and `mlp_backward` turns
 the gradient w.r.t. the output into parameter and input gradients.
+
+The hidden leaky-ReLU of slope s is applied without a data-dependent
+branch, and both passes give the same bits as ``np.where(h > 0, h, s * h)``
+forward and ``g * np.where(out > 0, 1.0, s)`` backward. For
+0 <= s <= 1, ``s * h`` lies between 0 and ``h``, so ``max(h, s * h)`` is
+``h`` where ``h > 0`` and ``s * h`` elsewhere; for s > 1, ``min`` does the
+same. At ``h = +0.0`` and ``-0.0`` both operands are that same zero, and a
+NaN propagates either way. Only ``h = +inf`` at s = 0 differs (``0 * inf``
+is NaN, which ``max`` returns), and a run that reaches it has diverged. The
+backward factor is read from the table ``[s, 1.0]`` at the uint8 view of
+the mask ``out > 0``, so each element of ``g`` is multiplied by exactly
+``s`` or ``1.0``.
+
+Checkpoints store each array as its shape and the base64 of its
+little-endian float64 bytes (`params_to_jsonable`).
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +123,11 @@ def _sigmoid_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
+    """h <- np.where(h > 0, h, slope * h), bit for bit for finite h (module docstring)."""
+    (np.maximum if slope <= 1 else np.minimum)(h, slope * h, out=h)
+
+
 def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
                 h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Output of the MLP on rows `h`, and the cache `mlp_backward` needs.
@@ -115,9 +138,10 @@ def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
     cache = []
     for i in range(n_layers):
         cache.append(h)
-        h = h @ params[2 * i] + params[2 * i + 1]
+        h = h @ params[2 * i]
+        h += params[2 * i + 1]
         if i < n_layers - 1:
-            h = np.where(h > 0, h, spec.hidden_slope * h)
+            _leaky_relu_inplace(h, spec.hidden_slope)
     if spec.output_activation == "tanh":
         h = np.tanh(h)
     elif spec.output_activation == "sigmoid":
@@ -130,12 +154,14 @@ def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
 
 
 def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray],
-                 g_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+                 g_out: np.ndarray, *, param_grads: bool = True,
+                 input_grad: bool = True) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of a loss from its gradient `g_out` w.r.t. the MLP output.
 
     Returns (parameter gradients in the order of `params`, gradient w.r.t.
-    the input rows). A hidden unit passes the gradient where its output is
-    positive and scales it by the slope elsewhere.
+    the input rows); either is None, and not computed, when its flag is
+    false. A hidden unit passes the gradient where its output is positive
+    and scales it by the slope elsewhere.
     """
     out = cache[-1]
     g = g_out
@@ -145,15 +171,18 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
         g = g * out * (1.0 - out)
     elif spec.output_activation == "softmax":
         g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+    factor = np.array([spec.hidden_slope, 1.0])
     n_layers = len(spec.widths) - 1
-    grads = [None] * (2 * n_layers)
+    grads = [None] * (2 * n_layers) if param_grads else None
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:
-            g = g * np.where(cache[i + 1] > 0, 1.0, spec.hidden_slope)
-        grads[2 * i] = cache[i].T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ params[2 * i].T
-    return grads, g
+            g = g * factor[(cache[i + 1] > 0).view(np.uint8)]
+        if param_grads:
+            grads[2 * i] = cache[i].T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
+        if i > 0 or input_grad:
+            g = g @ params[2 * i].T
+    return grads, g if input_grad else None
 
 
 def gen_forward(gen: Generator, x, z=None) -> np.ndarray:
@@ -183,8 +212,27 @@ def disc_forward(disc: Discriminator, x, y) -> np.ndarray:
 
 
 def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:
-    return [{"shape": list(p.shape), "data": p.ravel().tolist()} for p in params]
+    """Each array as its shape and the base64 of its little-endian float64 bytes."""
+    return [{"shape": list(p.shape),
+             "data": base64.b64encode(p.astype("<f8", copy=False).tobytes()).decode("ascii")}
+            for p in params]
 
 
 def params_from_jsonable(entries: list[dict]) -> list[np.ndarray]:
-    return [np.array(e["data"], dtype=np.float64).reshape(e["shape"]) for e in entries]
+    """Writable float64 arrays back from `params_to_jsonable` entries.
+
+    Raises ValueError when a payload is not base64 or does not hold
+    8 * prod(shape) bytes.
+    """
+    params = []
+    for e in entries:
+        shape = tuple(e["shape"])
+        try:
+            raw = base64.b64decode(e["data"], validate=True)
+        except binascii.Error as err:
+            raise ValueError(f"array payload is not base64: {err}") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"array payload holds {len(raw)} bytes, shape {list(shape)} "
+                             f"needs {8 * math.prod(shape)}")
+        params.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
+    return params

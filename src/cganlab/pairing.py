@@ -122,8 +122,11 @@ def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> in
     `idx` and `ac_source_idx` together. They admit a key-respecting
     mapping iff no key fills more than m // 2 of them, so some draw does
     iff sum_k min(count_k, m // 2) >= m over `ds.keys`; one rule for both
-    modes, for labelled and unlabelled data, and for m > len(ds).
+    modes, for labelled and unlabelled data, and for m > len(ds). A batch
+    size below 2 is refused first: at 0 the rule would hold vacuously.
     """
+    if batch_size < 2:
+        raise ValueError(f"{ac_mode} pairing needs a batch size of at least 2, got {batch_size}")
     m = batch_size if ac_mode == "within_batch" else 2 * batch_size
     counts = np.bincount(ds.keys)
     if np.minimum(counts, m // 2).sum() < m:

@@ -9,8 +9,11 @@ still logged every step through one more forward pass (it reads the
 discriminator but never writes). The generator update runs the
 discriminator on the generated-conditional pairing, takes its input
 gradient on the y columns, adds the L1 gradient and backpropagates the
-sum through the generator. The optimal-discriminator phase runs the same
-step with the generator frozen, verified by checksum.
+sum through the generator. Each backward pass computes only what the
+step reads: parameter gradients in a discriminator update and in the
+generator's pass, the input gradient in the discriminator's pass of the
+generator update. The optimal-discriminator phase runs the same step with
+the generator frozen, verified by checksum.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .nets import (
 )
 from .pairing import AC_MODES, ConditionalDataset, assemble_pairings, sample_pair_batch
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 METRICS_COLUMNS = (
     "step", "d_real_cond", "d_gen_cond", "d_real_ac", "d_gen_ac", "d_total",
@@ -175,7 +178,7 @@ def _discriminator_update(disc, pairs, config, adam_d, step):
     for name, value in vars(breakdown).items():
         _check_finite(value, name, step)
 
-    grads, _ = mlp_backward(disc.spec, disc.params, cache, g_logits)
+    grads, _ = mlp_backward(disc.spec, disc.params, cache, g_logits, input_grad=False)
     adam_step(disc.params, grads, adam_d, config.lr, config.beta1, config.beta2)
     return breakdown, _mean_abs_grad(grads)
 
@@ -204,10 +207,11 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     values, g_logit, g_y = g_loss(logit, config.loss, y_g, ds.ys[batch.idx])
     for name, value in values.items():
         _check_finite(value, name, step)
-    g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
+    g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit,
+                         param_grads=False)[1][:, x.shape[1]:]
     if g_y is not None:
         g_y_g = g_y_g + g_y
-    grads, _ = mlp_backward(gen.spec, gen.params, g_cache, g_y_g)
+    grads, _ = mlp_backward(gen.spec, gen.params, g_cache, g_y_g, input_grad=False)
     adam_step(gen.params, grads, adam_g, config.lr, config.beta1, config.beta2)
     row.update(values, grad_norm_G=_mean_abs_grad(grads))
     return row
@@ -295,6 +299,14 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
     `task` is the canonical task dict (`task.to_dict()`); it is stored as
     `"task"` (null when not given) so that a loader can refuse the
     checkpoint under another task.
+
+    Format 3 is one JSON object. `format_version`, `step`, `seed`, `task`,
+    both network specs, the generator's `noise_dim`, the Adam step counts
+    `t` and `rng_state` (the bit generator's state dict) are plain JSON.
+    Every array (`params` of both networks and the Adam moments `m` and
+    `v`) is a `{"shape": [...], "data": "<base64>"}` entry whose data is
+    the array's little-endian float64 bytes in C order, so a load gives
+    back the same bits.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -324,7 +336,8 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
     `meta` holds the run's seed, its step and the task dict stored by
     `save_checkpoint` (None if none was given). Only the current format
-    version is read; an older file raises `CheckpointError`.
+    version is read; an older file, a missing key or an array payload that
+    does not decode to its shape raises `CheckpointError`.
     """
     with open(path) as fh:
         try:
@@ -343,6 +356,8 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
         return _checkpoint_from_doc(doc)
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint {path}: {e}") from None
 
 
 def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainState, dict]:

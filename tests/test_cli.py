@@ -9,6 +9,7 @@ import pytest
 import cganlab
 from cganlab import cli
 from cganlab.cli import main
+from cganlab.nets import params_from_jsonable
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
@@ -219,6 +220,22 @@ def test_oversized_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeyp
     assert not (out / "report.json").exists()
 
 
+def test_zero_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch):
+    # n_eval 0 asks for no rows, which the key rule alone would let through
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, n_eval=0)
+    p.write_text(json.dumps(cfg))
+    _forbid(monkeypatch, "optimal_discriminator_phase")
+    capsys.readouterr()
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "at least 2" in err
+    assert not (out / "report.json").exists()
+
+
 def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
     from cganlab import trainer
     p, out = _setup_run(tmp_path, "div")
@@ -323,18 +340,46 @@ def test_mid_run_checkpoint_task_mismatch(tmp_path, capsys):
     assert "task-mismatch" in capsys.readouterr().err
 
 
-def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2], ids=["format_1", "format_2"])
+def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
+    # as formats 1 and 2 wrote it: arrays as JSON lists of floats, no task in format 1
     p1, out = _setup_run(tmp_path, "old")
     assert main(["train", "--config", str(p1)]) == 0
     ckpt = out / "checkpoint.json"
     doc = json.loads(ckpt.read_text())
-    doc["format_version"] = 1
-    del doc["task"]
+    doc["format_version"] = version
+    for entries in (doc["generator"]["params"], doc["discriminator"]["params"],
+                    *(doc[adam][k] for adam in ("adam_g", "adam_d") for k in ("m", "v"))):
+        for entry, array in zip(entries, params_from_jsonable(entries)):
+            entry["data"] = array.ravel().tolist()
+    if version == 1:
+        del doc["task"]
     ckpt.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad-checkpoint:") and "format_version" in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated_payload", "array payload holds"),
+    ("not_base64", "array payload is not base64"),
+    ("list_payload", "malformed checkpoint"),
+], ids=["truncated_payload", "not_base64", "list_payload"])
+def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, damage, message):
+    p1, out = _setup_run(tmp_path, "damaged")
+    assert main(["train", "--config", str(p1)]) == 0
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    entry = doc["adam_d"]["v"][0]
+    entry["data"] = {"truncated_payload": entry["data"][:-8],
+                     "not_base64": "@@not base64@@",
+                     "list_payload": [0.0] * 4}[damage]
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-checkpoint:") and message in err
 
 
 def test_checkpoint_without_task_refused(tmp_path, capsys):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cganlab.nets import (
+    OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
     MlpSpec,
+    _leaky_relu_inplace,
+    _sigmoid_parts,
     disc_forward,
     gen_forward,
     init_params,
@@ -149,3 +155,104 @@ def test_params_jsonable_round_trip_exact():
     for a, b in zip(params, back):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+# -- the branchless select against the np.where formulation, bit for bit --
+
+def _where_forward(spec, params, h):
+    """`mlp_forward` with the hidden select written as np.where."""
+    n_layers = len(spec.widths) - 1
+    cache = []
+    for i in range(n_layers):
+        cache.append(h)
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if i < n_layers - 1:
+            h = np.where(h > 0, h, spec.hidden_slope * h)
+    if spec.output_activation == "tanh":
+        h = np.tanh(h)
+    elif spec.output_activation == "sigmoid":
+        h = _sigmoid_parts(h)[1]
+    elif spec.output_activation == "softmax":
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        h = e / e.sum(axis=-1, keepdims=True)
+    cache.append(h)
+    return h, cache
+
+
+def _where_backward(spec, params, cache, g_out):
+    """`mlp_backward` with the hidden factor written as np.where."""
+    out, g = cache[-1], g_out
+    if spec.output_activation == "tanh":
+        g = g * (1.0 - out * out)
+    elif spec.output_activation == "sigmoid":
+        g = g * out * (1.0 - out)
+    elif spec.output_activation == "softmax":
+        g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+    n_layers = len(spec.widths) - 1
+    grads = [None] * (2 * n_layers)
+    for i in reversed(range(n_layers)):
+        if i < n_layers - 1:
+            g = g * np.where(cache[i + 1] > 0, 1.0, spec.hidden_slope)
+        grads[2 * i] = cache[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ params[2 * i].T
+    return grads, g
+
+
+def assert_same_bits(a, b):
+    # assert_array_equal alone takes -0.0 == +0.0 and NaN == NaN
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+SELECT_SLOPES = (0.0, 0.2, 1.0, 1.5)
+# exact zeros of both signs among weights, biases and inputs give zero
+# pre-activations and, at slope 0, -0.0 hidden outputs
+_with_signed_zeros = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("slope", SELECT_SLOPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
+    widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
+    spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
+    params = [data.draw(hnp.arrays(np.float64, p.shape, elements=_with_signed_zeros))
+              for p in init_params(spec, 0)]
+    rows = data.draw(st.integers(1, 6))
+    h = data.draw(hnp.arrays(np.float64, (rows, widths[0]), elements=_with_signed_zeros))
+    g_out = data.draw(hnp.arrays(np.float64, (rows, widths[-1]), elements=_with_signed_zeros))
+
+    out, cache = mlp_forward(spec, params, h)
+    ref_out, ref_cache = _where_forward(spec, params, h)
+    assert_same_bits(out, ref_out)
+    for c, r in zip(cache, ref_cache, strict=True):
+        assert_same_bits(c, r)
+
+    grads, g_in = mlp_backward(spec, params, cache, g_out)
+    ref_grads, ref_g_in = _where_backward(spec, params, ref_cache, g_out)
+    for g, r in zip(grads, ref_grads, strict=True):
+        assert_same_bits(g, r)
+    assert_same_bits(g_in, ref_g_in)
+
+    # the skipped halves are None; what is computed stays the same bits
+    only_params, no_input = mlp_backward(spec, params, cache, g_out, input_grad=False)
+    no_params, only_input = mlp_backward(spec, params, cache, g_out, param_grads=False)
+    assert no_input is None and no_params is None
+    for g, r in zip(only_params, ref_grads, strict=True):
+        assert_same_bits(g, r)
+    assert_same_bits(only_input, ref_g_in)
+
+
+@pytest.mark.parametrize("slope", SELECT_SLOPES)
+def test_leaky_select_exact_at_signed_zero(slope):
+    # a matmul sums from +0.0, so -0.0 pre-activations are fed to the select itself
+    tiny = np.finfo(np.float64).smallest_subnormal
+    h = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e308, -1e308, np.nan])
+    if slope > 0:  # at slope 0, 0 * inf is NaN: +inf is the one documented gap
+        h = np.append(h, [np.inf, -np.inf])
+    expected = np.where(h > 0, h, slope * h)
+    _leaky_relu_inplace(h, slope)
+    assert_same_bits(h, expected)
+    assert np.signbit(h[1]) and not np.signbit(h[0])

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from cganlab.pairing import (
     ConditionalDataset,
+    _check_pairable,
     PairBatch,
     assemble_pairings,
     load_dataset_csv,
@@ -155,6 +156,14 @@ def test_impossible_within_batch_refused_at_once(labels, batch_size, labelled):
 def test_impossible_outside_batch_refused_at_once(labels, batch_size):
     ds = ConditionalDataset(xs=np.eye(20)[labels], ys=np.zeros((labels.size, 1)), labels=labels)
     _refused_before_any_draw(ds, batch_size, "outside_batch")
+
+
+@pytest.mark.parametrize("ac_mode", ["within_batch", "outside_batch"])
+@pytest.mark.parametrize("batch_size", [0, 1])
+def test_pairable_check_refuses_batch_below_two(batch_size, ac_mode):
+    # at 0 the key rule holds vacuously (0 rows needed, 0 found)
+    with pytest.raises(ValueError, match="at least 2"):
+        _check_pairable(_toy_dataset(n=40), batch_size, ac_mode)
 
 
 def test_outside_batch_mode():

@@ -1,12 +1,25 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cganlab import trainer as tr
 from cganlab.losses import LossSpec, g_loss
-from cganlab.nets import Discriminator, Generator, MlpSpec, disc_forward, gen_forward, init_params
+from cganlab.nets import (
+    Discriminator,
+    Generator,
+    MlpSpec,
+    disc_forward,
+    gen_forward,
+    init_params,
+    params_from_jsonable,
+    params_to_jsonable,
+)
 from cganlab.pairing import ConditionalDataset, sample_pair_batch
 from cganlab.tasks import GaussModesTask, sample_dataset
 from cganlab.trainer import (
@@ -15,6 +28,7 @@ from cganlab.trainer import (
     FreezeViolation,
     TrainConfig,
     TrainingDiverged,
+    TrainState,
     adam_step,
     load_checkpoint,
     optimal_discriminator_phase,
@@ -312,6 +326,102 @@ def test_version_1_checkpoint_refused(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="format_version"):
         load_checkpoint(path)
+
+
+# every float64 bit pattern: signed zeros, subnormals, infinities, NaN
+_any_float64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays=st.lists(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                                min_side=0, max_side=5),
+                                  elements=_any_float64), max_size=4))
+def test_array_payload_round_trip_bit_exact(arrays):
+    back = params_from_jsonable(json.loads(json.dumps(params_to_jsonable(arrays))))
+    assert len(back) == len(arrays)
+    for a, b in zip(arrays, back):
+        assert _same_bits(a, b)
+        assert b.flags.writeable  # Adam updates its moments in place
+
+
+@st.composite
+def _train_states(draw):
+    """Networks of odd widths and a train state, every array holding arbitrary bits."""
+    dim_x, dim_y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    hidden = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2)))
+    gen = Generator.build(dim_x, dim_y, hidden=hidden, noise_dim=draw(st.integers(0, 2)))
+    disc = Discriminator.build(dim_x, dim_y, hidden=hidden)
+
+    def arrays_like(params):
+        return [draw(hnp.arrays(np.float64, p.shape, elements=_any_float64)) for p in params]
+
+    gen.params, disc.params = arrays_like(gen.params), arrays_like(disc.params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**63)))
+    rng.integers(2**32, size=draw(st.integers(0, 3)), dtype=np.uint32)  # half-used 64-bit word
+    state = TrainState(
+        adam_g=AdamState(arrays_like(gen.params), arrays_like(gen.params),
+                         t=draw(st.integers(0, 10**9))),
+        adam_d=AdamState(arrays_like(disc.params), arrays_like(disc.params),
+                         t=draw(st.integers(0, 10**9))),
+        rng=rng, step=draw(st.integers(0, 10**9)))
+    return gen, disc, state
+
+
+@settings(max_examples=25, deadline=None)
+@given(nets_and_state=_train_states(), seed=st.integers(0, 2**31))
+def test_checkpoint_round_trip_bit_exact_property(nets_and_state, seed):
+    gen, disc, state = nets_and_state
+    config = TrainConfig(epochs=0, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.json")
+        save_checkpoint(gen, disc, state, config, path, task=GaussModesTask().to_dict())
+        gen2, disc2, state2, meta = load_checkpoint(path)
+    assert (gen2.spec, disc2.spec, gen2.noise_dim) == (gen.spec, disc.spec, gen.noise_dim)
+    pairs = [(gen.params, gen2.params), (disc.params, disc2.params)]
+    for before, after in [(state.adam_g, state2.adam_g), (state.adam_d, state2.adam_d)]:
+        assert after.t == before.t
+        pairs += [(before.m, after.m), (before.v, after.v)]
+    for before, after in pairs:
+        assert len(before) == len(after)
+        assert all(_same_bits(a, b) and b.flags.writeable for a, b in zip(before, after))
+    assert state2.step == state.step == meta["step"] and meta["seed"] == seed
+    assert state2.rng.bit_generator.state == state.rng.bit_generator.state
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(0, 3), j=st.integers(1, 3), seed=st.integers(0, 2**16),
+       formulation=st.sampled_from(["classic", "acontrario"]))
+def test_resume_equals_uninterrupted_property(k, j, seed, formulation):
+    # one batch per epoch, so epochs count steps
+    ds = small_dataset(n=32, seed=seed)
+
+    def config(steps):
+        return TrainConfig(epochs=steps, batch_size=32, seed=seed,
+                           loss=small_config(0, formulation).loss)
+
+    gen_a, disc_a = small_nets(seed)
+    log_a, state_a = train(gen_a, disc_a, ds, config(k + j))
+
+    gen_b, disc_b = small_nets(seed)
+    _, state_b = train(gen_b, disc_b, ds, config(k))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mid.json")
+        save_checkpoint(gen_b, disc_b, state_b, config(k), path)
+        gen_c, disc_c, state_c, _ = load_checkpoint(path)
+    log_c, state_c = train(gen_c, disc_c, ds, config(j), state=state_c)
+
+    assert log_c.rows == log_a.rows[k:]
+    assert state_c.step == state_a.step == k + j
+    arrays_a = [*gen_a.params, *disc_a.params, *state_a.adam_g.m, *state_a.adam_g.v,
+                *state_a.adam_d.m, *state_a.adam_d.v]
+    arrays_c = [*gen_c.params, *disc_c.params, *state_c.adam_g.m, *state_c.adam_g.v,
+                *state_c.adam_d.m, *state_c.adam_d.v]
+    assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays_a, arrays_c, strict=True))
+    assert state_c.rng.bit_generator.state == state_a.rng.bit_generator.state
 
 
 def test_intermediate_checkpoints_written(tmp_path):
