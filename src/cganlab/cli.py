@@ -10,12 +10,20 @@ environment variables are consulted.
 `eval-conditionality` and `ndb` refuse a checkpoint whose recorded task
 differs from the configured one, or which records none, and also one
 whose network widths do not fit the task (`task-mismatch`).
+
+`main` first pins two glibc malloc thresholds for its own process
+(`_keep_freed_memory`), so the multi-MB arrays a training step frees are
+reused by the next step instead of being handed back to the kernel and
+page-faulted in again. This overrides any malloc setting made through
+`GLIBC_TUNABLES`; elsewhere than glibc it does nothing. Importing
+`cganlab` or calling `trainer.train` leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import json
 import os
 import sys
@@ -45,6 +53,33 @@ from .trainer import (
     save_checkpoint,
     train,
 )
+
+
+def _keep_freed_memory() -> None:
+    """Let this process reuse the memory it frees instead of faulting it in again.
+
+    By default glibc serves arrays of 128 KB and more with mmap until it
+    has freed one, then raises that threshold to its size and returns the
+    heap top to the kernel whenever more than twice that is free. A step's multi-MB arrays (hidden activations,
+    the backward factor, Adam temporaries) are then returned to the kernel
+    after each step and faulted in again by the next one. This sets
+    M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to 256 MiB. Both must
+    be set: setting either one turns glibc's dynamic adjustment off, and
+    the trim threshold alone leaves every array of 128 KB or more to mmap.
+    The values override any `GLIBC_TUNABLES` malloc settings. Where
+    `mallopt` is missing (not glibc, or no process-wide handle) or refuses
+    (musl's stub returns 0), nothing changes and nothing is reported.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) to the cap glibc's dynamic threshold grows to
+    # on 64-bit, then M_TRIM_THRESHOLD (-1), which must not be set alone
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 256 << 20)
 
 
 class CliError(Exception):
@@ -385,6 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
-from .pairing import ConditionalDataset, assemble_pairings, sample_pair_batch
+from .pairing import ConditionalDataset, _row_keys, assemble_pairings, sample_pair_batch
 from .tasks import GaussModesTask, _sq_dists, oracle_classify
 
 PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
@@ -192,7 +192,7 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
     gen = np.atleast_2d(np.asarray(gen_samples, dtype=np.float64))
     if real.shape[0] < 10 * k or gen.shape[0] < 10 * k:
         raise ValueError(f"need at least 10*k={10 * k} samples per set")
-    if np.unique(real, axis=0).shape[0] < k:
+    if _row_keys(real).max() + 1 < k:
         raise ValueError(f"k={k} exceeds the number of distinct real points")
 
     centroids = _kmeans(real, k, np.random.default_rng(seed))

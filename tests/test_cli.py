@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -438,14 +439,144 @@ def test_report_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
-def test_cli_import_does_not_load_scipy():
+def _child_env():
     src = os.path.dirname(os.path.dirname(cganlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    return env
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import sys, cganlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _fake_libc(monkeypatch, events, mallopt_returns=1):
+    def mallopt(param, value):
+        events.append(("mallopt", param, value))
+        return mallopt_returns
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+
+
+PINNED = [("mallopt", -3, 32 << 20), ("mallopt", -1, 256 << 20)]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_pins_malloc_thresholds_before_the_command(tmp_path, monkeypatch, capsys, fails):
+    events = []
+    _fake_libc(monkeypatch, events)
+
+    def command(cfg):
+        events.append("command")
+        if fails:
+            raise cli.CliError("invalid-config", "refused")
+
+    monkeypatch.setattr(cli, "cmd_gen_data", command)
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run")
+    assert main(["gen-data", "--config", str(cfg)]) == int(fails)
+    assert events == PINNED + ["command"]
+    assert ("error: invalid-config: refused" in capsys.readouterr().err) == fails
+
+
+def _no_library(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("libc", ["missing-library", "missing-symbol", "refuses"])
+def test_malloc_policy_unavailable_is_silent(tmp_path, monkeypatch, capsys, libc):
+    events = []
+    if libc == "missing-library":
+        monkeypatch.setattr(cli.ctypes, "CDLL", _no_library)
+    elif libc == "missing-symbol":
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    else:
+        _fake_libc(monkeypatch, events, mallopt_returns=0)
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run")
+    assert main(["gen-data", "--config", str(cfg)]) == 0
+    assert (tmp_path / "run" / "dataset.csv").exists()
+    assert capsys.readouterr() == ("", "")
+    # a refused mmap threshold leaves the trim threshold alone too: set
+    # alone, it would send every large array to mmap
+    assert events == PINNED[:1 if libc == "refuses" else 0]
+
+
+def test_library_use_leaves_the_allocator_alone():
+    code = """
+import ctypes
+looked_up = []
+lookup = ctypes.CDLL.__getattr__
+def recording(self, name):
+    looked_up.append(name)
+    return lookup(self, name)
+ctypes.CDLL.__getattr__ = recording
+
+import cganlab
+from cganlab import Discriminator, Generator, TrainConfig, train
+from cganlab.tasks import GaussModesTask, sample_dataset
+task = GaussModesTask()
+gen = Generator.build(task.dim_x, task.dim_y, hidden=(16, 16), seed=1)
+disc = Discriminator.build(task.dim_x, task.dim_y, hidden=(16, 16), seed=2)
+log, state = train(gen, disc, sample_dataset(task, 64, 0), TrainConfig(epochs=1))
+assert state.step == 1
+library_calls = looked_up.count("mallopt")
+import cganlab.cli
+cganlab.cli._keep_freed_memory()  # shows the recording sees the CLI's call
+print(library_calls, looked_up.count("mallopt"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
+
+
+def _mallopt_available() -> bool:
+    """Whether this platform's C library takes the thresholds (asked in a child)."""
+    code = "import ctypes, sys; sys.exit(0 if ctypes.CDLL(None).mallopt(-3, 32 << 20) else 1)"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True).returncode == 0
+
+
+def _minor_faults_of_train(cfg_path, tmp_path, policy=True) -> int:
+    """Run `cganlab train` as a child and return its minor page faults."""
+    code = ("import sys; from cganlab import cli\n"
+            + ("" if policy else "cli._keep_freed_memory = lambda: None\n")
+            + "sys.exit(cli.main(sys.argv[1:]))")
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-c", code, "train", "--config", str(cfg_path)],
+                                env=_child_env(), stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read()
+    return usage.ru_minflt
+
+
+def test_train_steps_reuse_freed_memory(tmp_path):
+    if not _mallopt_available():
+        pytest.skip("the C library has no mallopt that takes the thresholds")
+    out = tmp_path / "run"
+    configs = {}
+    for epochs in (1, 3):
+        configs[epochs] = tmp_path / f"e{epochs}.json"
+        configs[epochs].write_text(json.dumps({
+            "seed": 5, "out_dir": str(out),
+            "task": {"type": "gauss_modes", "n_samples": 2048},
+            "model": {"gen_hidden": [256, 256], "disc_hidden": [256, 256]},
+            "train": {"epochs": epochs, "batch_size": 256}}))
+    assert main(["gen-data", "--config", str(configs[1])]) == 0
+
+    one_epoch = _minor_faults_of_train(configs[1], tmp_path)  # 8 steps
+    outputs = [(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.json")]
+    three_epochs = _minor_faults_of_train(configs[3], tmp_path)  # 24 steps
+    # each step frees and reallocates MBs of arrays: about 1,600 faults a
+    # step without the policy, a handful with it
+    assert (three_epochs - one_epoch) / 16 < 100
+
+    _minor_faults_of_train(configs[1], tmp_path, policy=False)
+    assert [(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.json")] == outputs
 
 
 def test_seed_and_out_overrides(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from cganlab.pairing import (
     ConditionalDataset,
     _check_pairable,
+    _row_keys,
     PairBatch,
     assemble_pairings,
     load_dataset_csv,
@@ -411,6 +412,21 @@ def test_malformed_dataset_csv_rejected(tmp_path, body):
     with pytest.raises(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt: "input contained no data"
         load_dataset_csv(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 40), n_distinct=st.integers(1, 12),
+       n=st.integers(2, 60))
+def test_row_keys_equal_unique_inverse(data, width, n_distinct, n):
+    # few distinct rows, so rows repeat; signed zeros must share a key
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    pool = data.draw(hnp.arrays(np.float64, (n_distinct, width), elements=values))
+    rows = pool[data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, n_distinct - 1)))]
+    expected = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    np.testing.assert_array_equal(_row_keys(rows), expected)
+    np.testing.assert_array_equal(ConditionalDataset(xs=rows, ys=np.zeros((n, 1))).keys,
+                                  expected)
 
 
 def test_dataset_invariants():
