@@ -43,7 +43,7 @@ from .fileio import _atomic_open
 from .losses import FORMULATIONS, GEN_LOSS_MODES, LossSpec
 from .nets import Discriminator, Generator, gen_forward
 from .pairing import _check_pairable, load_dataset_csv, save_dataset_csv
-from .tasks import GaussModesTask, sample_dataset, task_from_dict
+from .tasks import GaussModesTask, regression_error, sample_dataset, task_from_dict
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -131,14 +131,17 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
     if not isinstance(raw, dict):
         raise CliError("invalid-config", "config must be a JSON object")
 
-    known = {"seed", "out_dir", "task", "model", "train", "loss", "eval"}
-    unknown = set(raw) - known
+    sections = ("task", "model", "train", "loss", "eval")
+    unknown = set(raw) - {"seed", "out_dir", *sections}
     if unknown:
         raise CliError("invalid-config", f"unknown top-level key(s): {sorted(unknown)}")
+    for name in sections:
+        if not isinstance(raw.get(name, {}), dict):
+            raise CliError("invalid-config", f"section {name!r} must be a JSON object")
 
     task_given = raw.get("task", {})
     task_type = task_given.get("type", "gauss_modes")
-    if task_type not in TASK_DEFAULTS:
+    if not isinstance(task_type, str) or task_type not in TASK_DEFAULTS:
         raise CliError("invalid-config", f"unknown task type {task_type!r}")
 
     loss_given = dict(raw.get("loss", {}))
@@ -167,6 +170,8 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
         cfg["out_dir"] = out_override
     if not isinstance(cfg["seed"], int):
         raise CliError("invalid-config", "seed must be an integer")
+    if not isinstance(cfg["out_dir"], str):
+        raise CliError("invalid-config", "out_dir must be a string")
     if cfg["loss"]["gen_loss_mode"] not in GEN_LOSS_MODES:
         raise CliError("invalid-config",
                        f"unknown gen_loss_mode {cfg['loss']['gen_loss_mode']!r}")
@@ -182,13 +187,16 @@ def write_json(obj, path) -> None:
 def build_task(cfg: dict):
     t = dict(cfg["task"])
     t.pop("n_samples")
-    return task_from_dict(t)
+    try:
+        return task_from_dict(t)
+    except (TypeError, ValueError) as e:
+        raise CliError("invalid-config", f"task: {e}") from None
 
 
 def build_loss_spec(cfg: dict) -> LossSpec:
     try:
         return LossSpec.from_dict(cfg["loss"])
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise CliError("invalid-config", str(e)) from None
 
 
@@ -201,21 +209,24 @@ def build_train_config(cfg: dict) -> TrainConfig:
             loss=build_loss_spec(cfg), d_steps_per_g_step=t["d_steps_per_g_step"],
             checkpoint_every=t["checkpoint_every"], ac_mode=t["ac_mode"],
         )
-    except ValueError as e:
-        raise CliError("invalid-config", str(e)) from None
+    except (TypeError, ValueError) as e:
+        raise CliError("invalid-config", f"train: {e}") from None
 
 
 def build_nets(cfg: dict, task) -> tuple[Generator, Discriminator]:
     m = cfg["model"]
-    gen = Generator.build(
-        task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
-        noise_dim=m["noise_dim"], output_activation=m["gen_output_activation"],
-        seed=cfg["seed"] * 2 + 1,
-    )
-    disc = Discriminator.build(
-        task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
-        seed=cfg["seed"] * 2 + 2,
-    )
+    try:
+        gen = Generator.build(
+            task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
+            noise_dim=m["noise_dim"], output_activation=m["gen_output_activation"],
+            seed=cfg["seed"] * 2 + 1,
+        )
+        disc = Discriminator.build(
+            task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
+            seed=cfg["seed"] * 2 + 2,
+        )
+    except (TypeError, ValueError) as e:
+        raise CliError("invalid-config", f"model: {e}") from None
     return gen, disc
 
 
@@ -321,14 +332,17 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
     hist = build_histogram(logits, ev["n_bins"])
     rates = classification_rates(logits, ev["threshold"])
 
-    acc = None
+    acc = regression = None
     if isinstance(task, GaussModesTask):
         acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
+    else:
+        regression = regression_error(task, gen, ev["n_eval"], cfg["seed"])
     y_gen = _generated_over_dataset(gen, ds, cfg["seed"])
     ndb = ndb_score(ds.ys, y_gen, k=ev["ndb_k"], alpha=ev["alpha"], seed=cfg["seed"])
 
     write_histogram_csv(hist, os.path.join(cfg["out_dir"], "histogram.csv"))
-    write_json(make_report(rates, acc, ndb), os.path.join(cfg["out_dir"], "report.json"))
+    write_json(make_report(rates, acc, regression, ndb),
+               os.path.join(cfg["out_dir"], "report.json"))
 
 
 def cmd_ndb(cfg: dict, checkpoint_path) -> None:

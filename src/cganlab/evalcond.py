@@ -225,11 +225,17 @@ def write_histogram_csv(hist: FourWayHistogram, path) -> None:
 
 
 def make_report(rates: ClassificationReport, oracle_acc: float | None,
-                ndb: NdbReport | None) -> dict:
-    """Schema of the evaluation report JSON."""
+                regression: dict | None, ndb: NdbReport | None) -> dict:
+    """Schema of the evaluation report JSON.
+
+    `oracle_acc` is set on mode tasks and `regression` (the generator's
+    `tasks.regression_error` against the noiseless map) on regression
+    tasks; the other one is null.
+    """
     return {
         "classification_rates": dict(sorted(rates.rates.items())),
         "threshold": rates.threshold,
         "oracle_accuracy": oracle_acc,
+        "regression": regression,
         "ndb": ndb.to_dict() if ndb is not None else None,
     }

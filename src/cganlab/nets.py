@@ -3,11 +3,10 @@
 The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
 never formed, because the losses and the conditionality histograms all
-work on the logit. Both networks keep their parameters as bare float64
-arrays. An MLP is affine layers with leaky-ReLU between them and an
-identity, tanh, sigmoid or softmax output, so its gradient is closed
-form: `mlp_forward` keeps each layer's input, and `mlp_backward` turns
-the gradient w.r.t. the output into parameter and input gradients.
+work on the logit. An MLP is affine layers with leaky-ReLU between them
+and an identity, tanh, sigmoid or softmax output, so its gradient is
+closed form: `mlp_forward` keeps each layer's input, and `mlp_backward`
+turns the gradient w.r.t. the output into parameter and input gradients.
 
 The hidden leaky-ReLU of slope s is applied without a data-dependent
 branch, and both passes give the same bits as ``np.where(h > 0, h, s * h)``
@@ -19,7 +18,16 @@ NaN propagates either way. Only ``h = +inf`` at s = 0 differs (``0 * inf``
 is NaN, which ``max`` returns), and a run that reaches it has diverged. The
 backward factor is read from the table ``[s, 1.0]`` at the uint8 view of
 the mask ``out > 0``, so each element of ``g`` is multiplied by exactly
-``s`` or ``1.0``.
+``s`` or ``1.0``; the product is taken in place on the fresh ``g`` of the
+layer above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
+
+Each network keeps its parameters as reshaped views of one contiguous
+float64 vector (`_packed`), in the order W0, b0, W1, b1, ...; the Adam
+moments and the gradient buffer of `trainer.AdamState` are laid out the
+same way, so the optimizer updates one whole vector per call.
+`mlp_backward` writes the weight gradients with ``np.matmul(..., out=)``
+and the bias gradients with ``np.sum(..., axis=0, out=)`` into such a
+buffer: the same BLAS call and the same row-by-row sum as without ``out``.
 
 Checkpoints store each array as its shape and the base64 of its
 little-endian float64 bytes (`params_to_jsonable`).
@@ -84,6 +92,32 @@ def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
     return params
 
 
+def _packed(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Copies of `arrays` as reshaped views of one new contiguous float64 vector."""
+    flat = np.concatenate([np.ravel(a) for a in arrays] + [np.empty(0)])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + np.size(a)].reshape(np.shape(a)))
+        start += np.size(a)
+    return views
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    """The vector that `arrays` are packed views of, as `_packed` lays them out.
+
+    Raises ValueError unless the arrays are C-contiguous views of one 1-D
+    float64 vector whose sizes add up to its length. The check compares
+    bases and sizes, not addresses (an address costs more than the whole
+    check), so it trusts that the views are in `_packed`'s order.
+    """
+    flat = arrays[0].base if arrays else None
+    if (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+            and all(a.base is flat and a.flags.c_contiguous for a in arrays)
+            and sum(a.size for a in arrays) == flat.size):
+        return flat
+    raise ValueError("arrays are not packed views of one float64 vector")
+
+
 @dataclass
 class Generator:
     """Maps condition x (optionally with noise z) to a generated y."""
@@ -91,6 +125,9 @@ class Generator:
     spec: MlpSpec
     params: list[np.ndarray]
     noise_dim: int = 0
+
+    def __post_init__(self):
+        self.params = _packed(self.params)
 
     @classmethod
     def build(cls, dim_x, dim_y, hidden=(128, 128), noise_dim=0,
@@ -110,6 +147,7 @@ class Discriminator:
     def __post_init__(self):
         if self.spec.widths[-1] != 1:
             raise ValueError(f"discriminator output width must be 1, got {self.spec.widths[-1]}")
+        self.params = _packed(self.params)
 
     @classmethod
     def build(cls, dim_x, dim_y, hidden=(128, 128), seed=0) -> "Discriminator":
@@ -154,14 +192,16 @@ def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
 
 
 def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray],
-                 g_out: np.ndarray, *, param_grads: bool = True,
+                 g_out: np.ndarray, *, grads_out: list[np.ndarray] | None = None,
                  input_grad: bool = True) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of a loss from its gradient `g_out` w.r.t. the MLP output.
 
-    Returns (parameter gradients in the order of `params`, gradient w.r.t.
-    the input rows); either is None, and not computed, when its flag is
-    false. A hidden unit passes the gradient where its output is positive
-    and scales it by the slope elsewhere.
+    Writes the parameter gradients into `grads_out`, arrays shaped like
+    `params` (such as `trainer.AdamState.grads`), or computes none when it
+    is None. Returns (`grads_out`, gradient w.r.t. the input rows); the
+    second is None, and not computed, when `input_grad` is false. A hidden
+    unit passes the gradient where its output is positive and scales it by
+    the slope elsewhere.
     """
     out = cache[-1]
     g = g_out
@@ -173,16 +213,15 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
         g = out * (g - (g * out).sum(axis=-1, keepdims=True))
     factor = np.array([spec.hidden_slope, 1.0])
     n_layers = len(spec.widths) - 1
-    grads = [None] * (2 * n_layers) if param_grads else None
     for i in reversed(range(n_layers)):
-        if i < n_layers - 1:
-            g = g * factor[(cache[i + 1] > 0).view(np.uint8)]
-        if param_grads:
-            grads[2 * i] = cache[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+        if i < n_layers - 1:  # g is the fresh product of the layer above
+            g *= factor.take((cache[i + 1] > 0).view(np.uint8))
+        if grads_out is not None:
+            np.matmul(cache[i].T, g, out=grads_out[2 * i])
+            np.sum(g, axis=0, out=grads_out[2 * i + 1])
         if i > 0 or input_grad:
             g = g @ params[2 * i].T
-    return grads, g if input_grad else None
+    return grads_out, g if input_grad else None
 
 
 def gen_forward(gen: Generator, x, z=None) -> np.ndarray:

@@ -14,6 +14,16 @@ step reads: parameter gradients in a discriminator update and in the
 generator's pass, the input gradient in the discriminator's pass of the
 generator update. The optimal-discriminator phase runs the same step with
 the generator frozen, verified by checksum.
+
+Each network's parameters are views of one flat vector (`nets._packed`),
+and its `AdamState` packs the moments `m`, `v` and a gradient buffer
+`grads` the same way. The backward pass writes its parameter gradients
+into `grads`, and `adam_step` updates the whole vectors with 14 in-place
+ufunc calls over two scratch vectors of the state. Each of them computes
+one product, quotient, sum or square root of the per-array formula
+``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` with the same operands, so every
+element rounds as before; only the temporaries are gone.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ from .nets import (
     Discriminator,
     Generator,
     MlpSpec,
+    _flat,
+    _packed,
     disc_forward,
     mlp_backward,
     mlp_forward,
@@ -90,9 +102,24 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam moments of one network, packed like its parameters.
+
+    `grads` (packed the same way) is where the backward pass writes the
+    network's gradients, and `scratch` holds the two vectors `adam_step`
+    computes in; neither is saved in a checkpoint.
+    """
+
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    grads: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.m, self.v = _packed(self.m), _packed(self.v)
+        self.grads = _packed([np.zeros_like(m) for m in self.m])
+        n = _flat(self.m).size
+        self.scratch = (np.empty(n), np.empty(n))
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -102,18 +129,37 @@ class AdamState:
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
               lr: float, beta1: float, beta2: float, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place, over whole packed vectors.
+
+    `params`, `grads`, `state.m` and `state.v` must each be packed views
+    of one vector (`nets._packed`); any other list raises ValueError.
+    """
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} grads")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
+    p, g, m, v = _flat(params), _flat(grads), _flat(state.m), _flat(state.v)
+    if not p.size == m.size == v.size:
+        raise ValueError(f"{p.size} parameters but Adam moments of {m.size} and {v.size}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    s, u = state.scratch
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - beta2
+    v += s
+    np.divide(m, bc1, out=s)
+    s *= lr
+    np.divide(v, bc2, out=u)
+    np.sqrt(u, out=u)
+    u += eps
+    s /= u
+    p -= s
 
 
 @dataclass
@@ -150,10 +196,14 @@ def params_checksum(params: list[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _mean_abs_grad(grads: list[np.ndarray]) -> float:
-    total = sum(float(np.abs(g).sum()) for g in grads)
-    count = sum(g.size for g in grads)
-    return total / count
+def _mean_abs_grad(state: AdamState) -> float:
+    """Mean |g| over `state.grads`, summed array by array as `np.abs(g).sum()` sums."""
+    a = np.abs(_flat(state.grads), out=state.scratch[0])
+    total, start = 0.0, 0
+    for g in state.grads:
+        total += float(a[start:start + g.size].sum())
+        start += g.size
+    return total / start
 
 
 def _check_finite(value: float, term: str, step: int) -> None:
@@ -178,9 +228,10 @@ def _discriminator_update(disc, pairs, config, adam_d, step):
     for name, value in vars(breakdown).items():
         _check_finite(value, name, step)
 
-    grads, _ = mlp_backward(disc.spec, disc.params, cache, g_logits, input_grad=False)
-    adam_step(disc.params, grads, adam_d, config.lr, config.beta1, config.beta2)
-    return breakdown, _mean_abs_grad(grads)
+    mlp_backward(disc.spec, disc.params, cache, g_logits, grads_out=adam_d.grads,
+                 input_grad=False)
+    adam_step(disc.params, adam_d.grads, adam_d, config.lr, config.beta1, config.beta2)
+    return breakdown, _mean_abs_grad(adam_d)
 
 
 def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
@@ -207,13 +258,13 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     values, g_logit, g_y = g_loss(logit, config.loss, y_g, ds.ys[batch.idx])
     for name, value in values.items():
         _check_finite(value, name, step)
-    g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit,
-                         param_grads=False)[1][:, x.shape[1]:]
+    g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
     if g_y is not None:
         g_y_g = g_y_g + g_y
-    grads, _ = mlp_backward(gen.spec, gen.params, g_cache, g_y_g, input_grad=False)
-    adam_step(gen.params, grads, adam_g, config.lr, config.beta1, config.beta2)
-    row.update(values, grad_norm_G=_mean_abs_grad(grads))
+    mlp_backward(gen.spec, gen.params, g_cache, g_y_g, grads_out=adam_g.grads,
+                 input_grad=False)
+    adam_step(gen.params, adam_g.grads, adam_g, config.lr, config.beta1, config.beta2)
+    row.update(values, grad_norm_G=_mean_abs_grad(adam_g))
     return row
 
 

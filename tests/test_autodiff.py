@@ -31,6 +31,11 @@ from cganlab.nets import (
 from finite_differences import central_differences
 
 
+def fresh_grads(params):
+    """A gradient buffer for `mlp_backward`; an entry it does not write reads NaN."""
+    return [np.full_like(p, np.nan) for p in params]
+
+
 def assert_gradients_match_fd(spec, params, h, weights):
     """Parameter and input gradients of sum(weights * output), analytic vs numeric."""
 
@@ -38,7 +43,8 @@ def assert_gradients_match_fd(spec, params, h, weights):
         return float((mlp_forward(spec, params, h)[0] * weights).sum())
 
     _, cache = mlp_forward(spec, params, h)
-    grads, g_in = mlp_backward(spec, params, cache, weights)
+    grads, g_in = mlp_backward(spec, params, cache, weights,
+                               grads_out=fresh_grads(params))
     for target, analytic in [(h, g_in)] + list(zip(params, grads)):
         np.testing.assert_allclose(analytic, central_differences(loss, target),
                                    rtol=1e-5, atol=1e-7)
@@ -77,7 +83,8 @@ def test_backward_of_sum_is_ones():
     params = [np.eye(4), np.zeros(4), np.eye(4), np.zeros(4)]
     h = np.array([[1.0, 2.0, 3.0, 0.5]])
     out, cache = mlp_forward(spec, params, h)
-    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out))
+    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out),
+                               grads_out=fresh_grads(params))
     np.testing.assert_array_equal(out, h)
     np.testing.assert_array_equal(g_in, np.ones((1, 4)))
     np.testing.assert_array_equal(grads[1], np.ones(4))
@@ -89,7 +96,8 @@ def test_backward_sigmoid_dot_chain_rule():
     spec = MlpSpec((2, 2, 1), output_activation="sigmoid")
     params = [np.eye(2), np.zeros(2), np.zeros((2, 1)), np.zeros(1)]
     out, cache = mlp_forward(spec, params, np.array([[1.0, 2.0]]))
-    grads, _ = mlp_backward(spec, params, cache, np.ones_like(out))
+    grads, _ = mlp_backward(spec, params, cache, np.ones_like(out),
+                            grads_out=fresh_grads(params))
     np.testing.assert_allclose(grads[2], 0.25 * np.array([[1.0], [2.0]]), rtol=1e-12)
     np.testing.assert_allclose(grads[3], [0.25], rtol=1e-12)
 
@@ -103,7 +111,8 @@ def test_fanout_accumulates_additively():
 
     def grads(rows):
         _, cache = mlp_forward(disc.spec, disc.params, h[rows])
-        return mlp_backward(disc.spec, disc.params, cache, g[rows])[0]
+        return mlp_backward(disc.spec, disc.params, cache, g[rows],
+                            grads_out=fresh_grads(disc.params))[0]
 
     for whole, a, b in zip(grads(slice(None)), grads(slice(0, 3)), grads(slice(3, None))):
         np.testing.assert_allclose(whole, a + b, rtol=1e-12, atol=1e-15)
@@ -137,7 +146,7 @@ def test_bias_broadcast_gradient_sums_over_batch():
     params = init_params(spec, 1)
     _, cache = mlp_forward(spec, params, np.ones((5, 3)))
     g_out = np.arange(10.0).reshape(5, 2)
-    grads, _ = mlp_backward(spec, params, cache, g_out)
+    grads, _ = mlp_backward(spec, params, cache, g_out, grads_out=fresh_grads(params))
     np.testing.assert_array_equal(grads[-1], g_out.sum(axis=0))
     np.testing.assert_array_equal(grads[-2], cache[1].T @ g_out)
 
@@ -170,7 +179,8 @@ def test_determinism_bitwise():
         spec = MlpSpec((3, 3, 1), output_activation="sigmoid")
         params = [rng.standard_normal(p.shape) for p in init_params(spec, 0)]
         out, cache = mlp_forward(spec, params, rng.standard_normal((2, 3)))
-        grads, g_in = mlp_backward(spec, params, cache, np.full(out.shape, 0.5))
+        grads, g_in = mlp_backward(spec, params, cache, np.full(out.shape, 0.5),
+                                   grads_out=fresh_grads(params))
         return [out, g_in, *grads]
 
     for a, b in zip(build(11), build(11)):
@@ -207,7 +217,8 @@ def test_finite_differences_through_softmax_and_concat():
     logit, d_cache = mlp_forward(d_spec, d_params, np.concatenate([x, y_g], axis=1))
     _, g_logit, _ = g_loss(logit, spec)
     _, g_fused = mlp_backward(d_spec, d_params, d_cache, g_logit)
-    grads, _ = mlp_backward(g_spec, g_params, g_cache, g_fused[:, 2:])
+    grads, _ = mlp_backward(g_spec, g_params, g_cache, g_fused[:, 2:],
+                            grads_out=fresh_grads(g_params))
     for p, analytic in zip(g_params, grads):
         np.testing.assert_allclose(analytic, central_differences(loss, p),
                                    rtol=1e-5, atol=1e-8)

@@ -12,6 +12,8 @@ from cganlab import cli
 from cganlab.cli import main
 from cganlab.nets import params_from_jsonable
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
+from cganlab.tasks import CondRegressionTask, regression_error
+from cganlab.trainer import load_checkpoint
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
              "n_samples": 400}
@@ -63,6 +65,7 @@ def test_full_pipeline_outputs_and_schema(tmp_path):
     assert set(rates) == {"real_cond", "gen_cond", "real_ac", "gen_ac"}
     assert all(0.0 <= v <= 1.0 for v in rates.values())
     assert 0.0 <= report["oracle_accuracy"] <= 1.0
+    assert report["regression"] is None  # set on regression tasks only
     assert 0.0 <= report["ndb"]["ndb_over_k"] <= 1.0
 
     header = (out / "metrics.csv").read_text().splitlines()[0]
@@ -139,6 +142,34 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
     assert main(["gen-data", "--config", str(p)]) == 0  # gen-data ignores loss weights
     assert main(["train", "--config", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, section, value", [
+    ("gen-data", "task", []),
+    ("gen-data", "task", "gauss_modes"),
+    ("gen-data", "task", {"type": ["gauss_modes"]}),
+    ("gen-data", "loss", [1]),
+    ("gen-data", "train", ["epochs"]),
+    ("train", "train", {"epochs": "4"}),
+    ("train", "model", {"gen_hidden": 128}),
+    ("train", "loss", {"lambdas": 1}),
+    ("gen-data", "task", {"n_modes": "8"}),
+    ("gen-data", "out_dir", 5),
+], ids=["task-list", "task-string", "task-type-list", "loss-list", "train-list",
+        "epochs-string", "hidden-int", "lambdas-int", "n_modes-string", "out_dir-int"])
+def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, section,
+                                                       value):
+    # each of these once escaped as a traceback or an `error: ValueError:` line
+    p = write_config(tmp_path / "c.json", tmp_path / "r")
+    cfg = json.loads(p.read_text())
+    if stage == "train":
+        assert main(["gen-data", "--config", str(p)]) == 0
+        capsys.readouterr()
+    cfg[section] = value
+    p.write_text(json.dumps(cfg))
+    assert main([stage, "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and err.count("\n") == 1
 
 
 def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
@@ -606,3 +637,8 @@ def test_regression_task_pipeline_skips_oracle(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["oracle_accuracy"] is None
     assert report["ndb"] is not None
+    # the trained generator against the noiseless map, on the eval's seed and size
+    gen = load_checkpoint(str(out / "checkpoint.json"))[0]
+    assert report["regression"] == regression_error(CondRegressionTask(), gen,
+                                                    MINI_EVAL["n_eval"], seed=1)
+    assert set(report["regression"]) == {"rmse", "log_rmse", "abs_rel"}

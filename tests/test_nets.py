@@ -9,7 +9,9 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
+    _flat,
     _leaky_relu_inplace,
+    _packed,
     _sigmoid_parts,
     disc_forward,
     gen_forward,
@@ -19,6 +21,11 @@ from cganlab.nets import (
     params_from_jsonable,
     params_to_jsonable,
 )
+
+
+def fresh_grads(params):
+    """A gradient buffer for `mlp_backward`; an entry it does not write reads NaN."""
+    return [np.full_like(p, np.nan) for p in params]
 
 
 def test_init_deterministic_from_seed():
@@ -122,7 +129,8 @@ def test_disc_forward_batch_mismatch():
 def test_gradients_flow_to_generator_params():
     gen = Generator.build(3, 2, hidden=(8,), seed=6)
     out, cache = mlp_forward(gen.spec, gen.params, np.ones((4, 3)))
-    grads, g_in = mlp_backward(gen.spec, gen.params, cache, np.full(out.shape, 1.0 / out.size))
+    grads, g_in = mlp_backward(gen.spec, gen.params, cache, np.full(out.shape, 1.0 / out.size),
+                               grads_out=fresh_grads(gen.params))
     assert [g.shape for g in grads] == [p.shape for p in gen.params]
     assert all(np.any(g != 0) for g in grads)
     assert g_in.shape == (4, 3)
@@ -144,7 +152,8 @@ def test_outputs_and_gradients_finite_at_saturation(activation):
     params = [np.zeros((2, 3)), np.array([1.0, 1.0, 1.0]),
               np.full((3, 2), 1e4 / 3), np.array([0.0, -2e4])]
     out, cache = mlp_forward(spec, params, np.zeros((2, 2)))
-    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out))
+    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out),
+                               grads_out=fresh_grads(params))
     assert np.all(np.isfinite(out))
     assert all(np.all(np.isfinite(g)) for g in grads) and np.all(np.isfinite(g_in))
 
@@ -230,15 +239,20 @@ def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
     for c, r in zip(cache, ref_cache, strict=True):
         assert_same_bits(c, r)
 
-    grads, g_in = mlp_backward(spec, params, cache, g_out)
+    # written into a packed buffer, as the trainer's AdamState.grads
+    grads_out = _packed(fresh_grads(params))
+    grads, g_in = mlp_backward(spec, params, cache, g_out, grads_out=grads_out)
     ref_grads, ref_g_in = _where_backward(spec, params, ref_cache, g_out)
+    assert grads is grads_out
+    _flat(grads)  # every entry is still a view of the one vector
     for g, r in zip(grads, ref_grads, strict=True):
         assert_same_bits(g, r)
     assert_same_bits(g_in, ref_g_in)
 
     # the skipped halves are None; what is computed stays the same bits
-    only_params, no_input = mlp_backward(spec, params, cache, g_out, input_grad=False)
-    no_params, only_input = mlp_backward(spec, params, cache, g_out, param_grads=False)
+    only_params, no_input = mlp_backward(spec, params, cache, g_out,
+                                         grads_out=fresh_grads(params), input_grad=False)
+    no_params, only_input = mlp_backward(spec, params, cache, g_out)
     assert no_input is None and no_params is None
     for g, r in zip(only_params, ref_grads, strict=True):
         assert_same_bits(g, r)

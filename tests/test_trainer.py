@@ -14,6 +14,8 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
+    _flat,
+    _packed,
     disc_forward,
     gen_forward,
     init_params,
@@ -60,33 +62,142 @@ def small_config(epochs, formulation="acontrario", seed=0, **kw):
 # -- adam ----------------------------------------------------------------
 
 def test_adam_zero_gradient_is_fixed_point():
-    params = [np.array([1.0, -2.0]), np.ones((2, 2))]
+    params = _packed([np.array([1.0, -2.0]), np.ones((2, 2))])
     before = [p.copy() for p in params]
     state = AdamState.for_params(params)
-    adam_step(params, [np.zeros_like(p) for p in params], state, 0.1, 0.5, 0.999)
+    adam_step(params, _packed([np.zeros_like(p) for p in params]), state, 0.1, 0.5, 0.999)
     for p, b in zip(params, before):
         assert p.tobytes() == b.tobytes()
 
 
 def test_adam_first_step_is_signed_lr():
     # first bias-corrected step reduces to -lr * sign(g), up to the epsilon
-    params = [np.array([0.0, 0.0, 0.0])]
+    params = _packed([np.array([0.0, 0.0, 0.0])])
     g = np.array([3.0, -0.2, 1e-3])
     state = AdamState.for_params(params)
-    adam_step(params, [g], state, lr=0.01, beta1=0.5, beta2=0.999)
+    adam_step(params, _packed([g]), state, lr=0.01, beta1=0.5, beta2=0.999)
     np.testing.assert_allclose(params[0], -0.01 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_trajectory_deterministic():
     def run():
-        params = [np.full(3, 0.5)]
+        params = _packed([np.full(3, 0.5)])
         state = AdamState.for_params(params)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            adam_step(params, [rng.standard_normal(3)], state, 1e-3, 0.9, 0.999)
+            adam_step(params, _packed([rng.standard_normal(3)]), state, 1e-3, 0.9, 0.999)
         return params[0].copy()
 
     assert run().tobytes() == run().tobytes()
+
+
+def _reference_adam(params, m, v, t, grads, lr, beta1, beta2, eps=1e-8):
+    """One Adam step array by array, in the formula `adam_step` must match bit for bit."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, m_, v_ in zip(params, grads, m, v):
+        m_[...] = beta1 * m_ + (1.0 - beta1) * g
+        v_[...] = beta2 * v_ + (1.0 - beta2) * (g * g)
+        p -= lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+
+
+# signed zeros, subnormals and magnitudes whose squares overflow
+_adam_values = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308])
+                | st.floats(-1e200, 1e200, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=st.integers(1, 4),
+       lr=st.sampled_from([2e-4, 1e-3, 0.1, 1.0]), beta1=st.sampled_from([0.0, 0.5, 0.9]),
+       beta2=st.sampled_from([0.0, 0.9, 0.999]), t0=st.integers(0, 20) | st.just(10**6))
+def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, lr, beta1, beta2, t0):
+    shapes = data.draw(st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                                min_size=1, max_size=4))
+
+    def draw_arrays(elements=_adam_values):
+        return [data.draw(hnp.arrays(np.float64, s, elements=elements)) for s in shapes]
+
+    params = draw_arrays()
+    m = draw_arrays()
+    v = draw_arrays(st.floats(0.0, 1e200, allow_subnormal=True))
+    ref = [[a.copy() for a in arrays] for arrays in (params, m, v)]
+    packed = _packed(params)
+    state = AdamState(m, v, t=t0)
+    for k in range(steps):
+        grads = draw_arrays()
+        with np.errstate(all="ignore"):  # squares overflow to inf, inf/inf is NaN
+            _reference_adam(*ref, t0 + k + 1, grads, lr, beta1, beta2)
+            adam_step(packed, _packed(grads), state, lr, beta1, beta2)
+    assert state.t == t0 + steps
+    for got, want in zip((packed, state.m, state.v), ref, strict=True):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+def _assert_packed(arrays, like):
+    flat = _flat(arrays)
+    assert flat.size == sum(a.size for a in like)
+    for a, b in zip(arrays, like, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not np.shares_memory(a, b)  # a copy, not the caller's array
+
+
+def test_networks_and_adam_state_are_packed_however_built(tmp_path):
+    d_spec, g_spec = MlpSpec((3, 5, 4, 1)), MlpSpec((3, 5, 4, 2))
+    raw = init_params(d_spec, 1)
+    direct = Discriminator(d_spec, raw)
+    _assert_packed(direct.params, raw)
+    moments = AdamState(m=raw, v=[p * p for p in raw], t=3)
+    _assert_packed(moments.m, raw)
+    gen, disc = small_nets(2)
+    fresh = AdamState.for_params(disc.params)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(gen, disc, TrainState(fresh, moments, np.random.default_rng(0)),
+                    small_config(0), path)
+    gen_l, disc_l, state_l, _ = load_checkpoint(path)
+    states = (fresh, moments, state_l.adam_g, state_l.adam_d)
+    for arrays in [gen.params, disc.params, Generator(g_spec, init_params(g_spec, 1)).params,
+                   gen_l.params, disc_l.params,
+                   *[getattr(s, k) for s in states for k in ("m", "v", "grads")]]:
+        _flat(arrays)
+    for s in states:
+        assert [g.shape for g in s.grads] == [m.shape for m in s.m]
+        assert all(x.shape == s.grads[0].base.shape for x in s.scratch)
+
+
+@pytest.mark.parametrize("unpacked", ["params", "grads", "m", "v", "sublist", "mixed"])
+def test_adam_refuses_unpacked_lists(unpacked):
+    disc = Discriminator.build(2, 1, hidden=(3,), seed=0)
+    state = AdamState.for_params(disc.params)
+    params, grads = disc.params, _packed([np.ones_like(p) for p in disc.params])
+    bare = [p.copy() for p in params]
+    if unpacked == "params":
+        params = bare
+    elif unpacked == "grads":
+        grads = [g.copy() for g in grads]
+    elif unpacked == "sublist":
+        params, grads = params[:2], grads[:2]
+    elif unpacked == "mixed":
+        params = [params[0], *bare[1:]]
+    else:
+        setattr(state, unpacked, [a.copy() for a in getattr(state, unpacked)])
+    with pytest.raises(ValueError, match="packed"):
+        adam_step(params, grads, state, 1e-3, 0.9, 0.999)
+    assert state.t == 0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(disc.params, bare))
+
+
+@pytest.mark.parametrize("shapes", [[(10, 128), (128,), (128, 128), (128,), (128, 1), (1,)],
+                                    [(3, 517), (517,), (517, 1), (1,)]])
+def test_mean_abs_grad_sums_array_by_array(shapes):
+    # grad_norm_* goes into metrics.csv, so the flat sum keeps the per-array
+    # order; one sum over the whole vector changes the mean at some seeds
+    state = AdamState.for_params([np.zeros(s) for s in shapes])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for g in state.grads:
+            g[...] = rng.standard_normal(g.shape)
+        want = sum(float(np.abs(g).sum()) for g in state.grads) / sum(g.size for g in state.grads)
+        assert tr._mean_abs_grad(state) == want
 
 
 def test_adam_shape_mismatch():
