@@ -22,6 +22,7 @@ page-faulted in again. This overrides any malloc setting made through
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import ctypes
 import json
@@ -105,15 +106,45 @@ TRAIN_DEFAULTS = {"epochs": 16, "batch_size": 64, "lr": 2e-4, "beta1": 0.5,
 LOSS_DEFAULTS = {"formulation": "classic", "gen_loss_mode": "non_saturating",
                  "recon_weight": 0.0}
 
+# default weighting: all four terms equal for the a-contrario
+# formulations, the two conditional terms otherwise
+DEFAULT_LAMBDAS = {f: [1.0, 1.0, 1.0, 1.0] if "acontrario" in f else [1.0, 1.0, 0.0, 0.0]
+                   for f in FORMULATIONS}
+
 EVAL_DEFAULTS = {"n_eval": 4000, "n_bins": 50, "ndb_k": 20, "alpha": 0.05,
                  "n_per_label": 1000, "phase_epochs": 1, "threshold": 0.0}
 
+RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/default"}
+
+
+def _fits(value, default) -> bool:
+    """Whether `value` has the type of `default`.
+
+    An int default takes an int, a float default a finite int or float,
+    and neither takes a bool; a str default takes a str, and a list default
+    a list whose items fit its first item.
+    """
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        # false for NaN and for ints beyond the float range, exactly
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
 
 def _merge_section(name: str, given: dict, defaults: dict) -> dict:
+    """`defaults` updated with `given`, whose keys and value types must be those of `defaults`."""
     unknown = set(given) - set(defaults)
     if unknown:
         raise CliError("invalid-config",
                        f"unknown key(s) in section {name!r}: {sorted(unknown)}")
+    for key, value in given.items():
+        if not _fits(value, defaults[key]):
+            raise CliError("invalid-config",
+                           f"{name}.{key} must be of the type of {defaults[key]!r}, "
+                           f"got {json.dumps(value)}")
     merged = copy.deepcopy(defaults)
     merged.update(given)
     return merged
@@ -132,46 +163,29 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
         raise CliError("invalid-config", "config must be a JSON object")
 
     sections = ("task", "model", "train", "loss", "eval")
-    unknown = set(raw) - {"seed", "out_dir", *sections}
-    if unknown:
-        raise CliError("invalid-config", f"unknown top-level key(s): {sorted(unknown)}")
     for name in sections:
         if not isinstance(raw.get(name, {}), dict):
             raise CliError("invalid-config", f"section {name!r} must be a JSON object")
+    run = {k: v for k, v in raw.items() if k not in sections}
+    if seed_override is not None:
+        run["seed"] = seed_override
+    if out_override is not None:
+        run["out_dir"] = out_override
+    cfg = _merge_section("top level", run, RUN_DEFAULTS)
+    if cfg["seed"] < 0:
+        raise CliError("invalid-config", f"seed must be non-negative, got {cfg['seed']}")
 
-    task_given = raw.get("task", {})
-    task_type = task_given.get("type", "gauss_modes")
+    task_type = raw.get("task", {}).get("type", "gauss_modes")
     if not isinstance(task_type, str) or task_type not in TASK_DEFAULTS:
         raise CliError("invalid-config", f"unknown task type {task_type!r}")
-
-    loss_given = dict(raw.get("loss", {}))
-    formulation = loss_given.get("formulation", LOSS_DEFAULTS["formulation"])
-    if formulation not in FORMULATIONS:
+    formulation = raw.get("loss", {}).get("formulation", LOSS_DEFAULTS["formulation"])
+    if not isinstance(formulation, str) or formulation not in FORMULATIONS:
         raise CliError("invalid-config", f"unknown loss formulation {formulation!r}")
-    # default weighting: all four terms equal for the a-contrario
-    # formulations, the two conditional terms otherwise
-    if "lambdas" not in loss_given:
-        loss_given["lambdas"] = [1.0, 1.0, 1.0, 1.0] if "acontrario" in formulation \
-            else [1.0, 1.0, 0.0, 0.0]
-    loss_defaults = dict(LOSS_DEFAULTS, lambdas=None)
-
-    cfg = {
-        "seed": raw.get("seed", 0),
-        "out_dir": raw.get("out_dir", "runs/default"),
-        "task": _merge_section("task", task_given, TASK_DEFAULTS[task_type]),
-        "model": _merge_section("model", raw.get("model", {}), MODEL_DEFAULTS),
-        "train": _merge_section("train", raw.get("train", {}), TRAIN_DEFAULTS),
-        "loss": _merge_section("loss", loss_given, loss_defaults),
-        "eval": _merge_section("eval", raw.get("eval", {}), EVAL_DEFAULTS),
-    }
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    if out_override is not None:
-        cfg["out_dir"] = out_override
-    if not isinstance(cfg["seed"], int):
-        raise CliError("invalid-config", "seed must be an integer")
-    if not isinstance(cfg["out_dir"], str):
-        raise CliError("invalid-config", "out_dir must be a string")
+    defaults = {"task": TASK_DEFAULTS[task_type], "model": MODEL_DEFAULTS,
+                "train": TRAIN_DEFAULTS, "eval": EVAL_DEFAULTS,
+                "loss": dict(LOSS_DEFAULTS, lambdas=DEFAULT_LAMBDAS[formulation])}
+    for name in sections:
+        cfg[name] = _merge_section(name, raw.get(name, {}), defaults[name])
     if cfg["loss"]["gen_loss_mode"] not in GEN_LOSS_MODES:
         raise CliError("invalid-config",
                        f"unknown gen_loss_mode {cfg['loss']['gen_loss_mode']!r}")
@@ -184,38 +198,42 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _invalid(section: str):
+    """Report a ValueError raised inside as `invalid-config`, naming the section."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError("invalid-config", f"{section}: {e}") from None
+
+
 def build_task(cfg: dict):
     t = dict(cfg["task"])
     t.pop("n_samples")
-    try:
+    with _invalid("task"):
         return task_from_dict(t)
-    except (TypeError, ValueError) as e:
-        raise CliError("invalid-config", f"task: {e}") from None
 
 
 def build_loss_spec(cfg: dict) -> LossSpec:
-    try:
+    with _invalid("loss"):
         return LossSpec.from_dict(cfg["loss"])
-    except (TypeError, ValueError) as e:
-        raise CliError("invalid-config", str(e)) from None
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     t = cfg["train"]
-    try:
+    loss = build_loss_spec(cfg)
+    with _invalid("train"):
         return TrainConfig(
             epochs=t["epochs"], batch_size=t["batch_size"], lr=t["lr"],
             beta1=t["beta1"], beta2=t["beta2"], seed=cfg["seed"],
-            loss=build_loss_spec(cfg), d_steps_per_g_step=t["d_steps_per_g_step"],
+            loss=loss, d_steps_per_g_step=t["d_steps_per_g_step"],
             checkpoint_every=t["checkpoint_every"], ac_mode=t["ac_mode"],
         )
-    except (TypeError, ValueError) as e:
-        raise CliError("invalid-config", f"train: {e}") from None
 
 
 def build_nets(cfg: dict, task) -> tuple[Generator, Discriminator]:
     m = cfg["model"]
-    try:
+    with _invalid("model"):
         gen = Generator.build(
             task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
             noise_dim=m["noise_dim"], output_activation=m["gen_output_activation"],
@@ -225,8 +243,6 @@ def build_nets(cfg: dict, task) -> tuple[Generator, Discriminator]:
             task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
             seed=cfg["seed"] * 2 + 2,
         )
-    except (TypeError, ValueError) as e:
-        raise CliError("invalid-config", f"model: {e}") from None
     return gen, disc
 
 
@@ -275,7 +291,8 @@ def _load_run_checkpoint(path, task):
 def cmd_gen_data(cfg: dict) -> None:
     task = build_task(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    ds = sample_dataset(task, cfg["task"]["n_samples"], cfg["seed"])
+    with _invalid("task"):
+        ds = sample_dataset(task, cfg["task"]["n_samples"], cfg["seed"])
     save_dataset_csv(ds, _dataset_path(cfg))
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
@@ -312,10 +329,14 @@ def cmd_train(cfg: dict) -> None:
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
-def _generated_over_dataset(gen: Generator, ds, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 2])
+def _ndb(cfg: dict, gen: Generator, ds):
+    """NDB of the generator's output over the dataset's conditions against the dataset."""
+    rng = np.random.default_rng([cfg["seed"], 2])
     z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
-    return gen_forward(gen, ds.xs, z)
+    ev = cfg["eval"]
+    with _invalid("eval"):
+        return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev["ndb_k"], alpha=ev["alpha"],
+                         seed=cfg["seed"])
 
 
 def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
@@ -329,19 +350,20 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
     optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
     logits = collect_logits(disc, gen, ds, ev["n_eval"], seed=cfg["seed"],
                             ac_mode=tc.ac_mode)
-    hist = build_histogram(logits, ev["n_bins"])
+    with _invalid("eval"):
+        hist = build_histogram(logits, ev["n_bins"])
     rates = classification_rates(logits, ev["threshold"])
 
     acc = regression = None
     if isinstance(task, GaussModesTask):
-        acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
+        with _invalid("eval"):
+            acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
     else:
         regression = regression_error(task, gen, ev["n_eval"], cfg["seed"])
-    y_gen = _generated_over_dataset(gen, ds, cfg["seed"])
-    ndb = ndb_score(ds.ys, y_gen, k=ev["ndb_k"], alpha=ev["alpha"], seed=cfg["seed"])
+    ndb = _ndb(cfg, gen, ds)
 
     write_histogram_csv(hist, os.path.join(cfg["out_dir"], "histogram.csv"))
-    write_json(make_report(rates, acc, regression, ndb),
+    write_json(make_report(rates, ev["threshold"], acc, regression, ndb),
                os.path.join(cfg["out_dir"], "report.json"))
 
 
@@ -349,10 +371,7 @@ def cmd_ndb(cfg: dict, checkpoint_path) -> None:
     task = build_task(cfg)
     ds = _load_run_dataset(cfg, task)
     gen, _, _, _ = _load_run_checkpoint(checkpoint_path, task)
-    ev = cfg["eval"]
-    y_gen = _generated_over_dataset(gen, ds, cfg["seed"])
-    ndb = ndb_score(ds.ys, y_gen, k=ev["ndb_k"], alpha=ev["alpha"], seed=cfg["seed"])
-    write_json(ndb.to_dict(), os.path.join(cfg["out_dir"], "ndb.json"))
+    write_json(_ndb(cfg, gen, ds).to_dict(), os.path.join(cfg["out_dir"], "ndb.json"))
 
 
 def cmd_report(run_dir) -> None:

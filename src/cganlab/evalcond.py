@@ -26,13 +26,6 @@ PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
 class FourWayHistogram:
     bin_edges: np.ndarray
     counts: dict[str, np.ndarray]
-    n: dict[str, int]
-
-
-@dataclass
-class ClassificationReport:
-    threshold: float
-    rates: dict[str, float]  # fraction classified "true" per pairing
 
 
 @dataclass
@@ -62,13 +55,13 @@ class NdbReport:
         }
 
 
-def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
+def collect_logits(disc: Discriminator, gen: Generator, ds: ConditionalDataset,
                    n_eval: int, seed: int = 0, ac_mode: str = "within_batch") -> dict:
     """Raw logits of the frozen discriminator over the four pairings.
 
-    The a-contrario pairing uses the same derangement sampler as training.
-    gen_or_samples is either a Generator or an array of generated rows
-    aligned with the dataset.
+    One pair batch of `n_eval` rows is drawn with the training sampler, and
+    the generator runs once on its conditions (with noise drawn after the
+    batch when it has `noise_dim` > 0).
     """
     if n_eval < 2:
         raise ValueError("n_eval must be at least 2")
@@ -76,15 +69,8 @@ def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
         raise ValueError(f"n_eval {n_eval} exceeds dataset size {len(ds)}")
     rng = np.random.default_rng(seed)
     batch = sample_pair_batch(ds, n_eval, rng, ac_mode)
-    if isinstance(gen_or_samples, Generator):
-        gen = gen_or_samples
-        z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
-        y_g = gen_forward(gen, ds.xs[batch.idx], z)
-    else:
-        samples = np.asarray(gen_or_samples, dtype=np.float64)
-        if samples.shape[0] != len(ds):
-            raise ValueError("generated samples must be row-aligned with the dataset")
-        y_g = samples[batch.idx]
+    z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
+    y_g = gen_forward(gen, ds.xs[batch.idx], z)
     pairs = assemble_pairings(ds, batch, y_g)
     return {
         name: disc_forward(disc, px, py).ravel()
@@ -94,6 +80,8 @@ def collect_logits(disc: Discriminator, gen_or_samples, ds: ConditionalDataset,
 
 def build_histogram(logits: dict, n_bins: int = 50) -> FourWayHistogram:
     """Shared-bin histograms over all four pairings; counts are conserved."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be positive, got {n_bins}")
     arrays = [np.asarray(logits[name], dtype=np.float64) for name in PAIRINGS]
     if any(a.size == 0 for a in arrays):
         raise ValueError("all four logit arrays must be non-empty")
@@ -107,11 +95,10 @@ def build_histogram(logits: dict, n_bins: int = 50) -> FourWayHistogram:
         name: np.histogram(a, bins=edges)[0]
         for name, a in zip(PAIRINGS, arrays)
     }
-    return FourWayHistogram(bin_edges=edges, counts=counts,
-                            n={name: int(a.size) for name, a in zip(PAIRINGS, arrays)})
+    return FourWayHistogram(bin_edges=edges, counts=counts)
 
 
-def classification_rates(logits: dict, threshold: float = 0.0) -> ClassificationReport:
+def classification_rates(logits: dict, threshold: float = 0.0) -> dict[str, float]:
     """Fraction of each pairing classified as true (logit above threshold)."""
     rates = {}
     for name in PAIRINGS:
@@ -119,13 +106,15 @@ def classification_rates(logits: dict, threshold: float = 0.0) -> Classification
         if a.size == 0:
             raise ValueError(f"empty logit array for pairing {name}")
         rates[name] = float(np.mean(a > threshold))
-    return ClassificationReport(threshold=threshold, rates=rates)
+    return rates
 
 
 def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> float:
     """Fraction of generated samples whose oracle class matches the label."""
     if not isinstance(task, GaussModesTask):
         raise TypeError(f"task {type(task).__name__} supplies no oracle classifier")
+    if n_per_label < 1:
+        raise ValueError(f"n_per_label must be positive, got {n_per_label}")
     rng = np.random.default_rng(seed)
     k = task.n_modes
     correct = 0
@@ -188,6 +177,8 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if k < 1:
+        raise ValueError(f"ndb_k must be positive, got {k}")
     real = np.atleast_2d(np.asarray(real_samples, dtype=np.float64))
     gen = np.atleast_2d(np.asarray(gen_samples, dtype=np.float64))
     if real.shape[0] < 10 * k or gen.shape[0] < 10 * k:
@@ -224,17 +215,18 @@ def write_histogram_csv(hist: FourWayHistogram, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def make_report(rates: ClassificationReport, oracle_acc: float | None,
+def make_report(rates: dict[str, float], threshold: float, oracle_acc: float | None,
                 regression: dict | None, ndb: NdbReport | None) -> dict:
     """Schema of the evaluation report JSON.
 
-    `oracle_acc` is set on mode tasks and `regression` (the generator's
+    `rates` are the `classification_rates` at `threshold`. `oracle_acc` is
+    set on mode tasks and `regression` (the generator's
     `tasks.regression_error` against the noiseless map) on regression
     tasks; the other one is null.
     """
     return {
-        "classification_rates": dict(sorted(rates.rates.items())),
-        "threshold": rates.threshold,
+        "classification_rates": dict(sorted(rates.items())),
+        "threshold": threshold,
         "oracle_accuracy": oracle_acc,
         "regression": regression,
         "ndb": ndb.to_dict() if ndb is not None else None,

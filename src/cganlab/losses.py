@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import _sigmoid_parts
-
 FORMULATIONS = ("classic", "acontrario", "hinge_classic", "hinge_acontrario")
 GEN_LOSS_MODES = ("minmax", "non_saturating")
 
@@ -76,6 +74,12 @@ class LossBreakdown:
     d_real_ac: float = 0.0
     d_gen_ac: float = 0.0
     d_total: float = 0.0
+
+
+def _sigmoid_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|v|) and sigmoid(v) as 1/(1+e) or e/(1+e): no overflow, exact in both tails."""
+    e = np.exp(-np.abs(v))
+    return e, np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

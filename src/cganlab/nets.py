@@ -4,22 +4,22 @@ The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
 never formed, because the losses and the conditionality histograms all
 work on the logit. An MLP is affine layers with leaky-ReLU between them
-and an identity, tanh, sigmoid or softmax output, so its gradient is
-closed form: `mlp_forward` keeps each layer's input, and `mlp_backward`
-turns the gradient w.r.t. the output into parameter and input gradients.
+and an identity or tanh output, so its gradient is closed form:
+`mlp_forward` keeps each layer's input, and `mlp_backward` turns the
+gradient w.r.t. the output into parameter and input gradients.
 
-The hidden leaky-ReLU of slope s is applied without a data-dependent
-branch, and both passes give the same bits as ``np.where(h > 0, h, s * h)``
-forward and ``g * np.where(out > 0, 1.0, s)`` backward. For
-0 <= s <= 1, ``s * h`` lies between 0 and ``h``, so ``max(h, s * h)`` is
-``h`` where ``h > 0`` and ``s * h`` elsewhere; for s > 1, ``min`` does the
-same. At ``h = +0.0`` and ``-0.0`` both operands are that same zero, and a
-NaN propagates either way. Only ``h = +inf`` at s = 0 differs (``0 * inf``
-is NaN, which ``max`` returns), and a run that reaches it has diverged. The
-backward factor is read from the table ``[s, 1.0]`` at the uint8 view of
-the mask ``out > 0``, so each element of ``g`` is multiplied by exactly
-``s`` or ``1.0``; the product is taken in place on the fresh ``g`` of the
-layer above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
+The hidden leaky-ReLU of slope s, 0 <= s <= 1, is applied without a
+data-dependent branch, and both passes give the same bits as
+``np.where(h > 0, h, s * h)`` forward and ``g * np.where(out > 0, 1.0, s)``
+backward. ``s * h`` lies between 0 and ``h``, so ``max(h, s * h)`` is
+``h`` where ``h > 0`` and ``s * h`` elsewhere. At ``h = +0.0`` and
+``-0.0`` both operands are that same zero, and a NaN propagates. Only
+``h = +inf`` at s = 0 differs (``0 * inf`` is NaN, which ``max``
+returns), and a run that reaches it has diverged. The backward factor is
+read from the table ``[s, 1.0]`` at the uint8 view of the mask
+``out > 0``, so each element of ``g`` is multiplied by exactly ``s`` or
+``1.0``; the product is taken in place on the fresh ``g`` of the layer
+above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
 
 Each network keeps its parameters as reshaped views of one contiguous
 float64 vector (`_packed`), in the order W0, b0, W1, b1, ...; the Adam
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid", "softmax")
+OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 
@@ -51,8 +51,9 @@ WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 class MlpSpec:
     """Layer widths plus activations; at least one hidden layer.
 
-    The leaky-ReLU slope must be non-negative, so that a hidden unit's
-    output is positive exactly where its pre-activation is.
+    The leaky-ReLU slope must lie in [0, 1], so that a hidden unit's
+    output is positive exactly where its pre-activation is, and is
+    ``max(h, slope * h)``.
     """
 
     widths: tuple[int, ...]
@@ -64,8 +65,8 @@ class MlpSpec:
             raise ValueError(f"MlpSpec needs at least one hidden layer, got widths {self.widths}")
         if any(w <= 0 for w in self.widths):
             raise ValueError(f"MlpSpec widths must be positive, got {self.widths}")
-        if self.hidden_slope < 0:
-            raise ValueError(f"hidden_slope must be non-negative, got {self.hidden_slope}")
+        if not 0 <= self.hidden_slope <= 1:
+            raise ValueError(f"hidden_slope must lie in [0, 1], got {self.hidden_slope}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -127,6 +128,8 @@ class Generator:
     noise_dim: int = 0
 
     def __post_init__(self):
+        if self.noise_dim < 0:
+            raise ValueError(f"noise_dim must be non-negative, got {self.noise_dim}")
         self.params = _packed(self.params)
 
     @classmethod
@@ -155,15 +158,10 @@ class Discriminator:
         return cls(spec, init_params(spec, seed))
 
 
-def _sigmoid_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-|v|) and sigmoid(v) as 1/(1+e) or e/(1+e): no overflow, exact in both tails."""
-    e = np.exp(-np.abs(v))
-    return e, np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
-    """h <- np.where(h > 0, h, slope * h), bit for bit for finite h (module docstring)."""
-    (np.maximum if slope <= 1 else np.minimum)(h, slope * h, out=h)
+    """h <- max(h, slope * h), which for 0 <= slope <= 1 and finite h is
+    np.where(h > 0, h, slope * h) bit for bit (module docstring)."""
+    np.maximum(h, slope * h, out=h)
 
 
 def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
@@ -182,11 +180,6 @@ def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
             _leaky_relu_inplace(h, spec.hidden_slope)
     if spec.output_activation == "tanh":
         h = np.tanh(h)
-    elif spec.output_activation == "sigmoid":
-        h = _sigmoid_parts(h)[1]
-    elif spec.output_activation == "softmax":
-        e = np.exp(h - h.max(axis=-1, keepdims=True))
-        h = e / e.sum(axis=-1, keepdims=True)
     cache.append(h)
     return h, cache
 
@@ -207,10 +200,6 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
     g = g_out
     if spec.output_activation == "tanh":
         g = g * (1.0 - out * out)
-    elif spec.output_activation == "sigmoid":
-        g = g * out * (1.0 - out)
-    elif spec.output_activation == "softmax":
-        g = out * (g - (g * out).sum(axis=-1, keepdims=True))
     factor = np.array([spec.hidden_slope, 1.0])
     n_layers = len(spec.widths) - 1
     for i in reversed(range(n_layers)):

@@ -58,6 +58,12 @@ class CondRegressionTask:
     noise_std: float = 0.05
     map_seed: int = 7
 
+    def __post_init__(self):
+        if self.dim_x < 1 or self.dim_y < 1:
+            raise ValueError(f"dim_x and dim_y must be positive, got {self.dim_x}, {self.dim_y}")
+        if self.map_seed < 0:
+            raise ValueError(f"map_seed must be non-negative, got {self.map_seed}")
+
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.map_seed)
         w = rng.normal(0.0, 1.0 / np.sqrt(self.dim_x), size=(self.dim_x, self.dim_y))
@@ -131,25 +137,19 @@ def oracle_classify(task: GaussModesTask, ys: np.ndarray) -> np.ndarray:
 
 
 def regression_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
-    """rmse / log-rmse / abs-rel between prediction and target arrays.
+    """rmse and nrmse between prediction and target arrays.
 
-    log-rmse is measured in sign(v)*log(1+|v|) space because targets may
-    be negative; abs-rel guards the denominator at 1e-3.
+    nrmse is rmse over the rmse of predicting each target column's mean,
+    so 1.0 is no better than the mean; it is None when the target has no
+    spread.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
-
-    def signed_log(v):
-        return np.sign(v) * np.log1p(np.abs(v))
-
-    return {
-        "rmse": float(np.sqrt(np.mean(diff**2))),
-        "log_rmse": float(np.sqrt(np.mean((signed_log(pred) - signed_log(target)) ** 2))),
-        "abs_rel": float(np.mean(np.abs(diff) / np.maximum(np.abs(target), 1e-3))),
-    }
+    rmse = float(np.sqrt(np.mean((pred - target) ** 2)))
+    spread = float(np.sqrt(np.mean((target - target.mean(axis=0)) ** 2)))
+    return {"rmse": rmse, "nrmse": rmse / spread if spread > 0 else None}
 
 
 def regression_error(task: CondRegressionTask, gen: Generator, n_eval: int,

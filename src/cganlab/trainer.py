@@ -42,7 +42,6 @@ from .nets import (
     MlpSpec,
     _flat,
     _packed,
-    disc_forward,
     mlp_backward,
     mlp_forward,
     params_from_jsonable,
@@ -302,13 +301,11 @@ def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
 
 def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
                                 dataset: ConditionalDataset, config: TrainConfig,
-                                epochs: int = 1, plateau_tol: float | None = None,
-                                plateau_window: int = 100) -> RunLog:
+                                epochs: int = 1) -> RunLog:
     """Let the discriminator converge against a frozen generator.
 
-    Default length is one full epoch; with plateau_tol set the phase also
-    stops once the windowed moving average of the loss improves by less
-    than the tolerance. Any mutation of the generator fails hard.
+    Runs `epochs` full epochs of discriminator-only steps from fresh Adam
+    moments and returns their log. Any mutation of the generator fails hard.
     """
     before = params_checksum(gen.params)
     rng = np.random.default_rng([config.seed, _PHASE_STREAM])
@@ -318,15 +315,8 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
         raise ValueError("dataset smaller than one batch")
 
     log = RunLog()
-    losses: list[float] = []
     for step in range(1, epochs * steps_per_epoch + 1):
         log.rows.append(_step(gen, disc, dataset, config, rng, adam_d, step))
-        losses.append(log.rows[-1]["d_total"])
-        if plateau_tol is not None and step >= 2 * plateau_window:
-            ma_now = float(np.mean(losses[-plateau_window:]))
-            ma_prev = float(np.mean(losses[-2 * plateau_window:-plateau_window]))
-            if abs(ma_prev - ma_now) < plateau_tol:
-                break
 
     if params_checksum(gen.params) != before:
         raise FreezeViolation("generator parameters changed during the frozen phase")

@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cganlab
 from cganlab import cli
@@ -33,6 +41,16 @@ def write_config(path, out_dir, formulation="classic", seed=0, epochs=1):
     }
     path.write_text(json.dumps(cfg))
     return path
+
+
+STAGES = ("gen-data", "train", "eval-conditionality", "ndb")
+
+
+def _stage_args(stage, cfg_path, out_dir):
+    args = [stage, "--config", str(cfg_path)]
+    if stage in ("eval-conditionality", "ndb"):
+        args += ["--checkpoint", str(out_dir / "checkpoint.json")]
+    return args
 
 
 def run_pipeline(cfg_path, out_dir):
@@ -155,21 +173,121 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
     ("train", "loss", {"lambdas": 1}),
     ("gen-data", "task", {"n_modes": "8"}),
     ("gen-data", "out_dir", 5),
+    ("gen-data", "task", dict(MINI_TASK, n_samples="400")),
+    ("eval-conditionality", "eval", dict(MINI_EVAL, n_eval="200")),
+    ("ndb", "eval", dict(MINI_EVAL, ndb_k="4")),
+    ("train", "train", {"epochs": 2.5}),
+    ("train", "model", {"noise_dim": 1.0}),
+    ("eval-conditionality", "eval", dict(MINI_EVAL, phase_epochs=1.5)),
+    ("eval-conditionality", "eval", dict(MINI_EVAL, threshold="0")),
+    ("train", "train", {"epochs": True}),
+    ("train", "train", {"lr": True}),
+    ("train", "train", {"checkpoint_every": True}),
+    ("gen-data", "seed", True),
+    ("train", "model", {"gen_hidden": [8.0]}),
+    ("train", "model", {"gen_hidden": [True]}),
+    ("gen-data", "task", dict(MINI_TASK, sigma=float("nan"))),
+    ("train", "loss", {"recon_weight": float("nan")}),
+    ("ndb", "eval", dict(MINI_EVAL, alpha=True)),
 ], ids=["task-list", "task-string", "task-type-list", "loss-list", "train-list",
-        "epochs-string", "hidden-int", "lambdas-int", "n_modes-string", "out_dir-int"])
+        "epochs-string", "hidden-int", "lambdas-int", "n_modes-string", "out_dir-int",
+        "n_samples-string", "n_eval-string", "ndb_k-string", "epochs-float",
+        "noise_dim-float", "phase_epochs-float", "threshold-string", "epochs-bool",
+        "lr-bool", "checkpoint_every-bool", "seed-bool", "hidden-float", "hidden-bool",
+        "sigma-nan", "recon_weight-nan", "alpha-bool"])
 def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, section,
                                                        value):
-    # each of these once escaped as a traceback or an `error: ValueError:` line
+    # each of these once escaped as a traceback or an `error: ValueError:` line,
+    # or was accepted: a bool as a number, a NaN, a float width
     p = write_config(tmp_path / "c.json", tmp_path / "r")
     cfg = json.loads(p.read_text())
-    if stage == "train":
-        assert main(["gen-data", "--config", str(p)]) == 0
-        capsys.readouterr()
+    for before in STAGES[:STAGES.index(stage)][:2]:  # gen-data, then train
+        assert main(_stage_args(before, p, tmp_path / "r")) == 0
+    capsys.readouterr()
     cfg[section] = value
     p.write_text(json.dumps(cfg))
-    assert main([stage, "--config", str(p)]) == 1
+    assert main(_stage_args(stage, p, tmp_path / "r")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config:") and err.count("\n") == 1
+
+
+def test_removed_output_activation_refused(tmp_path, capsys):
+    p, _ = _setup_run(tmp_path, "r")
+    cfg = json.loads(p.read_text())
+    cfg["model"]["gen_output_activation"] = "sigmoid"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and "sigmoid" in err
+
+
+# a pipeline small enough to run once per drawn value
+_TINY = {
+    "seed": 0,
+    "model": {"gen_hidden": [8], "disc_hidden": [8]},
+    "train": {"epochs": 1, "batch_size": 20},
+    "eval": {"n_eval": 40, "n_bins": 10, "ndb_k": 4, "n_per_label": 10},
+}
+_TINY_TASKS = {
+    "gauss_modes": {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "n_samples": 120},
+    "cond_regression": {"type": "cond_regression", "n_samples": 120},
+}
+# (task type, section, key, default) of every config key but out_dir, a
+# path whose failures are OSErrors
+_KEYS = ([("gauss_modes", "seed", None, 0)]
+         + [(t, "task", k, v) for t in _TINY_TASKS for k, v in cli.TASK_DEFAULTS[t].items()]
+         + [("gauss_modes", s, k, v)
+            for s, defaults in (("model", cli.MODEL_DEFAULTS), ("train", cli.TRAIN_DEFAULTS),
+                                ("loss", dict(cli.LOSS_DEFAULTS,
+                                              lambdas=cli.DEFAULT_LAMBDAS["classic"])),
+                                ("eval", cli.EVAL_DEFAULTS))
+            for k, v in defaults.items()])
+_STRINGS = st.text(max_size=3) | st.sampled_from(
+    ["gauss_modes", "cond_regression", "tanh", "sigmoid", "acontrario", "hinge_classic",
+     "minmax", "outside_batch"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-10.0, 10.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | _STRINGS,
+    lambda v: st.lists(v, max_size=3) | st.dictionaries(st.text(max_size=3), v, max_size=2),
+    max_leaves=4)
+
+
+def _typed_like(default):
+    """Values of the default's type, over ranges that reach every range check."""
+    if isinstance(default, float):
+        return st.floats(-10.0, 10.0) | st.integers(-2, 40)
+    if isinstance(default, int):
+        return st.integers(-2, 40)
+    if isinstance(default, list):
+        return st.lists(_typed_like(default[0]), max_size=4)
+    return _STRINGS
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from(_KEYS), data=st.data())
+def test_every_stage_runs_or_reports_invalid_config(key, data):
+    task, section, name, default = key
+    value = data.draw(_JSON_VALUES | _typed_like(default))
+    cfg = copy.deepcopy(_TINY)
+    cfg["task"] = dict(_TINY_TASKS[task])
+    if name is None:
+        cfg[section] = value
+    else:
+        cfg.setdefault(section, {})[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        cfg["out_dir"] = str(out)
+        p = out / "c.json"
+        p.write_text(json.dumps(cfg))
+        for stage in STAGES:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(_stage_args(stage, p, out))
+            if code != 0:
+                assert err.getvalue().startswith("error: invalid-config:"), err.getvalue()
+                assert err.getvalue().count("\n") == 1
+                break
 
 
 def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
@@ -454,6 +572,20 @@ def test_checkpoint_not_an_object_reported_as_bad(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad-checkpoint:")
 
 
+def test_checkpoint_with_removed_output_activation_reported_as_bad(tmp_path, capsys):
+    # a format-3 file whose generator spec names an output nets no longer has
+    p1, out = _setup_run(tmp_path, "sigmoid")
+    assert main(["train", "--config", str(p1)]) == 0
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    doc["generator"]["spec"]["output_activation"] = "sigmoid"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-checkpoint:") and "sigmoid" in err
+
+
 def test_report_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     cli.write_json({"a": 1}, path)
@@ -641,4 +773,4 @@ def test_regression_task_pipeline_skips_oracle(tmp_path):
     gen = load_checkpoint(str(out / "checkpoint.json"))[0]
     assert report["regression"] == regression_error(CondRegressionTask(), gen,
                                                     MINI_EVAL["n_eval"], seed=1)
-    assert set(report["regression"]) == {"rmse", "log_rmse", "abs_rel"}
+    assert set(report["regression"]) == {"rmse", "nrmse"}

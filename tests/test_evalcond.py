@@ -71,13 +71,6 @@ def test_real_cond_matches_independent_recomputation():
     np.testing.assert_allclose(np.sort(logits["real_cond"]), np.sort(expected), rtol=1e-10)
 
 
-def test_collect_logits_accepts_precomputed_samples():
-    task, ds, gen, disc = setup_eval()
-    samples = np.zeros((len(ds), 2))
-    logits = collect_logits(disc, samples, ds, 50, seed=2)
-    assert logits["gen_cond"].shape == (50,)
-
-
 def test_collect_logits_bounds():
     task, ds, gen, disc = setup_eval()
     with pytest.raises(ValueError):
@@ -103,7 +96,6 @@ def test_histogram_conserves_counts_with_shared_edges():
     hist = build_histogram(logits, n_bins=25)
     for i, name in enumerate(PAIRINGS):
         assert hist.counts[name].sum() == 300 + 10 * i
-        assert hist.n[name] == 300 + 10 * i
     lo = min(a.min() for a in logits.values())
     hi = max(a.max() for a in logits.values())
     assert hist.bin_edges[0] == lo and hist.bin_edges[-1] == hi
@@ -136,9 +128,9 @@ def test_histogram_csv_layout(tmp_path):
 
 def test_rates_trivial_cases():
     ones = {name: np.ones(5) for name in PAIRINGS}
-    assert all(r == 1.0 for r in classification_rates(ones).rates.values())
+    assert all(r == 1.0 for r in classification_rates(ones).values())
     sym = {name: np.array([-1.0, 1.0]) for name in PAIRINGS}
-    assert all(r == 0.5 for r in classification_rates(sym).rates.values())
+    assert all(r == 0.5 for r in classification_rates(sym).values())
 
 
 def test_rates_invariant_under_monotone_transform():
@@ -147,7 +139,7 @@ def test_rates_invariant_under_monotone_transform():
     base = classification_rates(logits, threshold=0.0)
     probs = {name: 1.0 / (1.0 + np.exp(-a)) for name, a in logits.items()}
     transformed = classification_rates(probs, threshold=0.5)
-    assert base.rates == transformed.rates
+    assert base == transformed
 
 
 # -- oracle accuracy -----------------------------------------------------

@@ -358,15 +358,6 @@ def test_phase_loss_moving_average_non_increasing():
     assert np.all(drops <= 1e-3)  # monotone up to plateau jitter
 
 
-def test_phase_plateau_stop():
-    ds, gen, disc = _separable_setup()
-    cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
-    log = optimal_discriminator_phase(gen, disc, ds, cfg, epochs=50,
-                                      plateau_tol=1e-4, plateau_window=100)
-    full = 50 * (len(ds) // 50)
-    assert len(log.rows) < full
-
-
 # -- checkpointing -------------------------------------------------------
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
