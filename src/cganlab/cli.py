@@ -33,6 +33,7 @@ import numpy as np
 
 from .evalcond import (
     build_histogram,
+    check_ndb_settings,
     classification_rates,
     collect_logits,
     make_report,
@@ -306,6 +307,18 @@ def _require_pairable(ds, ac_mode: str, *sizes: int) -> None:
         raise CliError("invalid-config", str(e)) from None
 
 
+def _require_eval_settings(ev: dict, ds, task) -> None:
+    """Refuse, before any work, eval settings that the eval stage would refuse later."""
+    with _invalid("eval"):
+        check_ndb_settings(ds.ys, len(ds), ev["ndb_k"], ev["alpha"])
+    lows = {"n_bins": 1, "phase_epochs": 0}
+    if isinstance(task, GaussModesTask):
+        lows["n_per_label"] = 1
+    for key, low in lows.items():
+        if ev[key] < low:
+            raise CliError("invalid-config", f"eval: {key} must be at least {low}, got {ev[key]}")
+
+
 def cmd_train(cfg: dict) -> None:
     task = build_task(cfg)
     ds = _load_run_dataset(cfg, task)
@@ -345,19 +358,18 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
     tc = build_train_config(cfg)
     ev = cfg["eval"]
     _require_pairable(ds, tc.ac_mode, tc.batch_size, ev["n_eval"])
+    _require_eval_settings(ev, ds, task)
     gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, task)
 
     optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
     logits = collect_logits(disc, gen, ds, ev["n_eval"], seed=cfg["seed"],
                             ac_mode=tc.ac_mode)
-    with _invalid("eval"):
-        hist = build_histogram(logits, ev["n_bins"])
+    hist = build_histogram(logits, ev["n_bins"])
     rates = classification_rates(logits, ev["threshold"])
 
     acc = regression = None
     if isinstance(task, GaussModesTask):
-        with _invalid("eval"):
-            acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
+        acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
     else:
         regression = regression_error(task, gen, ev["n_eval"], cfg["seed"])
     ndb = _ndb(cfg, gen, ds)

@@ -5,6 +5,16 @@ the four pairings: a discriminator that learned conditionality separates
 real-conditional from both a-contrario pairings, one that did not scores
 real-a-contrario pairs as true. Logits (not probabilities) are binned
 because the sigmoid saturates and hides the mode structure.
+
+NDB's bins are k-means clusters of the real samples. The fit's seeding
+and Lloyd iterations, the assignment of samples to bins and the oracle
+share one nearest-centroid kernel, `tasks._nearest_centroid`. They give
+the bits of the textbook loop (`argmin` over a broadcast (n, k, d)
+distance table, then each cluster's `mean`), which the tests keep as the
+reference: each coordinate's squared difference is added in the same
+order, ties and NaNs are resolved as `argmin` resolves them, and a
+centroid is `np.bincount` of its members' coordinates over their count,
+which sums in row order from 0.0 as `mean(axis=0)` does on C-ordered rows.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
 from .pairing import ConditionalDataset, _row_keys, assemble_pairings, sample_pair_batch
-from .tasks import GaussModesTask, _sq_dists, oracle_classify
+from .tasks import GaussModesTask, _nearest_centroid, oracle_classify
 
 PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
 
@@ -128,41 +138,54 @@ def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> fl
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-            iters: int = 50) -> np.ndarray:
+            iters: int = 50) -> tuple[np.ndarray, np.ndarray | None]:
     """Plain Lloyd iterations with greedy ++-style seeding; deterministic.
 
     Runs at most `iters` iterations and stops early at a fixed point: an
     iteration maps the centroids to new ones deterministically, so once it
-    returns them bit-identical every later iteration would too, and the
-    result equals that of all `iters` iterations.
+    returns them unchanged every later iteration would too, and the result
+    equals that of all `iters` iterations. (A centroid that only changed
+    the sign of a zero counts as unchanged; no squared distance can tell.)
+    Returns the centroids and, after a fixed point, the index of each
+    point's nearest centroid, which the last iteration found for these very
+    centroids; None when all `iters` iterations ran.
     """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _nearest_centroid(points, centroids[:1])[1]
     for j in range(1, k):
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centroids[j] = points[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _nearest_centroid(points, centroids[j:j + 1])[1])
+    buffers = (np.empty((k, n)), np.empty((k, n)))
     for _ in range(iters):
         previous = centroids.copy()
-        dist = _sq_dists(points, centroids)
-        assign = dist.argmin(axis=1)
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centroids[j] = points[members].mean(axis=0)
-            else:
-                # reseed an empty cluster at the worst-covered point
-                centroids[j] = points[dist[np.arange(n), assign].argmax()]
+        assign, nearest = _nearest_centroid(points, centroids, buffers)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        for c in range(points.shape[1]):
+            sums = np.bincount(assign, weights=points[:, c], minlength=k)
+            centroids[filled, c] = sums[filled] / counts[filled]
+        if not filled.all():
+            # reseed every empty cluster at the worst-covered point
+            centroids[~filled] = points[nearest.argmax()]
         if np.array_equal(centroids, previous):
-            break
-    return centroids
+            return centroids, assign
+    return centroids, None
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return _sq_dists(points, centroids).argmin(axis=1)
+def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> None:
+    """Raise ValueError unless `ndb_score` can score `n_gen` samples against `real`."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if k < 1:
+        raise ValueError(f"ndb_k must be positive, got {k}")
+    if real.shape[0] < 10 * k or n_gen < 10 * k:
+        raise ValueError(f"need at least 10*k={10 * k} samples per set")
+    if _row_keys(real).max() + 1 < k:
+        raise ValueError(f"k={k} exceeds the number of distinct real points")
 
 
 def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
@@ -175,21 +198,16 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
     the standard normal quantile at 1 - alpha/2, from the standard
     library's `statistics.NormalDist().inv_cdf`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if k < 1:
-        raise ValueError(f"ndb_k must be positive, got {k}")
     real = np.atleast_2d(np.asarray(real_samples, dtype=np.float64))
     gen = np.atleast_2d(np.asarray(gen_samples, dtype=np.float64))
-    if real.shape[0] < 10 * k or gen.shape[0] < 10 * k:
-        raise ValueError(f"need at least 10*k={10 * k} samples per set")
-    if _row_keys(real).max() + 1 < k:
-        raise ValueError(f"k={k} exceeds the number of distinct real points")
+    check_ndb_settings(real, gen.shape[0], k, alpha)
 
-    centroids = _kmeans(real, k, np.random.default_rng(seed))
+    centroids, assign_r = _kmeans(real, k, np.random.default_rng(seed))
+    if assign_r is None:
+        assign_r = _nearest_centroid(real, centroids)[0]
     n_r, n_g = real.shape[0], gen.shape[0]
-    count_r = np.bincount(_assign(real, centroids), minlength=k).astype(float)
-    count_g = np.bincount(_assign(gen, centroids), minlength=k).astype(float)
+    count_r = np.bincount(assign_r, minlength=k).astype(float)
+    count_g = np.bincount(_nearest_centroid(gen, centroids)[0], minlength=k).astype(float)
     p_r = count_r / n_r
     p_g = count_g / n_g
 

@@ -134,6 +134,16 @@ def _keyed_derangement(keys: np.ndarray, rng: np.random.Generator,
     return None
 
 
+def _all_distinct(keys: np.ndarray) -> bool:
+    """`np.unique(keys).size == keys.size` by a sort and a compare of neighbours.
+
+    `np.unique` imports `numpy.ma` on its first call, which costs a process
+    some 15 ms, and is no faster on a batch of keys.
+    """
+    ordered = np.sort(keys)
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
 def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> int:
     """Return the draw size m, or raise ValueError when no draw of m rows pairs.
 
@@ -186,7 +196,7 @@ def sample_pair_batch(
         keys, pool_keys = ds.keys[idx], ds.keys[pool]
         if m > batch_size and not np.any(keys == pool_keys):
             perm = np.arange(batch_size)
-        elif m == batch_size and np.unique(keys).size == batch_size:
+        elif m == batch_size and _all_distinct(keys):
             perm = make_ac_permutation(batch_size, rng)
         else:
             perm = _keyed_derangement(keys, rng, pool_keys)

@@ -111,21 +111,35 @@ def sample_dataset(task, n: int, seed: int) -> ConditionalDataset:
     raise TypeError(f"cannot sample from {type(task).__name__}")
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, accumulated one coordinate at a time.
+def _nearest_centroid(points: np.ndarray, centroids: np.ndarray,
+                     buffers: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each point's nearest centroid, and its squared distance.
 
-    Equal to ``((points[:, None] - centroids[None]) ** 2).sum(-1)`` bit for
-    bit up to 7 coordinates (numpy sums so short an axis in order), without
-    the (n, k, d) temporary or a reduction over a tiny axis.
+    The index equals ``argmin`` over the squared distances
+    ``((points[:, None] - centroids[None]) ** 2).sum(-1)``: the lowest
+    index among equal distances, or the first NaN in a row that has one,
+    which takes a slower path. The distances are
+    those of that table bit for bit up to 7 coordinates (numpy sums so
+    short an axis in order). They are accumulated one coordinate at a time
+    into a (k, n) table, so each ufunc runs over n contiguous elements, not
+    over k-wide rows. `buffers` are two (k, n) float arrays to compute in,
+    for a caller that calls again at the same shape.
     """
-    if points.shape[1] != centroids.shape[1]:
-        raise ValueError(
-            f"points have {points.shape[1]} coordinates, centroids {centroids.shape[1]}"
-        )
-    dist = (points[:, 0, None] - centroids[None, :, 0]) ** 2
-    for j in range(1, points.shape[1]):
-        dist += (points[:, j, None] - centroids[None, :, j]) ** 2
-    return dist
+    n, d = points.shape
+    if d != centroids.shape[1]:
+        raise ValueError(f"points have {d} coordinates, centroids {centroids.shape[1]}")
+    dist, scratch = buffers if buffers is not None else (
+        np.empty((centroids.shape[0], n)), np.empty((centroids.shape[0], n)))
+    columns = np.ascontiguousarray(points.T)
+    np.square(np.subtract(columns[0], centroids[:, 0, None], out=dist), out=dist)
+    for c in range(1, d):
+        np.square(np.subtract(columns[c], centroids[:, c, None], out=scratch), out=scratch)
+        dist += scratch
+    nearest = dist.min(axis=0)
+    if np.isnan(nearest).any():
+        return dist.argmin(axis=0), nearest  # argmin's rule: the first NaN wins
+    return (dist == nearest).argmax(axis=0), nearest
 
 
 def oracle_classify(task: GaussModesTask, ys: np.ndarray) -> np.ndarray:
@@ -133,7 +147,7 @@ def oracle_classify(task: GaussModesTask, ys: np.ndarray) -> np.ndarray:
     if not isinstance(task, GaussModesTask):
         raise TypeError("oracle_classify requires a GaussModesTask")
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return np.argmin(_sq_dists(ys, task.centers()), axis=1)
+    return _nearest_centroid(ys, task.centers())[0]
 
 
 def regression_metrics(pred: np.ndarray, target: np.ndarray) -> dict:

@@ -95,6 +95,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 0 or self.d_steps_per_g_step < 1:
             raise ValueError("epochs must be >= 0 and d_steps_per_g_step >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.ac_mode not in AC_MODES:
             raise ValueError(f"unknown ac_mode {self.ac_mode!r}, expected one of {AC_MODES}")
 
@@ -307,6 +309,8 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
     Runs `epochs` full epochs of discriminator-only steps from fresh Adam
     moments and returns their log. Any mutation of the generator fails hard.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     before = params_checksum(gen.params)
     rng = np.random.default_rng([config.seed, _PHASE_STREAM])
     adam_d = AdamState.for_params(disc.params)

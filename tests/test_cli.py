@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -189,12 +190,15 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
     ("gen-data", "task", dict(MINI_TASK, sigma=float("nan"))),
     ("train", "loss", {"recon_weight": float("nan")}),
     ("ndb", "eval", dict(MINI_EVAL, alpha=True)),
+    ("train", "train", {"checkpoint_every": -5}),
+    ("eval-conditionality", "eval", dict(MINI_EVAL, phase_epochs=-1)),
 ], ids=["task-list", "task-string", "task-type-list", "loss-list", "train-list",
         "epochs-string", "hidden-int", "lambdas-int", "n_modes-string", "out_dir-int",
         "n_samples-string", "n_eval-string", "ndb_k-string", "epochs-float",
         "noise_dim-float", "phase_epochs-float", "threshold-string", "epochs-bool",
         "lr-bool", "checkpoint_every-bool", "seed-bool", "hidden-float", "hidden-bool",
-        "sigma-nan", "recon_weight-nan", "alpha-bool"])
+        "sigma-nan", "recon_weight-nan", "alpha-bool", "checkpoint_every-negative",
+        "phase_epochs-negative"])
 def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, section,
                                                        value):
     # each of these once escaped as a traceback or an `error: ValueError:` line,
@@ -384,6 +388,47 @@ def test_zero_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config:") and "at least 2" in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("ndb_k", 0, "ndb_k"), ("ndb_k", 41, "10\\*k"), ("alpha", 0.0, "alpha"),
+    ("alpha", 1.5, "alpha"), ("n_bins", 0, "n_bins"), ("n_per_label", 0, "n_per_label"),
+    ("phase_epochs", -1, "phase_epochs"),
+])
+def test_bad_eval_settings_refused_before_the_phase(tmp_path, capsys, monkeypatch, key,
+                                                    value, message):
+    # 41 bins need 410 rows and the dataset has 400
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, **{key: value})
+    p.write_text(json.dumps(cfg))
+    _forbid(monkeypatch, "optimal_discriminator_phase")
+    capsys.readouterr()
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: eval:") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not (out / "report.json").exists()
+
+
+def test_ndb_k_above_distinct_real_points_refused_before_the_phase(tmp_path, capsys,
+                                                                   monkeypatch):
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    ds = load_dataset_csv(out / "dataset.csv")
+    signs = ConditionalDataset(ds.xs, np.sign(ds.ys), ds.labels)  # at most 4 distinct points
+    save_dataset_csv(signs, out / "dataset.csv")
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, ndb_k=5)
+    p.write_text(json.dumps(cfg))
+    _forbid(monkeypatch, "optimal_discriminator_phase")
+    capsys.readouterr()
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: eval:") and "distinct" in err
 
 
 def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):

@@ -298,20 +298,34 @@ def _kmeans_fixed_iterations(points, k, rng, iters=50):
     return centroids, reseeds
 
 
-@pytest.mark.parametrize("case", ["modes8", "modes32", "empty_cluster"])
+@pytest.mark.parametrize("case", ["modes8", "modes32", "empty_cluster", "cond_regression",
+                                  "modes8_k50"])
 def test_kmeans_equals_fixed_iteration_loop(case):
     if case == "modes8":
         points, k = sample_dataset(GaussModesTask(), 4000, seed=21).ys, 20
     elif case == "modes32":
         task = GaussModesTask(n_modes=32, radius=8.0)
         points, k = sample_dataset(task, 8000, seed=22).ys, 20
+    elif case == "cond_regression":
+        # the regression workload's data: k-means seed 1 is still moving
+        # after 50 iterations, seeds 0 and 2 stop at a fixed point
+        points, k = sample_dataset(CondRegressionTask(), 8000, seed=3).ys, 20
+    elif case == "modes8_k50":
+        points, k = sample_dataset(GaussModesTask(), 4000, seed=21).ys, 50
     else:
         # three distinct points and five clusters: seeding has to place
         # centroids on duplicates, so some cluster is empty every pass
         points, k = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]), 40, axis=0), 5
+    stops = []
     for seed in (0, 1, 2):
         expected, reseeds = _kmeans_fixed_iterations(points, k, np.random.default_rng(seed))
-        got = _kmeans(points, k, np.random.default_rng(seed))
+        got, assign = _kmeans(points, k, np.random.default_rng(seed))
         assert got.tobytes() == expected.tobytes(), (case, seed)
+        if assign is not None:
+            table = ((points[:, None, :] - expected[None, :, :]) ** 2).sum(axis=-1)
+            np.testing.assert_array_equal(assign, table.argmin(axis=1))
+        stops.append(assign is not None)
         if case == "empty_cluster":
             assert reseeds > 0
+    if case == "cond_regression":
+        assert stops == [True, False, True]

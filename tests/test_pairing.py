@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cganlab
 from cganlab.pairing import (
     ConditionalDataset,
     _check_pairable,
@@ -223,6 +227,28 @@ def test_within_batch_stream_pinned():
     regression = sample_dataset(CondRegressionTask(), 300, seed=3)  # distinct conditions
     assert _stream_digest(regression, 16, 23) == \
         "7ac8c5fb1cece07c16e08f957ec57ce35ed2c49ee733c567b5136a22ccd1f317"
+
+
+def test_a_batch_and_a_step_load_neither_numpy_ma_nor_scipy():
+    # np.unique imports numpy.ma on its first call, some 15 ms per process
+    code = """
+import sys
+import numpy as np
+from cganlab.nets import Discriminator, Generator
+from cganlab.pairing import sample_pair_batch
+from cganlab.tasks import GaussModesTask, sample_dataset
+from cganlab.trainer import TrainConfig, train
+ds = sample_dataset(GaussModesTask(), 64, seed=0)
+sample_pair_batch(ds, 64, np.random.default_rng(0))
+gen, disc = Generator.build(8, 2, hidden=(8,), seed=1), Discriminator.build(8, 2, hidden=(8,), seed=2)
+log, _ = train(gen, disc, ds, TrainConfig(epochs=1, batch_size=64))
+assert len(log.rows) == 1
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith(("numpy.ma.", "scipy"))))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cganlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_misaligned_y_g_rejected():

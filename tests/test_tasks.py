@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cganlab.nets import Generator, MlpSpec, init_params
 from cganlab.pairing import save_dataset_csv
 from cganlab.tasks import (
     CondRegressionTask,
     GaussModesTask,
+    _nearest_centroid,
     oracle_classify,
     regression_error,
     regression_metrics,
@@ -72,6 +75,38 @@ def test_oracle_matches_brute_force_distance_table():
     slow = np.array([min(range(8), key=lambda k: float(np.sum((y - centers[k]) ** 2)))
                      for y in ys])
     np.testing.assert_array_equal(fast, slow)
+
+
+# few distinct values, so points repeat, sit on centroids and tie exactly
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_centroid_equals_argmin_over_broadcast_table(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    rows = st.lists(_COORDS, min_size=d, max_size=d)
+    centroids = np.array(data.draw(st.lists(rows, min_size=1, max_size=6), label="centroids"))
+    points = data.draw(st.lists(rows, min_size=1, max_size=12), label="points")
+    points += [list(centroids[i]) for i in data.draw(
+        st.lists(st.integers(0, len(centroids) - 1), max_size=3), label="on centroids")]
+    points = np.array(points)
+    for array in (points, centroids):
+        nan_row = data.draw(st.none() | st.integers(0, len(array) - 1), label="nan row")
+        if nan_row is not None:
+            array[nan_row, data.draw(st.integers(0, d - 1))] = np.nan
+    table = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+    buffers = (np.empty((len(centroids), len(points))), np.empty((len(centroids), len(points))))
+
+    assign, nearest = _nearest_centroid(points, centroids, buffers)
+    np.testing.assert_array_equal(assign, table.argmin(axis=1))
+    assert buffers[0].T.tobytes() == table.tobytes()
+    np.testing.assert_array_equal(nearest, table.min(axis=1))
+
+
+def test_nearest_centroid_refuses_other_dimensions():
+    with pytest.raises(ValueError, match="coordinates"):
+        _nearest_centroid(np.zeros((3, 2)), np.zeros((2, 3)))
 
 
 def test_real_data_oracle_accuracy_near_one():

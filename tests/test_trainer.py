@@ -335,6 +335,15 @@ def test_phase_detects_generator_mutation(monkeypatch):
         optimal_discriminator_phase(gen, disc, ds, cfg, epochs=1)
 
 
+def test_negative_phase_epochs_and_checkpoint_interval_refused():
+    # both once ran as 0: no phase, no mid-run checkpoints
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        small_config(1, checkpoint_every=-1)
+    gen, disc = small_nets()
+    with pytest.raises(ValueError, match="epochs"):
+        optimal_discriminator_phase(gen, disc, small_dataset(), small_config(1), epochs=-1)
+
+
 def test_phase_separable_toy_reaches_99_percent():
     ds, gen, disc = _separable_setup()
     cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
