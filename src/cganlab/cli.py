@@ -307,16 +307,31 @@ def _require_pairable(ds, ac_mode: str, *sizes: int) -> None:
         raise CliError("invalid-config", str(e)) from None
 
 
-def _require_eval_settings(ev: dict, ds, task) -> None:
-    """Refuse, before any work, eval settings that the eval stage would refuse later."""
+def _require_ndb_settings(ev: dict, ds) -> None:
+    """Refuse, before any work, NDB settings that `_ndb` would refuse later."""
     with _invalid("eval"):
         check_ndb_settings(ds.ys, len(ds), ev["ndb_k"], ev["alpha"])
+
+
+def _require_eval_settings(ev: dict, ds, task) -> None:
+    """Refuse, before any work, eval settings that the eval stage would refuse later."""
+    _require_ndb_settings(ev, ds)
     lows = {"n_bins": 1, "phase_epochs": 0}
     if isinstance(task, GaussModesTask):
         lows["n_per_label"] = 1
     for key, low in lows.items():
         if ev[key] < low:
             raise CliError("invalid-config", f"eval: {key} must be at least {low}, got {ev[key]}")
+
+
+@contextlib.contextmanager
+def _log_kept_on_divergence(path):
+    """On a divergence inside, write the log of the steps before it to `path`."""
+    try:
+        yield
+    except TrainingDiverged as e:
+        e.log.to_csv(path)
+        raise
 
 
 def cmd_train(cfg: dict) -> None:
@@ -331,11 +346,8 @@ def cmd_train(cfg: dict) -> None:
         os.makedirs(ckpt_dir, exist_ok=True)
     task_dict = task.to_dict()
     metrics_path = os.path.join(cfg["out_dir"], "metrics.csv")
-    try:
+    with _log_kept_on_divergence(metrics_path):
         log, state = train(gen, disc, ds, tc, checkpoint_dir=ckpt_dir, task=task_dict)
-    except TrainingDiverged as e:
-        e.log.to_csv(metrics_path)  # the steps before the divergence
-        raise
     log.to_csv(metrics_path)
     save_checkpoint(gen, disc, state, tc, os.path.join(cfg["out_dir"], "checkpoint.json"),
                     task=task_dict)
@@ -347,9 +359,8 @@ def _ndb(cfg: dict, gen: Generator, ds):
     rng = np.random.default_rng([cfg["seed"], 2])
     z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
     ev = cfg["eval"]
-    with _invalid("eval"):
-        return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev["ndb_k"], alpha=ev["alpha"],
-                         seed=cfg["seed"])
+    return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev["ndb_k"], alpha=ev["alpha"],
+                     seed=cfg["seed"])
 
 
 def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
@@ -361,7 +372,10 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
     _require_eval_settings(ev, ds, task)
     gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, task)
 
-    optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
+    phase_path = os.path.join(cfg["out_dir"], "phase_metrics.csv")
+    with _log_kept_on_divergence(phase_path):
+        phase_log = optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
+    phase_log.to_csv(phase_path)
     logits = collect_logits(disc, gen, ds, ev["n_eval"], seed=cfg["seed"],
                             ac_mode=tc.ac_mode)
     hist = build_histogram(logits, ev["n_bins"])
@@ -382,8 +396,38 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
 def cmd_ndb(cfg: dict, checkpoint_path) -> None:
     task = build_task(cfg)
     ds = _load_run_dataset(cfg, task)
+    _require_ndb_settings(cfg["eval"], ds)
     gen, _, _, _ = _load_run_checkpoint(checkpoint_path, task)
     write_json(_ndb(cfg, gen, ds).to_dict(), os.path.join(cfg["out_dir"], "ndb.json"))
+
+
+def _run_json(path):
+    """The JSON document of a run file; one that does not parse is `bad-report`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise CliError("bad-report", f"{path}: {e}") from None
+
+
+def _run_field(path, doc, dotted: str, like, nullable: bool = False):
+    """The value at the key path `dotted` (keys joined by dots) of a run file's `doc`.
+
+    It must have the type of `like` (as `_fits` reads it), or be null if
+    `nullable`; a nullable field also reads null where the path meets a
+    null. A missing key or a value of another type is `bad-report`.
+    """
+    value = doc
+    for key in dotted.split("."):
+        if value is None and nullable:
+            return None
+        if not isinstance(value, dict) or key not in value:
+            raise CliError("bad-report", f"{path}: missing {dotted}")
+        value = value[key]
+    if not (value is None and nullable or _fits(value, like)):
+        raise CliError("bad-report", f"{path}: {dotted} must be of the type of {like!r}, "
+                                     f"got {json.dumps(value)}")
+    return value
 
 
 def cmd_report(run_dir) -> None:
@@ -397,17 +441,16 @@ def cmd_report(run_dir) -> None:
         config_path = os.path.join(sub, "config.json")
         if not (os.path.isfile(report_path) and os.path.isfile(config_path)):
             continue
-        with open(report_path) as fh:
-            report = json.load(fh)
-        with open(config_path) as fh:
-            run_cfg = json.load(fh)
+        report, run_cfg = _run_json(report_path), _run_json(config_path)
         runs.append({
             "name": name,
-            "formulation": run_cfg["loss"]["formulation"],
-            "seed": run_cfg["seed"],
-            "real_ac_true_rate": report["classification_rates"]["real_ac"],
-            "oracle_accuracy": report["oracle_accuracy"],
-            "ndb_over_k": report["ndb"]["ndb_over_k"] if report["ndb"] else None,
+            "formulation": _run_field(config_path, run_cfg, "loss.formulation", ""),
+            "seed": _run_field(config_path, run_cfg, "seed", 0),
+            "real_ac_true_rate":
+                _run_field(report_path, report, "classification_rates.real_ac", 0.0),
+            "oracle_accuracy": _run_field(report_path, report, "oracle_accuracy", 0.0,
+                                          nullable=True),
+            "ndb_over_k": _run_field(report_path, report, "ndb.ndb_over_k", 0.0, nullable=True),
         })
     groups = {"baseline": [r for r in runs if "acontrario" not in r["formulation"]],
               "acontrario": [r for r in runs if "acontrario" in r["formulation"]]}

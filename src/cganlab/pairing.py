@@ -246,7 +246,9 @@ def save_dataset_csv(ds: ConditionalDataset, path) -> None:
 
 def load_dataset_csv(path) -> ConditionalDataset:
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"dataset csv {path} is empty")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
     y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]

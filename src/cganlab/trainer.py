@@ -12,8 +12,8 @@ gradient on the y columns, adds the L1 gradient and backpropagates the
 sum through the generator. Each backward pass computes only what the
 step reads: parameter gradients in a discriminator update and in the
 generator's pass, the input gradient in the discriminator's pass of the
-generator update. The optimal-discriminator phase runs the same step with
-the generator frozen, verified by checksum.
+generator update. The optimal-discriminator phase runs the same loop,
+`train`, with the generator frozen, verified by checksum.
 
 Each network's parameters are views of one flat vector (`nets._packed`),
 and its `AdamState` packs the moments `m`, `v` and a gradient buffer
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 @dataclass
 class TrainState:
-    adam_g: AdamState
+    adam_g: AdamState | None  # None: the generator is frozen
     adam_d: AdamState
     rng: np.random.Generator
     step: int = 0
@@ -275,8 +275,9 @@ def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
     """Run config.epochs of additional alternating training, in place.
 
     Pass the state returned by a previous call (or loaded from a
-    checkpoint) to resume a run deterministically. `task` is the task
-    dict recorded in every intermediate checkpoint.
+    checkpoint) to resume a run deterministically. A state whose `adam_g`
+    is None freezes the generator: only D trains, and the G columns read 0.
+    `task` is the task dict recorded in every intermediate checkpoint.
     """
     if state is None:
         state = TrainState.fresh(gen, disc, config)
@@ -306,22 +307,14 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
                                 epochs: int = 1) -> RunLog:
     """Let the discriminator converge against a frozen generator.
 
-    Runs `epochs` full epochs of discriminator-only steps from fresh Adam
-    moments and returns their log. Any mutation of the generator fails hard.
+    Trains the discriminator alone for `epochs` full epochs through
+    `train`, from fresh Adam moments and the phase's own random stream,
+    and returns the log. Any mutation of the generator fails hard.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
     before = params_checksum(gen.params)
-    rng = np.random.default_rng([config.seed, _PHASE_STREAM])
-    adam_d = AdamState.for_params(disc.params)
-    steps_per_epoch = len(dataset) // config.batch_size
-    if steps_per_epoch == 0:
-        raise ValueError("dataset smaller than one batch")
-
-    log = RunLog()
-    for step in range(1, epochs * steps_per_epoch + 1):
-        log.rows.append(_step(gen, disc, dataset, config, rng, adam_d, step))
-
+    state = TrainState(adam_g=None, adam_d=AdamState.for_params(disc.params),
+                       rng=np.random.default_rng([config.seed, _PHASE_STREAM]))
+    log, _ = train(gen, disc, dataset, replace(config, epochs=epochs), state)
     if params_checksum(gen.params) != before:
         raise FreezeViolation("generator parameters changed during the frozen phase")
     return log

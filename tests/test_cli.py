@@ -127,6 +127,42 @@ def test_report_compares_formulations(tmp_path):
     assert summary["baseline"]["median_real_ac_true_rate"] is not None
 
 
+def _fake_run(run_dir, name, formulation):
+    """A run directory holding a well-formed config.json and report.json."""
+    sub = run_dir / name
+    sub.mkdir(parents=True)
+    (sub / "config.json").write_text(json.dumps({"seed": 0, "loss": {"formulation": formulation}}))
+    (sub / "report.json").write_text(json.dumps(
+        {"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": None, "ndb": None}))
+    return sub
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("config.json", "{}", "missing loss.formulation"),
+    ("config.json", '{"seed": 0, "loss": {"formulation": 3}}', "loss.formulation must be"),
+    ("config.json", '{"seed": "0", "loss": {"formulation": "acontrario"}}', "seed must be"),
+    ("report.json", "[]", "missing classification_rates.real_ac"),
+    ("report.json", '{"classification_rates": {"real_ac": "0.5"}}', "real_ac must be"),
+    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
+                    '"ndb": {"ndb_over_k": [0.5]}}', "ndb.ndb_over_k must be"),
+    ("report.json", '{"classification_rates": ', "Expecting value"),
+], ids=["config_empty", "config_formulation_number", "config_seed_string", "report_list",
+        "report_rate_string", "report_ndb_list", "report_truncated"])
+def test_malformed_run_file_reported_as_bad(tmp_path, capsys, name, text, message):
+    run_dir = tmp_path / "sweep"
+    _fake_run(run_dir, "base", "classic")
+    bad = _fake_run(run_dir, "ac", "acontrario") / name
+    assert main(["report", "--run-dir", str(run_dir)]) == 0  # well-formed as written
+    (run_dir / "summary.json").unlink()
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad-report: {bad}: ") and err.count("\n") == 1
+    assert message in err
+    assert not (run_dir / "summary.json").exists()
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     bad = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK, "typo": 1}
     p = tmp_path / "bad.json"
@@ -451,6 +487,69 @@ def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, k))
     assert not (out / "checkpoint.json").exists()
     assert sorted(os.listdir(out)) == ["config.json", "dataset.csv", "metrics.csv"]
+
+
+@pytest.mark.parametrize("key, value, message, signs", [
+    ("ndb_k", 0, "ndb_k", False), ("alpha", 1.5, "alpha", False),
+    ("ndb_k", 41, "10\\*k", False), ("ndb_k", 5, "distinct", True),
+], ids=["ndb_k_zero", "alpha_above_one", "ndb_k_above_rows", "ndb_k_above_distinct_points"])
+def test_bad_ndb_settings_refused_before_the_checkpoint(tmp_path, capsys, monkeypatch, key,
+                                                        value, message, signs):
+    # 41 bins need 410 rows and the dataset has 400; signs leave at most 4 distinct points
+    p, out = _setup_run(tmp_path, "r")
+    if signs:
+        ds = load_dataset_csv(out / "dataset.csv")
+        save_dataset_csv(ConditionalDataset(ds.xs, np.sign(ds.ys), ds.labels),
+                         out / "dataset.csv")
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, **{key: value})
+    p.write_text(json.dumps(cfg))
+    _forbid(monkeypatch, "_load_run_checkpoint")
+    capsys.readouterr()
+    assert main(["ndb", "--config", str(p), "--checkpoint", str(out / "checkpoint.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config: eval:") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not (out / "ndb.json").exists()
+
+
+def test_phase_log_written_as_phase_metrics(tmp_path):
+    p, out = _setup_run(tmp_path, "r")
+    cfg = json.loads(p.read_text())
+    cfg["eval"] = dict(MINI_EVAL, phase_epochs=2)
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 0
+    lines = (out / "phase_metrics.csv").read_text().splitlines()
+    assert lines[0] == (out / "metrics.csv").read_text().splitlines()[0]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [int(r["step"]) for r in rows] == list(range(1, 2 * (400 // 50) + 1))
+    for r in rows:
+        assert all(float(r[c]) == 0.0 for c in ("g_adv", "g_recon", "g_total", "grad_norm_G"))
+        assert math.isfinite(float(r["d_total"])) and float(r["grad_norm_D"]) > 0.0
+
+
+def test_diverged_phase_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    from cganlab import trainer
+    p, out = _setup_run(tmp_path, "div")
+    assert main(["train", "--config", str(p)]) == 0
+    real_step = trainer._step
+    k = 3
+
+    def diverging_step(gen, disc, ds, config, rng, adam_d, step, adam_g=None):
+        if step == k:
+            gen.params[-1][:] = np.nan
+        return real_step(gen, disc, ds, config, rng, adam_d, step, adam_g)
+
+    monkeypatch.setattr(trainer, "_step", diverging_step)
+    capsys.readouterr()
+    assert main(["eval-conditionality", "--config", str(p),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 1
+    assert f"non-finite d_gen_cond at step {k}" in capsys.readouterr().err
+    lines = (out / "phase_metrics.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, k))
+    assert not (out / "report.json").exists()
 
 
 def test_missing_files_reported(tmp_path, capsys):

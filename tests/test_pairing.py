@@ -440,6 +440,14 @@ def test_malformed_dataset_csv_rejected(tmp_path, body):
         load_dataset_csv(path)
 
 
+def test_empty_dataset_csv_rejected(tmp_path):
+    # not even a header: the malformed bodies above all follow one
+    path = tmp_path / "ds.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="ds.csv"):
+        load_dataset_csv(path)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), width=st.integers(1, 40), n_distinct=st.integers(1, 12),
        n=st.integers(2, 60))

@@ -335,6 +335,24 @@ def test_phase_detects_generator_mutation(monkeypatch):
         optimal_discriminator_phase(gen, disc, ds, cfg, epochs=1)
 
 
+def test_phase_divergence_carries_the_rows_before_it(monkeypatch):
+    ds, gen, disc = _separable_setup()
+    cfg = TrainConfig(epochs=1, batch_size=50, seed=1, loss=LossSpec("classic"))
+    real_step = tr._step
+    k = 5
+
+    def diverging_step(gen_, disc_, ds_, config, rng, adam_d, step, adam_g=None):
+        if step == k:
+            disc_.params[-1][:] = np.nan
+        return real_step(gen_, disc_, ds_, config, rng, adam_d, step, adam_g)
+
+    monkeypatch.setattr(tr, "_step", diverging_step)
+    with pytest.raises(TrainingDiverged, match=f"at step {k}") as exc:
+        optimal_discriminator_phase(gen, disc, ds, cfg, epochs=1)
+    assert [r["step"] for r in exc.value.log.rows] == list(range(1, k))
+    assert all(r["g_total"] == 0.0 and r["grad_norm_G"] == 0.0 for r in exc.value.log.rows)
+
+
 def test_negative_phase_epochs_and_checkpoint_interval_refused():
     # both once ran as 0: no phase, no mid-run checkpoints
     with pytest.raises(ValueError, match="checkpoint_every"):

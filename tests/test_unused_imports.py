@@ -1,9 +1,12 @@
-"""Each `cganlab` module reads every name it imports.
+"""Each `cganlab` module reads every name it imports, and the package
+reads every private name it defines.
 
 A stdlib stand-in for a linter's unused-import rule: each module except
 the package `__init__` (which imports to re-export) is parsed with `ast`,
 and a name bound by an import that no expression of the module reads
-fails the test.
+fails the test. Likewise a module-level private name (a function, class
+or constant whose name starts with one underscore) that no module of the
+package reads fails: a helper that only tests call is dead code.
 """
 
 import ast
@@ -13,8 +16,8 @@ import pytest
 
 import cganlab
 
-MODULES = sorted(p for p in pathlib.Path(cganlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE_FILES = sorted(pathlib.Path(cganlab.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +42,48 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each module-level private name of `sources` that none reads.
+
+    `sources` maps module names to their source. A private name starts with
+    one underscore and is bound at module level by a def, a class or an
+    assignment. A read is a loaded name or attribute of that spelling in
+    any of the modules, or a `from ... import` of it.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_private_name_checker_finds_unread_names():
+    sources = {
+        "a": "_K = 1\n_T: int = 2\n_U = 3\ndef _f():\n    return _K\nclass _C:\n    pass\n"
+             "__all__ = []\n",
+        "b": "import a\nfrom a import _f\n_f()\na._T\na._U = 4\ndef _g():\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a._C", "a._U", "b._g"]
+
+
+def test_package_reads_every_private_name():
+    sources = {p.stem: p.read_text() for p in PACKAGE_FILES}
+    assert unread_private_names(sources) == []
