@@ -3,7 +3,8 @@
 Every run is described by a single JSON config; defaults are filled in,
 validated (unknown keys are rejected), and the effective config is echoed
 into the output directory so a run can be reproduced byte for byte. No
-environment variables are consulted.
+environment variables are consulted. The `task`, `train` and `loss`
+sections take their keys and defaults from the dataclasses they build.
 
 `train` records the task dict (the config's `task` section without
 `n_samples`) in `checkpoint.json` and in every mid-run checkpoint.
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import json
 import os
 import sys
@@ -42,10 +44,10 @@ from .evalcond import (
     write_histogram_csv,
 )
 from .fileio import _atomic_open
-from .losses import FORMULATIONS, GEN_LOSS_MODES, LossSpec
+from .losses import DEFAULT_LAMBDAS, FORMULATIONS, GEN_LOSS_MODES, LossSpec
 from .nets import Discriminator, Generator, gen_forward
 from .pairing import _check_pairable, load_dataset_csv, save_dataset_csv
-from .tasks import GaussModesTask, regression_error, sample_dataset, task_from_dict
+from .tasks import TASKS, GaussModesTask, regression_error, sample_dataset, task_from_dict
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -90,27 +92,18 @@ class CliError(Exception):
         self.kind = kind
 
 
-TASK_DEFAULTS = {
-    "gauss_modes": {"type": "gauss_modes", "n_modes": 8, "radius": 4.0,
-                    "sigma": 0.25, "n_samples": 8000},
-    "cond_regression": {"type": "cond_regression", "dim_x": 4, "dim_y": 2,
-                        "noise_std": 0.05, "map_seed": 7, "n_samples": 8000},
-}
+def _field_defaults(cls, *skip: str) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+TASK_DEFAULTS = {name: dict(cls().to_dict(), n_samples=8000) for name, cls in TASKS.items()}
 
 MODEL_DEFAULTS = {"gen_hidden": [128, 128], "disc_hidden": [128, 128],
                   "noise_dim": 0, "gen_output_activation": "identity"}
 
-TRAIN_DEFAULTS = {"epochs": 16, "batch_size": 64, "lr": 2e-4, "beta1": 0.5,
-                  "beta2": 0.999, "d_steps_per_g_step": 1, "checkpoint_every": 0,
-                  "ac_mode": "within_batch"}
+TRAIN_DEFAULTS = _field_defaults(TrainConfig, "seed", "loss")
 
-LOSS_DEFAULTS = {"formulation": "classic", "gen_loss_mode": "non_saturating",
-                 "recon_weight": 0.0}
-
-# default weighting: all four terms equal for the a-contrario
-# formulations, the two conditional terms otherwise
-DEFAULT_LAMBDAS = {f: [1.0, 1.0, 1.0, 1.0] if "acontrario" in f else [1.0, 1.0, 0.0, 0.0]
-                   for f in FORMULATIONS}
+LOSS_DEFAULTS = _field_defaults(LossSpec, "lambdas")
 
 EVAL_DEFAULTS = {"n_eval": 4000, "n_bins": 50, "ndb_k": 20, "alpha": 0.05,
                  "n_per_label": 1000, "phase_epochs": 1, "threshold": 0.0}
@@ -209,27 +202,15 @@ def _invalid(section: str):
 
 
 def build_task(cfg: dict):
-    t = dict(cfg["task"])
-    t.pop("n_samples")
     with _invalid("task"):
-        return task_from_dict(t)
-
-
-def build_loss_spec(cfg: dict) -> LossSpec:
-    with _invalid("loss"):
-        return LossSpec.from_dict(cfg["loss"])
+        return task_from_dict({k: v for k, v in cfg["task"].items() if k != "n_samples"})
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    loss = build_loss_spec(cfg)
+    with _invalid("loss"):
+        loss = LossSpec(**cfg["loss"])
     with _invalid("train"):
-        return TrainConfig(
-            epochs=t["epochs"], batch_size=t["batch_size"], lr=t["lr"],
-            beta1=t["beta1"], beta2=t["beta2"], seed=cfg["seed"],
-            loss=loss, d_steps_per_g_step=t["d_steps_per_g_step"],
-            checkpoint_every=t["checkpoint_every"], ac_mode=t["ac_mode"],
-        )
+        return TrainConfig(**cfg["train"], seed=cfg["seed"], loss=loss)
 
 
 def build_nets(cfg: dict, task) -> tuple[Generator, Discriminator]:

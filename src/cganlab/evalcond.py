@@ -178,8 +178,8 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
 def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> None:
     """Raise ValueError unless `ndb_score` can score `n_gen` samples against `real`."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:  # else no critical value
+        raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha}")
     if k < 1:
         raise ValueError(f"ndb_k must be positive, got {k}")
     if real.shape[0] < 10 * k or n_gen < 10 * k:

@@ -25,13 +25,22 @@ import numpy as np
 FORMULATIONS = ("classic", "acontrario", "hinge_classic", "hinge_acontrario")
 GEN_LOSS_MODES = ("minmax", "non_saturating")
 
+# default weighting: all four terms equal for the a-contrario
+# formulations, the two conditional terms otherwise
+DEFAULT_LAMBDAS = {f: [1.0, 1.0, 1.0, 1.0] if "acontrario" in f else [1.0, 1.0, 0.0, 0.0]
+                   for f in FORMULATIONS}
+
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which adversarial formulation is active, plus its weights."""
+    """Which adversarial formulation is active, plus its weights.
+
+    `lambdas` left None is `DEFAULT_LAMBDAS[formulation]`: (1, 1, 1, 1) for
+    the a-contrario formulations, (1, 1, 0, 0) for the classic ones.
+    """
 
     formulation: str = "classic"
-    lambdas: tuple[float, float, float, float] = (1.0, 1.0, 0.0, 0.0)
+    lambdas: tuple[float, float, float, float] | None = None
     gen_loss_mode: str = "non_saturating"
     recon_weight: float = 0.0
 
@@ -40,7 +49,8 @@ class LossSpec:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.gen_loss_mode not in GEN_LOSS_MODES:
             raise ValueError(f"unknown gen_loss_mode {self.gen_loss_mode!r}")
-        lam = tuple(float(v) for v in self.lambdas)
+        given = DEFAULT_LAMBDAS[self.formulation] if self.lambdas is None else self.lambdas
+        lam = tuple(float(v) for v in given)
         object.__setattr__(self, "lambdas", lam)
         if len(lam) != 4 or any(v < 0 for v in lam):
             raise ValueError(f"lambdas must be 4 non-negative reals, got {lam}")
@@ -59,10 +69,6 @@ class LossSpec:
     @property
     def is_hinge(self) -> bool:
         return self.formulation.startswith("hinge")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossSpec":
-        return cls(d["formulation"], tuple(d["lambdas"]), d["gen_loss_mode"], d["recon_weight"])
 
 
 @dataclass
@@ -94,11 +100,11 @@ def d_loss_total(logits: np.ndarray, spec: LossSpec,
 
     `logits` stacks the pairings whose lambda is positive, in the order
     real_cond, gen_cond, real_ac, gen_ac, with the same number of rows each;
-    `logged` stacks the zero-lambda pairings the same way (None when every
-    lambda is positive). A row of pairing k with logit l costs lambda_k / B
-    times relu(1 - s*l) for hinge or softplus(-s*l) otherwise, where s is
-    +1 on real_cond rows (pushed toward "true") and -1 on the others
-    (pushed toward "false"); the loss is the sum over rows, and its
+    `logged` stacks the zero-lambda pairings the same way (empty or None
+    when every lambda is positive). A row of pairing k with logit l costs
+    lambda_k / B times relu(1 - s*l) for hinge or softplus(-s*l) otherwise,
+    where s is +1 on real_cond rows (pushed toward "true") and -1 on the
+    others (pushed toward "false"); the loss is the sum over rows, and its
     gradient w.r.t. that row is -s * [s*l < 1] or -s * sigmoid(-s*l),
     times lambda_k / B. Zero-lambda pairings enter only the breakdown, so
     the total reduces exactly to the classic loss when lambda3 = lambda4 = 0.

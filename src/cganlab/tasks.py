@@ -8,7 +8,7 @@ tanh map with additive noise, evaluated against its noiseless version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class GaussModesTask:
         return self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     def to_dict(self) -> dict:
-        return {"type": "gauss_modes", "n_modes": self.n_modes,
-                "radius": self.radius, "sigma": self.sigma}
+        return {"type": "gauss_modes", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,17 @@ class CondRegressionTask:
         return np.tanh(xs @ w + b)
 
     def to_dict(self) -> dict:
-        return {"type": "cond_regression", "dim_x": self.dim_x, "dim_y": self.dim_y,
-                "noise_std": self.noise_std, "map_seed": self.map_seed}
+        return {"type": "cond_regression", **asdict(self)}
+
+
+TASKS = {"gauss_modes": GaussModesTask, "cond_regression": CondRegressionTask}
 
 
 def task_from_dict(d: dict):
     kind = d.get("type")
-    if kind == "gauss_modes":
-        return GaussModesTask(d["n_modes"], d["radius"], d["sigma"])
-    if kind == "cond_regression":
-        return CondRegressionTask(d["dim_x"], d["dim_y"], d["noise_std"], d["map_seed"])
-    raise ValueError(f"unknown task type {kind!r}")
+    if kind not in TASKS:
+        raise ValueError(f"unknown task type {kind!r}")
+    return TASKS[kind](**{k: v for k, v in d.items() if k != "type"})
 
 
 def sample_dataset(task, n: int, seed: int) -> ConditionalDataset:

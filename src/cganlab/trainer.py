@@ -3,17 +3,16 @@
 One training step draws a fresh pair batch, runs the generator forward
 once, makes d-steps-per-g-step discriminator updates on the four pairings
 built from that output, then one generator update on the same batch. Each
-discriminator update is one forward and one backward pass over the
-pairings with a positive lambda, stacked; the zero-lambda pairings are
-still logged every step through one more forward pass (it reads the
-discriminator but never writes). The generator update runs the
-discriminator on the generated-conditional pairing, takes its input
-gradient on the y columns, adds the L1 gradient and backpropagates the
-sum through the generator. Each backward pass computes only what the
-step reads: parameter gradients in a discriminator update and in the
-generator's pass, the input gradient in the discriminator's pass of the
-generator update. The optimal-discriminator phase runs the same loop,
-`train`, with the generator frozen, verified by checksum.
+discriminator update is one forward pass over the four pairings, stacked
+with the positive-lambda ones first, and one backward pass over those
+alone; the zero-lambda pairings' logits are only logged. The generator
+update runs the discriminator on the generated-conditional pairing, takes
+its input gradient on the y columns, adds the L1 gradient and
+backpropagates the sum through the generator. Each backward pass computes
+only what the step reads: parameter gradients in a discriminator update
+and in the generator's pass, the input gradient in the discriminator's
+pass of the generator update. The optimal-discriminator phase runs the
+same loop, `train`, with the generator frozen, verified by checksum.
 
 Each network's parameters are views of one flat vector (`nets._packed`),
 and its `AdamState` packs the moments `m`, `v` and a gradient buffer
@@ -75,7 +74,7 @@ class CheckpointError(ValueError):
 
 @dataclass
 class TrainConfig:
-    epochs: int
+    epochs: int = 16
     batch_size: int = 64
     lr: float = 2e-4
     beta1: float = 0.5
@@ -222,15 +221,15 @@ def _discriminator_update(disc, pairs, config, adam_d, step):
     """One Adam step of D on the four pairings; returns (breakdown, grad norm)."""
     lambdas = config.loss.lambdas
     active = [p for p, lam in zip(pairs, lambdas) if lam > 0]
-    logits, cache = mlp_forward(disc.spec, disc.params, _fused(active))
     idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
-    logged = mlp_forward(disc.spec, disc.params, _fused(idle))[0] if idle else None
-    breakdown, g_logits = d_loss_total(logits, config.loss, logged)
+    logits, cache = mlp_forward(disc.spec, disc.params, _fused(active + idle))
+    n = sum(len(x) for x, _ in active)
+    breakdown, g_logits = d_loss_total(logits[:n], config.loss, logits[n:])
     for name, value in vars(breakdown).items():
         _check_finite(value, name, step)
 
-    mlp_backward(disc.spec, disc.params, cache, g_logits, grads_out=adam_d.grads,
-                 input_grad=False)
+    mlp_backward(disc.spec, disc.params, [c[:n] for c in cache], g_logits,
+                 grads_out=adam_d.grads, input_grad=False)
     adam_step(disc.params, adam_d.grads, adam_d, config.lr, config.beta1, config.beta2)
     return breakdown, _mean_abs_grad(adam_d)
 

@@ -60,5 +60,5 @@ def test_auroc_counts_ties_half():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_acontrario_discriminator_reads_the_condition(seed):
     classic = condition_auroc(LossSpec("classic"), seed)
-    acontrario = condition_auroc(LossSpec("acontrario", (1.0, 1.0, 1.0, 1.0)), seed)
+    acontrario = condition_auroc(LossSpec("acontrario"), seed)
     assert classic < BOUND < acontrario, (classic, acontrario)

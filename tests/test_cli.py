@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 import cganlab
 from cganlab import cli
 from cganlab.cli import main
+from cganlab.losses import FORMULATIONS, LossSpec
 from cganlab.nets import params_from_jsonable
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
 from cganlab.tasks import CondRegressionTask, regression_error
-from cganlab.trainer import load_checkpoint
+from cganlab.trainer import TrainConfig, load_checkpoint
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
              "n_samples": 400}
@@ -251,6 +252,13 @@ def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, 
     assert err.startswith("error: invalid-config:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_config_defaults_are_the_dataclass_defaults(tmp_path, formulation):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"loss": {"formulation": formulation}}))
+    assert cli.build_train_config(cli.load_config(p)) == TrainConfig(loss=LossSpec(formulation))
+
+
 def test_removed_output_activation_refused(tmp_path, capsys):
     p, _ = _setup_run(tmp_path, "r")
     cfg = json.loads(p.read_text())
@@ -430,6 +438,7 @@ def test_zero_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch)
     ("ndb_k", 0, "ndb_k"), ("ndb_k", 41, "10\\*k"), ("alpha", 0.0, "alpha"),
     ("alpha", 1.5, "alpha"), ("n_bins", 0, "n_bins"), ("n_per_label", 0, "n_per_label"),
     ("phase_epochs", -1, "phase_epochs"),
+    pytest.param("alpha", 1e-17, "alpha", id="alpha_below_resolution"),
 ])
 def test_bad_eval_settings_refused_before_the_phase(tmp_path, capsys, monkeypatch, key,
                                                     value, message):
@@ -492,7 +501,9 @@ def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("key, value, message, signs", [
     ("ndb_k", 0, "ndb_k", False), ("alpha", 1.5, "alpha", False),
     ("ndb_k", 41, "10\\*k", False), ("ndb_k", 5, "distinct", True),
-], ids=["ndb_k_zero", "alpha_above_one", "ndb_k_above_rows", "ndb_k_above_distinct_points"])
+    ("alpha", 1e-17, "alpha", False),
+], ids=["ndb_k_zero", "alpha_above_one", "ndb_k_above_rows", "ndb_k_above_distinct_points",
+        "alpha_below_resolution"])
 def test_bad_ndb_settings_refused_before_the_checkpoint(tmp_path, capsys, monkeypatch, key,
                                                         value, message, signs):
     # 41 bins need 410 rows and the dataset has 400; signs leave at most 4 distinct points

@@ -254,6 +254,15 @@ def test_ndb_alpha_outside_unit_interval_rejected():
             ndb_score(real, real, k=4, alpha=alpha)
 
 
+def test_ndb_alpha_below_float_resolution_rejected():
+    # at or below 2**-53, 1 - alpha/2 rounds to 1 and has no normal quantile
+    rng = np.random.default_rng(16)
+    real = rng.standard_normal((100, 2))
+    with pytest.raises(ValueError, match="alpha"):
+        ndb_score(real, real, k=4, alpha=1e-17)
+    assert ndb_score(real, real, k=4, alpha=1.2e-16).ndb_over_k == 0.0
+
+
 def test_ndb_critical_value_matches_scipy_norm_ppf():
     from scipy import stats
 

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cganlab.losses import GEN_LOSS_MODES, LossSpec, d_loss_total, g_loss
+from cganlab.losses import (
+    DEFAULT_LAMBDAS,
+    FORMULATIONS,
+    GEN_LOSS_MODES,
+    LossSpec,
+    d_loss_total,
+    g_loss,
+)
 
 from finite_differences import central_differences
 
@@ -261,6 +268,12 @@ def test_spec_validation():
         LossSpec("classic", (1, 1, 0, 0), gen_loss_mode="bogus")
     with pytest.raises(ValueError):
         LossSpec("classic", (1, 1, 0, 0), recon_weight=-1.0)
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_unset_lambdas_take_the_formulation_default(formulation):
+    # LossSpec("acontrario") weighs all four terms, as the CLI's default does
+    assert LossSpec(formulation).lambdas == tuple(DEFAULT_LAMBDAS[formulation])
 
 
 # -- property tests: returned gradients against central finite differences --

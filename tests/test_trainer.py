@@ -249,6 +249,24 @@ def test_metrics_rows_and_csv(tmp_path):
                for r in log2.rows)
 
 
+def test_one_discriminator_forward_per_d_update(monkeypatch):
+    # a classic step logs its zero-lambda pairings from the D update's own forward pass
+    calls = []
+    real_forward = tr.mlp_forward
+
+    def counted(spec, params, h):
+        calls.append(spec)
+        return real_forward(spec, params, h)
+
+    monkeypatch.setattr(tr, "mlp_forward", counted)
+    ds = small_dataset()
+    gen, disc = small_nets()
+    config = small_config(1, formulation="classic")
+    state = TrainState.fresh(gen, disc, config)
+    tr._step(gen, disc, ds, config, state.rng, state.adam_d, 1, state.adam_g)
+    assert calls == [gen.spec, disc.spec, disc.spec]  # generator, D update, G update
+
+
 def test_non_finite_loss_aborts_with_term_name():
     ds = small_dataset()
     gen, disc = small_nets()
