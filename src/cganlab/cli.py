@@ -5,12 +5,16 @@ validated (unknown keys are rejected), and the effective config is echoed
 into the output directory so a run can be reproduced byte for byte. No
 environment variables are consulted. The `task`, `train` and `loss`
 sections take their keys and defaults from the dataclasses they build.
+Every value is judged once, by `load_config`, which builds the task, the
+`TrainConfig` and the untrained networks and checks the `eval` values, so
+all stages refuse the same configs; a stage runs only the checks that
+need its dataset or its checkpoint.
 
 `train` records the task dict (the config's `task` section without
 `n_samples`) in `checkpoint.json` and in every mid-run checkpoint.
 `eval-conditionality` and `ndb` refuse a checkpoint whose recorded task
 differs from the configured one, or which records none, and also one
-whose network widths do not fit the task (`task-mismatch`).
+whose networks differ from the configured ones (`task-mismatch`).
 
 `main` first pins two glibc malloc thresholds for its own process
 (`_keep_freed_memory`), so the multi-MB arrays a training step frees are
@@ -30,11 +34,13 @@ import dataclasses
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .evalcond import (
     build_histogram,
+    check_ndb_parameters,
     check_ndb_settings,
     classification_rates,
     collect_logits,
@@ -44,7 +50,7 @@ from .evalcond import (
     write_histogram_csv,
 )
 from .fileio import _atomic_open
-from .losses import DEFAULT_LAMBDAS, FORMULATIONS, GEN_LOSS_MODES, LossSpec
+from .losses import DEFAULT_LAMBDAS, FORMULATIONS, LossSpec
 from .nets import Discriminator, Generator, gen_forward
 from .pairing import _check_pairable, load_dataset_csv, save_dataset_csv
 from .tasks import TASKS, GaussModesTask, regression_error, sample_dataset, task_from_dict
@@ -144,8 +150,27 @@ def _merge_section(name: str, given: dict, defaults: dict) -> dict:
     return merged
 
 
-def load_config(path, seed_override=None, out_override=None) -> dict:
-    """Parse, validate, and complete a run config."""
+class Run(NamedTuple):
+    """A checked run config and the objects it describes."""
+
+    cfg: dict  # the effective config, echoed as config.json
+    task: object  # an instance of a `tasks.TASKS` class
+    train: TrainConfig
+    gen: Generator  # untrained, seeded from the run seed
+    disc: Discriminator
+
+
+@contextlib.contextmanager
+def _invalid(section: str):
+    """Report a ValueError raised inside as `invalid-config`, naming the section."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError("invalid-config", f"{section}: {e}") from None
+
+
+def load_config(path, seed_override=None, out_override=None) -> Run:
+    """Parse, validate and complete a run config, and build what it describes."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -160,12 +185,12 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
     for name in sections:
         if not isinstance(raw.get(name, {}), dict):
             raise CliError("invalid-config", f"section {name!r} must be a JSON object")
-    run = {k: v for k, v in raw.items() if k not in sections}
+    top = {k: v for k, v in raw.items() if k not in sections}
     if seed_override is not None:
-        run["seed"] = seed_override
+        top["seed"] = seed_override
     if out_override is not None:
-        run["out_dir"] = out_override
-    cfg = _merge_section("top level", run, RUN_DEFAULTS)
+        top["out_dir"] = out_override
+    cfg = _merge_section("top level", top, RUN_DEFAULTS)
     if cfg["seed"] < 0:
         raise CliError("invalid-config", f"seed must be non-negative, got {cfg['seed']}")
 
@@ -180,10 +205,30 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
                 "loss": dict(LOSS_DEFAULTS, lambdas=DEFAULT_LAMBDAS[formulation])}
     for name in sections:
         cfg[name] = _merge_section(name, raw.get(name, {}), defaults[name])
-    if cfg["loss"]["gen_loss_mode"] not in GEN_LOSS_MODES:
-        raise CliError("invalid-config",
-                       f"unknown gen_loss_mode {cfg['loss']['gen_loss_mode']!r}")
-    return cfg
+
+    with _invalid("task"):
+        task = task_from_dict({k: v for k, v in cfg["task"].items() if k != "n_samples"})
+        if cfg["task"]["n_samples"] < 2:
+            raise ValueError(f"n_samples must be at least 2, got {cfg['task']['n_samples']}")
+    with _invalid("loss"):
+        loss = LossSpec(**cfg["loss"])
+    with _invalid("train"):
+        tc = TrainConfig(**cfg["train"], seed=cfg["seed"], loss=loss)
+    m = cfg["model"]
+    with _invalid("model"):
+        gen = Generator.build(task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
+                              noise_dim=m["noise_dim"],
+                              output_activation=m["gen_output_activation"],
+                              seed=cfg["seed"] * 2 + 1)
+        disc = Discriminator.build(task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
+                                   seed=cfg["seed"] * 2 + 2)
+    ev = cfg["eval"]
+    with _invalid("eval"):
+        for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1)):
+            if ev[key] < low:
+                raise ValueError(f"{key} must be at least {low}, got {ev[key]}")
+        check_ndb_parameters(ev["ndb_k"], ev["alpha"])
+    return Run(cfg, task, tc, gen, disc)
 
 
 def write_json(obj, path) -> None:
@@ -192,48 +237,13 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
-@contextlib.contextmanager
-def _invalid(section: str):
-    """Report a ValueError raised inside as `invalid-config`, naming the section."""
-    try:
-        yield
-    except ValueError as e:
-        raise CliError("invalid-config", f"{section}: {e}") from None
+def _load_run_dataset(run: Run):
+    """The run's dataset, which must have the task's widths and its label column or none.
 
-
-def build_task(cfg: dict):
-    with _invalid("task"):
-        return task_from_dict({k: v for k, v in cfg["task"].items() if k != "n_samples"})
-
-
-def build_train_config(cfg: dict) -> TrainConfig:
-    with _invalid("loss"):
-        loss = LossSpec(**cfg["loss"])
-    with _invalid("train"):
-        return TrainConfig(**cfg["train"], seed=cfg["seed"], loss=loss)
-
-
-def build_nets(cfg: dict, task) -> tuple[Generator, Discriminator]:
-    m = cfg["model"]
-    with _invalid("model"):
-        gen = Generator.build(
-            task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
-            noise_dim=m["noise_dim"], output_activation=m["gen_output_activation"],
-            seed=cfg["seed"] * 2 + 1,
-        )
-        disc = Discriminator.build(
-            task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
-            seed=cfg["seed"] * 2 + 2,
-        )
-    return gen, disc
-
-
-def _dataset_path(cfg: dict) -> str:
-    return os.path.join(cfg["out_dir"], "dataset.csv")
-
-
-def _load_run_dataset(cfg: dict, task):
-    path = _dataset_path(cfg)
+    The dataset records no task, so one of the same kind and widths drawn
+    under other task parameters is accepted.
+    """
+    path, task = os.path.join(run.cfg["out_dir"], "dataset.csv"), run.task
     if not os.path.exists(path):
         raise CliError("missing-file", f"dataset not found: {path} (run gen-data first)")
     ds = load_dataset_csv(path)
@@ -241,15 +251,18 @@ def _load_run_dataset(cfg: dict, task):
         raise CliError("task-mismatch",
                        f"dataset dims ({ds.xs.shape[1]},{ds.ys.shape[1]}) do not match "
                        f"task ({task.dim_x},{task.dim_y})")
+    if (ds.labels is not None) != isinstance(task, GaussModesTask):
+        raise CliError("task-mismatch",
+                       f"dataset {'has' if ds.labels is not None else 'lacks'} a label "
+                       f"column, unlike a {task.to_dict()['type']} dataset")
     return ds
 
 
-def _load_run_checkpoint(path, task):
-    """Load a checkpoint and check that it was trained on `task`.
+def _load_run_checkpoint(path, run: Run):
+    """Load a checkpoint whose task dict and networks' specs are the run's.
 
-    The task dict stored in the checkpoint must equal `task.to_dict()`;
-    seed, sample count and output directory are run settings and are not
-    compared. The network widths must also fit the task's dimensions.
+    Seed, sample count and output directory are run settings and are not
+    compared.
     """
     if not os.path.exists(path):
         raise CliError("missing-file", f"checkpoint not found: {path}")
@@ -257,25 +270,24 @@ def _load_run_checkpoint(path, task):
         gen, disc, state, meta = load_checkpoint(path)
     except CheckpointError as e:
         raise CliError("bad-checkpoint", str(e)) from None
-    expected = task.to_dict()
+    expected = run.task.to_dict()
     if meta["task"] != expected:
         raise CliError("task-mismatch",
                        f"checkpoint task {json.dumps(meta['task'], sort_keys=True)} "
                        f"does not match configured task {json.dumps(expected, sort_keys=True)}")
-    if (gen.spec.widths[0] != task.dim_x + gen.noise_dim
-            or gen.spec.widths[-1] != task.dim_y
-            or disc.spec.widths[0] != task.dim_x + task.dim_y):
+    nets = [[g.spec.to_dict(), g.noise_dim, d.spec.to_dict()]
+            for g, d in ((gen, disc), (run.gen, run.disc))]
+    if nets[0] != nets[1]:
         raise CliError("task-mismatch",
-                       "checkpoint network dimensions do not match the configured task")
+                       f"checkpoint networks {json.dumps(nets[0])} do not match "
+                       f"configured networks {json.dumps(nets[1])}")
     return gen, disc, state, meta
 
 
-def cmd_gen_data(cfg: dict) -> None:
-    task = build_task(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    with _invalid("task"):
-        ds = sample_dataset(task, cfg["task"]["n_samples"], cfg["seed"])
-    save_dataset_csv(ds, _dataset_path(cfg))
+def cmd_gen_data(run: Run) -> None:
+    cfg = run.cfg
+    save_dataset_csv(sample_dataset(run.task, cfg["task"]["n_samples"], cfg["seed"]),
+                     os.path.join(cfg["out_dir"], "dataset.csv"))
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
@@ -288,23 +300,6 @@ def _require_pairable(ds, ac_mode: str, *sizes: int) -> None:
         raise CliError("invalid-config", str(e)) from None
 
 
-def _require_ndb_settings(ev: dict, ds) -> None:
-    """Refuse, before any work, NDB settings that `_ndb` would refuse later."""
-    with _invalid("eval"):
-        check_ndb_settings(ds.ys, len(ds), ev["ndb_k"], ev["alpha"])
-
-
-def _require_eval_settings(ev: dict, ds, task) -> None:
-    """Refuse, before any work, eval settings that the eval stage would refuse later."""
-    _require_ndb_settings(ev, ds)
-    lows = {"n_bins": 1, "phase_epochs": 0}
-    if isinstance(task, GaussModesTask):
-        lows["n_per_label"] = 1
-    for key, low in lows.items():
-        if ev[key] < low:
-            raise CliError("invalid-config", f"eval: {key} must be at least {low}, got {ev[key]}")
-
-
 @contextlib.contextmanager
 def _log_kept_on_divergence(path):
     """On a divergence inside, write the log of the steps before it to `path`."""
@@ -315,23 +310,21 @@ def _log_kept_on_divergence(path):
         raise
 
 
-def cmd_train(cfg: dict) -> None:
-    task = build_task(cfg)
-    ds = _load_run_dataset(cfg, task)
-    gen, disc = build_nets(cfg, task)
-    tc = build_train_config(cfg)
+def cmd_train(run: Run) -> None:
+    cfg, tc = run.cfg, run.train
+    ds = _load_run_dataset(run)
     _require_pairable(ds, tc.ac_mode, tc.batch_size)
     ckpt_dir = None
     if tc.checkpoint_every > 0:
         ckpt_dir = os.path.join(cfg["out_dir"], "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
-    task_dict = task.to_dict()
+    task_dict = run.task.to_dict()
     metrics_path = os.path.join(cfg["out_dir"], "metrics.csv")
     with _log_kept_on_divergence(metrics_path):
-        log, state = train(gen, disc, ds, tc, checkpoint_dir=ckpt_dir, task=task_dict)
+        log, state = train(run.gen, run.disc, ds, tc, checkpoint_dir=ckpt_dir, task=task_dict)
     log.to_csv(metrics_path)
-    save_checkpoint(gen, disc, state, tc, os.path.join(cfg["out_dir"], "checkpoint.json"),
-                    task=task_dict)
+    save_checkpoint(run.gen, run.disc, state, tc,
+                    os.path.join(cfg["out_dir"], "checkpoint.json"), task=task_dict)
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
@@ -344,14 +337,14 @@ def _ndb(cfg: dict, gen: Generator, ds):
                      seed=cfg["seed"])
 
 
-def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
-    task = build_task(cfg)
-    ds = _load_run_dataset(cfg, task)
-    tc = build_train_config(cfg)
+def cmd_eval_conditionality(run: Run, checkpoint_path) -> None:
+    cfg, task, tc = run.cfg, run.task, run.train
     ev = cfg["eval"]
+    ds = _load_run_dataset(run)
     _require_pairable(ds, tc.ac_mode, tc.batch_size, ev["n_eval"])
-    _require_eval_settings(ev, ds, task)
-    gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, task)
+    with _invalid("eval"):  # before any work, what `_ndb` would refuse later
+        check_ndb_settings(ds.ys, len(ds), ev["ndb_k"], ev["alpha"])
+    gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, run)
 
     phase_path = os.path.join(cfg["out_dir"], "phase_metrics.csv")
     with _log_kept_on_divergence(phase_path):
@@ -374,11 +367,11 @@ def cmd_eval_conditionality(cfg: dict, checkpoint_path) -> None:
                os.path.join(cfg["out_dir"], "report.json"))
 
 
-def cmd_ndb(cfg: dict, checkpoint_path) -> None:
-    task = build_task(cfg)
-    ds = _load_run_dataset(cfg, task)
-    _require_ndb_settings(cfg["eval"], ds)
-    gen, _, _, _ = _load_run_checkpoint(checkpoint_path, task)
+def cmd_ndb(run: Run, checkpoint_path) -> None:
+    cfg, ds = run.cfg, _load_run_dataset(run)
+    with _invalid("eval"):
+        check_ndb_settings(ds.ys, len(ds), cfg["eval"]["ndb_k"], cfg["eval"]["alpha"])
+    gen, _, _, _ = _load_run_checkpoint(checkpoint_path, run)
     write_json(_ndb(cfg, gen, ds).to_dict(), os.path.join(cfg["out_dir"], "ndb.json"))
 
 
@@ -495,16 +488,16 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(args.run_dir)
         else:
-            cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-            os.makedirs(cfg["out_dir"], exist_ok=True)
+            run = load_config(args.config, seed_override=args.seed, out_override=args.out)
+            os.makedirs(run.cfg["out_dir"], exist_ok=True)
             if args.command == "gen-data":
-                cmd_gen_data(cfg)
+                cmd_gen_data(run)
             elif args.command == "train":
-                cmd_train(cfg)
+                cmd_train(run)
             elif args.command == "eval-conditionality":
-                cmd_eval_conditionality(cfg, args.checkpoint)
+                cmd_eval_conditionality(run, args.checkpoint)
             elif args.command == "ndb":
-                cmd_ndb(cfg, args.checkpoint)
+                cmd_ndb(run, args.checkpoint)
     except CliError as e:
         print(f"error: {e.kind}: {e}", file=sys.stderr)
         return 1

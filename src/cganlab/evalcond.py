@@ -176,12 +176,17 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, None
 
 
-def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> None:
-    """Raise ValueError unless `ndb_score` can score `n_gen` samples against `real`."""
+def check_ndb_parameters(k: int, alpha: float) -> None:
+    """Raise ValueError unless `k` bins can be tested at level `alpha`, whatever the samples."""
     if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:  # else no critical value
         raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha}")
     if k < 1:
         raise ValueError(f"ndb_k must be positive, got {k}")
+
+
+def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> None:
+    """Raise ValueError unless `ndb_score` can score `n_gen` samples against `real`."""
+    check_ndb_parameters(k, alpha)
     if real.shape[0] < 10 * k or n_gen < 10 * k:
         raise ValueError(f"need at least 10*k={10 * k} samples per set")
     if _row_keys(real).max() + 1 < k:

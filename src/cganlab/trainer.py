@@ -339,11 +339,11 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
 
     Format 3 is one JSON object. `format_version`, `step`, `seed`, `task`,
     both network specs, the generator's `noise_dim`, the Adam step counts
-    `t` and `rng_state` (the bit generator's state dict) are plain JSON.
-    Every array (`params` of both networks and the Adam moments `m` and
-    `v`) is a `{"shape": [...], "data": "<base64>"}` entry whose data is
-    the array's little-endian float64 bytes in C order, so a load gives
-    back the same bits.
+    `t` and `rng_state` (the bit generator's state dict) are plain JSON;
+    `adam_g` is null for a frozen generator. Every array (`params` of both
+    networks and the Adam moments `m` and `v`) is a `{"shape": [...],
+    "data": "<base64>"}` entry whose data is the array's little-endian
+    float64 bytes in C order, so a load gives back the same bits.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -359,7 +359,7 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
             "spec": disc.spec.to_dict(),
             "params": params_to_jsonable(disc.params),
         },
-        "adam_g": _adam_to_jsonable(state.adam_g),
+        "adam_g": None if state.adam_g is None else _adam_to_jsonable(state.adam_g),
         "adam_d": _adam_to_jsonable(state.adam_d),
         "rng_state": state.rng.bit_generator.state,
     }
@@ -410,7 +410,7 @@ def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainStat
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     state = TrainState(
-        adam_g=_adam_from_jsonable(doc["adam_g"]),
+        adam_g=None if doc["adam_g"] is None else _adam_from_jsonable(doc["adam_g"]),
         adam_d=_adam_from_jsonable(doc["adam_d"]),
         rng=rng,
         step=doc["step"],

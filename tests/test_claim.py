@@ -40,7 +40,7 @@ def condition_auroc(loss: LossSpec, seed: int) -> float:
     """AUROC(real_cond, real_ac) of a 64x64 discriminator after 4 epochs and the phase."""
     task = GaussModesTask(n_modes=8)
     ds = sample_dataset(task, 4000, seed)
-    # seeded as cli.build_nets seeds them
+    # seeded as cli.load_config seeds them
     gen = Generator.build(task.dim_x, task.dim_y, hidden=(64, 64), seed=2 * seed + 1)
     disc = Discriminator.build(task.dim_x, task.dim_y, hidden=(64, 64), seed=2 * seed + 2)
     config = TrainConfig(epochs=4, batch_size=64, seed=seed, loss=loss)

@@ -190,14 +190,45 @@ def test_removed_ema_decay_key_refused(tmp_path, capsys):
     assert err.startswith("error: invalid-config:") and "ema_decay" in err
 
 
+def _refused_from_gen_data(capsys, p, out, message):
+    """`gen-data` and `train` both refuse config `p`, and nothing is written."""
+    for stage in ("gen-data", "train"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-config:") and message in err, err
+    assert not (out / "dataset.csv").exists() and not (out / "config.json").exists()
+
+
 def test_invalid_loss_config_rejected(tmp_path, capsys):
+    # every value is judged at load: gen-data refuses loss weights it never reads
     cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
            "loss": {"formulation": "classic", "lambdas": [1, 1, 1, 1]}}
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
-    assert main(["gen-data", "--config", str(p)]) == 0  # gen-data ignores loss weights
-    assert main(["train", "--config", str(p)]) == 1
-    assert "error:" in capsys.readouterr().err
+    _refused_from_gen_data(capsys, p, tmp_path / "r", "loss: classic ignores")
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("loss", {"formulation": "classic", "lambdas": [1, 1, 1, 1]}, "classic ignores"),
+    ("train", {"epochs": 1, "batch_size": 50, "lr": 0.0}, "lr must be positive"),
+    ("model", {"gen_hidden": [0], "disc_hidden": [16, 16]}, "widths must be positive"),
+    ("eval", dict(MINI_EVAL, n_bins=0), "n_bins must be at least 1"),
+], ids=["loss", "train", "model", "eval"])
+def test_bad_value_refused_by_every_stage(tmp_path, capsys, section, value, message):
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    before = {f: (out / f).read_bytes() for f in os.listdir(out) if (out / f).is_file()}
+    cfg = json.loads(p.read_text())
+    cfg[section] = value
+    p.write_text(json.dumps(cfg))
+    for stage in STAGES:
+        capsys.readouterr()
+        assert main(_stage_args(stage, p, out)) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-config: {section}: ") and message in err, err
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)
+            if (out / f).is_file()} == before
 
 
 @pytest.mark.parametrize("stage, section, value", [
@@ -256,7 +287,7 @@ def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path, formulation):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"loss": {"formulation": formulation}}))
-    assert cli.build_train_config(cli.load_config(p)) == TrainConfig(loss=LossSpec(formulation))
+    assert cli.load_config(p).train == TrainConfig(loss=LossSpec(formulation))
 
 
 def test_removed_output_activation_refused(tmp_path, capsys):
@@ -291,6 +322,14 @@ _KEYS = ([("gauss_modes", "seed", None, 0)]
                                               lambdas=cli.DEFAULT_LAMBDAS["classic"])),
                                 ("eval", cli.EVAL_DEFAULTS))
             for k, v in defaults.items()])
+# keys whose checks need neither the dataset nor the checkpoint: a value
+# of one of them that some stage refuses, gen-data refuses too
+_LOAD_CHECKED = ({("loss", k) for k in (*cli.LOSS_DEFAULTS, "lambdas")}
+                 | {("model", k) for k in cli.MODEL_DEFAULTS}
+                 | {("eval", k) for k in ("n_bins", "phase_epochs", "alpha", "threshold",
+                                          "n_per_label")}
+                 | {("train", k) for k in ("lr", "beta1", "beta2", "epochs",
+                                           "d_steps_per_g_step", "checkpoint_every")})
 _STRINGS = st.text(max_size=3) | st.sampled_from(
     ["gauss_modes", "cond_regression", "tanh", "sigmoid", "acontrario", "hinge_classic",
      "minmax", "outside_batch"])
@@ -335,6 +374,8 @@ def test_every_stage_runs_or_reports_invalid_config(key, data):
             if code != 0:
                 assert err.getvalue().startswith("error: invalid-config:"), err.getvalue()
                 assert err.getvalue().count("\n") == 1
+                assert stage == "gen-data" or (section, name) not in _LOAD_CHECKED, \
+                    (stage, err.getvalue())
                 break
 
 
@@ -344,11 +385,7 @@ def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
            "loss": {"formulation": "hinge_acontrario", "gen_loss_mode": "minmax"}}
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
-    assert main(["gen-data", "--config", str(p)]) == 0
-    capsys.readouterr()
-    assert main(["train", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-config:") and "minmax" in err
+    _refused_from_gen_data(capsys, p, tmp_path / "r", "minmax")
     assert not (tmp_path / "r" / "metrics.csv").exists()
 
 
@@ -375,12 +412,12 @@ def test_two_labels_odd_batch_refused_before_training(tmp_path, capsys, monkeypa
 
 
 def test_unknown_ac_mode_refused_before_training(tmp_path, capsys, monkeypatch):
-    p, _ = _setup_run(tmp_path, "bogus", train_extra={"ac_mode": "bogus"})
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "bogus"), "task": MINI_TASK,
+           "train": {"epochs": 1, "batch_size": 50, "ac_mode": "bogus"}}
+    p = tmp_path / "bogus.json"
+    p.write_text(json.dumps(cfg))
     _forbid(monkeypatch, "train")
-    capsys.readouterr()
-    assert main(["train", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-config:") and "bogus" in err
+    _refused_from_gen_data(capsys, p, tmp_path / "bogus", "bogus")
 
 
 @pytest.mark.parametrize("task, x_rows, labels, batch_size, ac_mode", [
@@ -605,6 +642,44 @@ def _setup_run(tmp_path, name, task=MINI_TASK, seed=0, train_extra=None):
     path.write_text(json.dumps(cfg))
     assert main(["gen-data", "--config", str(path)]) == 0
     return path, out
+
+
+@pytest.mark.parametrize("model", [
+    {"gen_hidden": [8, 8], "disc_hidden": [8, 8]},
+    {"gen_hidden": [16, 16], "disc_hidden": [16, 16], "noise_dim": 1},
+    {"gen_hidden": [16, 16], "disc_hidden": [16, 16], "gen_output_activation": "tanh"},
+], ids=["widths", "noise_dim", "output_activation"])
+def test_checkpoint_of_other_networks_refused(tmp_path, capsys, model):
+    p, out = _setup_run(tmp_path, "r")  # [16, 16] networks
+    assert main(["train", "--config", str(p)]) == 0
+    cfg = json.loads(p.read_text())
+    cfg["model"] = model
+    p.write_text(json.dumps(cfg))
+    for stage in ("eval-conditionality", "ndb"):
+        capsys.readouterr()
+        assert main(_stage_args(stage, p, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: task-mismatch: checkpoint networks") \
+            and err.count("\n") == 1
+    assert not (out / "report.json").exists() and not (out / "ndb.json").exists()
+
+
+@pytest.mark.parametrize("written, read", [
+    ({"type": "cond_regression", "dim_x": 4, "dim_y": 2, "n_samples": 400}, MINI_TASK),
+    (MINI_TASK, {"type": "cond_regression", "dim_x": 4, "dim_y": 2, "n_samples": 400}),
+], ids=["regression_data_under_modes", "modes_data_under_regression"])
+def test_dataset_of_the_other_task_kind_refused(tmp_path, capsys, written, read):
+    # same widths (4 conditions, 2 targets): only the label column tells them apart
+    p, out = _setup_run(tmp_path, "r", task=written)
+    cfg = json.loads(p.read_text())
+    cfg["task"] = read
+    p.write_text(json.dumps(cfg))
+    for stage in STAGES[1:]:
+        capsys.readouterr()
+        assert main(_stage_args(stage, p, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: task-mismatch: dataset") and "label column" in err
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"]
 
 
 def test_checkpoint_same_type_other_parameters_refused(tmp_path, capsys):

@@ -580,6 +580,33 @@ def test_intermediate_checkpoints_written(tmp_path):
     assert (tmp_path / "step_00000010.json").exists()
 
 
+def test_frozen_generator_checkpoint_resumes_frozen(tmp_path):
+    # a frozen state's checkpoint holds "adam_g": null and loads back frozen
+    ds = small_dataset()
+
+    def frozen(disc):
+        return TrainState(adam_g=None, adam_d=AdamState.for_params(disc.params),
+                          rng=np.random.default_rng(3))
+
+    gen_a, disc_a = small_nets()
+    train(gen_a, disc_a, ds, small_config(2), frozen(disc_a))
+
+    gen_b, disc_b = small_nets()
+    before = params_checksum(gen_b.params)
+    _, state_b = train(gen_b, disc_b, ds, small_config(1, checkpoint_every=2), frozen(disc_b),
+                       checkpoint_dir=str(tmp_path))
+    path = tmp_path / f"step_{state_b.step:08d}.json"
+    assert json.loads(path.read_text())["adam_g"] is None
+    gen_c, disc_c, state_c, _ = load_checkpoint(path)
+    assert state_c.adam_g is None and state_c.step == state_b.step == 10
+    log_c, _ = train(gen_c, disc_c, ds, small_config(1), state_c)
+
+    assert params_checksum(gen_c.params) == before
+    assert all(row["grad_norm_G"] == 0.0 for row in log_c.rows)
+    for a, c in zip(disc_a.params, disc_c.params, strict=True):
+        assert a.tobytes() == c.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, lr=0.0)
