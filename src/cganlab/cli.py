@@ -10,11 +10,26 @@ Every value is judged once, by `load_config`, which builds the task, the
 all stages refuse the same configs; a stage runs only the checks that
 need its dataset or its checkpoint.
 
-`train` records the task dict (the config's `task` section without
-`n_samples`) in `checkpoint.json` and in every mid-run checkpoint.
-`eval-conditionality` and `ndb` refuse a checkpoint whose recorded task
-differs from the configured one, or which records none, and also one
-whose networks differ from the configured ones (`task-mismatch`).
+`gen-data` records the task dict (the config's `task` section without
+`n_samples`) beside the dataset as `dataset.json`, and `train` records it
+in `checkpoint.json` and in every mid-run checkpoint. The later stages
+refuse a dataset without that record (`missing-file`) or with another
+task, and `eval-conditionality` and `ndb` refuse a checkpoint whose
+recorded task differs from the configured one, or which records none, and
+also one whose networks differ from the configured ones (`task-mismatch`).
+
+`eval-conditionality` records in `report.json` an `inputs` block: the
+sha256 of the effective config without `out_dir`, of `dataset.csv`, of
+`dataset.json`, of the `--checkpoint` file and of the package's own `*.py`
+sources, and the numpy version. `out_dir` is left out so that two run
+directories of one config still hold byte-identical reports. A file that
+cannot be read records null. `ndb` builds the same block for its own
+config and checkpoint; when `report.json` parses and records that block,
+with no null in it, `ndb` writes the report's `ndb` block as `ndb.json`
+without loading the dataset or the checkpoint. `eval-conditionality` ran
+every check `ndb` makes on those same bytes, and NDB is a function of
+them, so the numbers are the ones `ndb` would compute. In every other
+case `ndb` computes them, with its own checks.
 
 `main` first pins two glibc malloc thresholds for its own process
 (`_keep_freed_memory`), so the multi-MB arrays a training step frees are
@@ -31,6 +46,7 @@ import contextlib
 import copy
 import ctypes
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -238,14 +254,21 @@ def write_json(obj, path) -> None:
 
 
 def _load_run_dataset(run: Run):
-    """The run's dataset, which must have the task's widths and its label column or none.
-
-    The dataset records no task, so one of the same kind and widths drawn
-    under other task parameters is accepted.
+    """The run's dataset, which must have the task's widths, its label column or
+    none, and a `dataset.json` that records the configured task dict.
     """
     path, task = os.path.join(run.cfg["out_dir"], "dataset.csv"), run.task
     if not os.path.exists(path):
         raise CliError("missing-file", f"dataset not found: {path} (run gen-data first)")
+    record_path = os.path.join(run.cfg["out_dir"], "dataset.json")
+    try:
+        with open(record_path) as fh:
+            recorded = json.load(fh)["task"]
+    except FileNotFoundError:
+        raise CliError("missing-file",
+                       f"dataset record not found: {record_path} (run gen-data first)") from None
+    except (ValueError, TypeError, KeyError):  # a record that names no task
+        recorded = None
     ds = load_dataset_csv(path)
     if ds.xs.shape[1] != task.dim_x or ds.ys.shape[1] != task.dim_y:
         raise CliError("task-mismatch",
@@ -255,6 +278,11 @@ def _load_run_dataset(run: Run):
         raise CliError("task-mismatch",
                        f"dataset {'has' if ds.labels is not None else 'lacks'} a label "
                        f"column, unlike a {task.to_dict()['type']} dataset")
+    expected = task.to_dict()
+    if recorded != expected:
+        raise CliError("task-mismatch",
+                       f"dataset task {json.dumps(recorded, sort_keys=True)} "
+                       f"does not match configured task {json.dumps(expected, sort_keys=True)}")
     return ds
 
 
@@ -288,6 +316,7 @@ def cmd_gen_data(run: Run) -> None:
     cfg = run.cfg
     save_dataset_csv(sample_dataset(run.task, cfg["task"]["n_samples"], cfg["seed"]),
                      os.path.join(cfg["out_dir"], "dataset.csv"))
+    write_json({"task": run.task.to_dict()}, os.path.join(cfg["out_dir"], "dataset.json"))
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
@@ -337,9 +366,64 @@ def _ndb(cfg: dict, gen: Generator, ds):
                      seed=cfg["seed"])
 
 
+def _sha256(path) -> str | None:
+    """Hex sha256 of a file's bytes, read in chunks; None if it cannot be read."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _sources_sha256() -> str | None:
+    """sha256 over the names and digests of the package's `*.py` files, or None."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        names = sorted(n for n in os.listdir(here) if n.endswith(".py"))
+    except OSError:  # not a directory, as inside a zip archive
+        return None
+    files = [[name, _sha256(os.path.join(here, name))] for name in names]
+    if any(d is None for _, d in files):
+        return None
+    return hashlib.sha256(json.dumps(files).encode()).hexdigest()
+
+
+def _inputs(run: Run, checkpoint_path) -> dict:
+    """The `inputs` block of `report.json`: what its numbers were computed from."""
+    cfg, out = run.cfg, run.cfg["out_dir"]
+    config = json.dumps({k: v for k, v in cfg.items() if k != "out_dir"}, sort_keys=True)
+    return {
+        "config_sha256": hashlib.sha256(config.encode()).hexdigest(),
+        "dataset_csv_sha256": _sha256(os.path.join(out, "dataset.csv")),
+        "dataset_json_sha256": _sha256(os.path.join(out, "dataset.json")),
+        "checkpoint_sha256": _sha256(checkpoint_path),
+        "sources_sha256": _sources_sha256(),
+        "numpy_version": np.__version__,
+    }
+
+
+def _reported_ndb(run: Run, inputs: dict) -> dict | None:
+    """The `ndb` block of the run's `report.json` if that report records `inputs`."""
+    if any(v is None for v in inputs.values()):
+        return None
+    try:
+        with open(os.path.join(run.cfg["out_dir"], "report.json")) as fh:
+            report = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(report, dict) or report.get("inputs") != inputs:
+        return None
+    ndb = report.get("ndb")
+    return ndb if isinstance(ndb, dict) else None
+
+
 def cmd_eval_conditionality(run: Run, checkpoint_path) -> None:
     cfg, task, tc = run.cfg, run.task, run.train
     ev = cfg["eval"]
+    inputs = _inputs(run, checkpoint_path)
     ds = _load_run_dataset(run)
     _require_pairable(ds, tc.ac_mode, tc.batch_size, ev["n_eval"])
     with _invalid("eval"):  # before any work, what `_ndb` would refuse later
@@ -363,16 +447,20 @@ def cmd_eval_conditionality(run: Run, checkpoint_path) -> None:
     ndb = _ndb(cfg, gen, ds)
 
     write_histogram_csv(hist, os.path.join(cfg["out_dir"], "histogram.csv"))
-    write_json(make_report(rates, ev["threshold"], acc, regression, ndb),
+    write_json(make_report(rates, ev["threshold"], acc, regression, ndb, inputs),
                os.path.join(cfg["out_dir"], "report.json"))
 
 
 def cmd_ndb(run: Run, checkpoint_path) -> None:
-    cfg, ds = run.cfg, _load_run_dataset(run)
-    with _invalid("eval"):
-        check_ndb_settings(ds.ys, len(ds), cfg["eval"]["ndb_k"], cfg["eval"]["alpha"])
-    gen, _, _, _ = _load_run_checkpoint(checkpoint_path, run)
-    write_json(_ndb(cfg, gen, ds).to_dict(), os.path.join(cfg["out_dir"], "ndb.json"))
+    cfg = run.cfg
+    ndb = _reported_ndb(run, _inputs(run, checkpoint_path))
+    if ndb is None:
+        ds = _load_run_dataset(run)
+        with _invalid("eval"):
+            check_ndb_settings(ds.ys, len(ds), cfg["eval"]["ndb_k"], cfg["eval"]["alpha"])
+        gen, _, _, _ = _load_run_checkpoint(checkpoint_path, run)
+        ndb = _ndb(cfg, gen, ds).to_dict()
+    write_json(ndb, os.path.join(cfg["out_dir"], "ndb.json"))
 
 
 def _run_json(path):

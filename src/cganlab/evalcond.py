@@ -239,13 +239,18 @@ def write_histogram_csv(hist: FourWayHistogram, path) -> None:
 
 
 def make_report(rates: dict[str, float], threshold: float, oracle_acc: float | None,
-                regression: dict | None, ndb: NdbReport | None) -> dict:
+                regression: dict | None, ndb: NdbReport | None, inputs: dict) -> dict:
     """Schema of the evaluation report JSON.
 
     `rates` are the `classification_rates` at `threshold`. `oracle_acc` is
     set on mode tasks and `regression` (the generator's
     `tasks.regression_error` against the noiseless map) on regression
-    tasks; the other one is null.
+    tasks; the other one is null. `inputs` says what the numbers were
+    computed from: the hex sha256 of the effective config without
+    `out_dir` (`config_sha256`), of `dataset.csv`, `dataset.json` and the
+    checkpoint (`dataset_csv_sha256`, `dataset_json_sha256`,
+    `checkpoint_sha256`) and of the package's sources (`sources_sha256`),
+    each null where a file could not be read, and `numpy_version`.
     """
     return {
         "classification_rates": dict(sorted(rates.items())),
@@ -253,4 +258,5 @@ def make_report(rates: dict[str, float], threshold: float, oracle_acc: float | N
         "oracle_accuracy": oracle_acc,
         "regression": regression,
         "ndb": ndb.to_dict() if ndb is not None else None,
+        "inputs": inputs,
     }

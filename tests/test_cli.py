@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -87,6 +88,18 @@ def test_full_pipeline_outputs_and_schema(tmp_path):
     assert 0.0 <= report["oracle_accuracy"] <= 1.0
     assert report["regression"] is None  # set on regression tasks only
     assert 0.0 <= report["ndb"]["ndb_over_k"] <= 1.0
+    effective = json.loads((out / "config.json").read_text())
+    del effective["out_dir"]  # so that two run directories hold the same report
+    assert report["inputs"] == {
+        "config_sha256": hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest(),
+        "dataset_csv_sha256": hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest(),
+        "dataset_json_sha256": hashlib.sha256((out / "dataset.json").read_bytes()).hexdigest(),
+        "checkpoint_sha256": hashlib.sha256((out / "checkpoint.json").read_bytes()).hexdigest(),
+        "sources_sha256": report["inputs"]["sources_sha256"],
+        "numpy_version": np.__version__,
+    }
+    assert json.loads((out / "dataset.json").read_text()) == \
+        {"task": json.loads((out / "checkpoint.json").read_text())["task"]}
 
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("step,d_real_cond,d_gen_cond,d_real_ac,d_gen_ac,d_total")
@@ -532,7 +545,7 @@ def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + (k - 1)
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, k))
     assert not (out / "checkpoint.json").exists()
-    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv", "metrics.csv"]
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv", "dataset.json", "metrics.csv"]
 
 
 @pytest.mark.parametrize("key, value, message, signs", [
@@ -679,7 +692,131 @@ def test_dataset_of_the_other_task_kind_refused(tmp_path, capsys, written, read)
         assert main(_stage_args(stage, p, out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: task-mismatch: dataset") and "label column" in err
-    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"]
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv", "dataset.json"]
+
+
+@pytest.mark.parametrize("record, recorded", [
+    (None, None), ("[]", "null"), ('{"task": {"type": "gauss_modes"}}', '{"type": "gauss_modes"}'),
+    ("other_parameters", '{"n_modes": 4, "radius": 3.0, "sigma": 0.25, "type": "gauss_modes"}'),
+], ids=["missing", "not_an_object", "other_task_dict", "other_parameters"])
+def test_dataset_of_another_task_record_refused(tmp_path, capsys, record, recorded):
+    # a dataset drawn at radius 3.0 once trained and evaluated at radius 4.0
+    p, out = _setup_run(tmp_path, "r")
+    cfg = json.loads(p.read_text())
+    if record is None:
+        (out / "dataset.json").unlink()
+    elif record == "other_parameters":
+        cfg["task"] = dict(MINI_TASK, radius=4.0)
+        p.write_text(json.dumps(cfg))
+    else:
+        (out / "dataset.json").write_text(record)
+    for stage in STAGES[1:]:
+        capsys.readouterr()
+        assert main(_stage_args(stage, p, out)) == 1, stage
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        if record is None:
+            assert err.startswith("error: missing-file: dataset record not found:")
+        else:
+            # one line that names both task dicts
+            assert err.startswith(f"error: task-mismatch: dataset task {recorded}")
+            configured = {k: v for k, v in cfg["task"].items() if k != "n_samples"}
+            assert f"configured task {json.dumps(configured, sort_keys=True)}" in err
+    assert sorted(os.listdir(out)) == ["config.json", "dataset.csv"] + \
+        ([] if record is None else ["dataset.json"])
+
+
+def _spy_on_ndb_score(monkeypatch):
+    """The list of `ndb_score` calls the CLI makes from now on."""
+    calls, real = [], cli.ndb_score
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ndb_score", spy)
+    return calls
+
+
+@pytest.mark.parametrize("task", [MINI_TASK, {"type": "cond_regression", "n_samples": 400}],
+                         ids=["gauss_modes", "cond_regression"])
+def test_ndb_reuses_the_report_of_the_same_inputs(tmp_path, monkeypatch, task):
+    p, out = _setup_run(tmp_path, "r", task=task)
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(_stage_args("eval-conditionality", p, out)) == 0
+    calls = _spy_on_ndb_score(monkeypatch)
+    assert main(_stage_args("ndb", p, out)) == 0
+    assert calls == []
+    reused = (out / "ndb.json").read_bytes()
+    assert json.loads(reused) == json.loads((out / "report.json").read_text())["ndb"]
+
+    # the same config in a fresh directory without report.json computes the same bytes
+    fresh = tmp_path / "fresh"
+    assert main(["gen-data", "--config", str(p), "--out", str(fresh)]) == 0
+    assert main(["ndb", "--config", str(p), "--out", str(fresh),
+                 "--checkpoint", str(out / "checkpoint.json")]) == 0
+    assert len(calls) == 1
+    assert (fresh / "ndb.json").read_bytes() == reused
+
+
+@pytest.mark.parametrize("change", [
+    "dataset_rewritten", "mid_run_checkpoint", "eval.alpha", "eval.ndb_k", "seed",
+    "report_without_inputs", "report_unparsable", "sources_edited", "sources_unreadable",
+])
+def test_ndb_computes_when_an_input_changed(tmp_path, monkeypatch, change):
+    p, out = _setup_run(tmp_path, "r", train_extra={"checkpoint_every": 4})
+    assert main(["train", "--config", str(p)]) == 0
+    if change == "sources_unreadable":  # null for both stages: nothing shows they match
+        monkeypatch.setattr(cli, "_sources_sha256", lambda: None)
+    assert main(_stage_args("eval-conditionality", p, out)) == 0
+    ckpt, report, cfg = out / "checkpoint.json", out / "report.json", json.loads(p.read_text())
+    if change == "dataset_rewritten":
+        ds = load_dataset_csv(out / "dataset.csv")
+        save_dataset_csv(ConditionalDataset(ds.xs, ds.ys * 1.01, ds.labels),
+                         out / "dataset.csv")
+    elif change == "mid_run_checkpoint":
+        ckpt = out / "checkpoints" / "step_00000004.json"
+    elif change.startswith("eval."):
+        cfg["eval"][change[5:]] = {"alpha": 0.1, "ndb_k": 5}[change[5:]]
+    elif change == "seed":
+        cfg["seed"] = 1
+    elif change == "report_without_inputs":
+        doc = json.loads(report.read_text())
+        del doc["inputs"]
+        report.write_text(json.dumps(doc))
+    elif change == "report_unparsable":
+        report.write_text(report.read_text()[:-10])
+    elif change == "sources_edited":
+        monkeypatch.setattr(cli, "_sources_sha256", lambda: "0" * 64)
+    p.write_text(json.dumps(cfg))
+    calls = _spy_on_ndb_score(monkeypatch)
+    assert main(["ndb", "--config", str(p), "--checkpoint", str(ckpt)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("model", {"gen_hidden": [8, 8], "disc_hidden": [8, 8]},
+     "task-mismatch: checkpoint networks"),
+    ("task", dict(MINI_TASK, radius=4.0), "task-mismatch: dataset task"),
+    ("task", {"type": "cond_regression", "dim_x": 4, "dim_y": 2, "n_samples": 400},
+     "task-mismatch: dataset has a label column"),
+    (None, None, "missing-file: dataset not found"),
+], ids=["other_networks", "other_task_parameters", "other_task_kind", "dataset_deleted"])
+def test_ndb_refusals_hold_after_a_report(tmp_path, capsys, section, value, message):
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(_stage_args("eval-conditionality", p, out)) == 0
+    if section is None:
+        (out / "dataset.csv").unlink()
+    else:
+        cfg = json.loads(p.read_text())
+        cfg[section] = value
+        p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(_stage_args("ndb", p, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (out / "ndb.json").exists()
 
 
 def test_checkpoint_same_type_other_parameters_refused(tmp_path, capsys):
