@@ -15,7 +15,20 @@ backward. ``s * h`` lies between 0 and ``h``, so ``max(h, s * h)`` is
 ``h`` where ``h > 0`` and ``s * h`` elsewhere. At ``h = +0.0`` and
 ``-0.0`` both operands are that same zero, and a NaN propagates. Only
 ``h = +inf`` at s = 0 differs (``0 * inf`` is NaN, which ``max``
-returns), and a run that reaches it has diverged. The backward factor is
+returns), and a run that reaches it has diverged. (A signaling NaN,
+which no arithmetic makes, comes back as it is, where ``np.where`` gives
+it quieted.)
+
+An array of at most `_BLOCK` elements takes the one call
+``np.maximum(h, s * h, out=h)``. A larger one is done in blocks of at
+most `_BLOCK` elements of its flat view, each multiplied by s into one
+reused scratch array and then maxed into place, so no full-size ``s * h``
+is allocated (one hidden activation fewer at the peak of a large forward
+pass). The bits do not change: the select is elementwise, and every
+element still goes through the same two ufuncs on the same operands.
+Block sizes from 4k to 128k elements were timed on a 2-core Xeon VM; 16k
+to 64k were fastest on every shape, and 32k took (16000, 256) from 13.4
+to 6.2 ms and (2048, 256) from 1.13 to 0.73 ms. The backward factor is
 read from the table ``[s, 1.0]`` at the uint8 view of the mask
 ``out > 0``, so each element of ``g`` is multiplied by exactly ``s`` or
 ``1.0``; the product is taken in place on the fresh ``g`` of the layer
@@ -45,6 +58,10 @@ import numpy as np
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
+
+# elements per block of the hidden activation: a block and its scratch
+# take 512 KB, which stays in a 2 MB per-core L2 (module docstring)
+_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,11 @@ class MlpSpec:
     def from_dict(cls, d: dict) -> "MlpSpec":
         return cls(tuple(d["widths"]), d["hidden_slope"], d["output_activation"])
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of W0, b0, W1, b1, ...: (w_in, w_out), then (w_out,), per layer."""
+        return [shape for w_in, w_out in zip(self.widths[:-1], self.widths[1:])
+                for shape in ((w_in, w_out), (w_out,))]
+
 
 def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
     """Weights from N(0, 0.02^2), biases zero; reproducible from seed."""
@@ -103,6 +125,16 @@ def _packed(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
+def _check_shapes(arrays: list[np.ndarray], shapes: list[tuple[int, ...]], what: str) -> None:
+    """Raise ValueError unless `arrays` holds one array of each of `shapes`, in order."""
+    if len(arrays) != len(shapes):
+        raise ValueError(f"{what}: {len(arrays)} arrays, expected {len(shapes)}")
+    for i, (a, shape) in enumerate(zip(arrays, shapes)):
+        if np.shape(a) != shape:
+            raise ValueError(f"{what}[{i}] has shape {list(np.shape(a))}, "
+                             f"expected {list(shape)}")
+
+
 def _flat(arrays: list[np.ndarray]) -> np.ndarray:
     """The vector that `arrays` are packed views of, as `_packed` lays them out.
 
@@ -121,7 +153,11 @@ def _flat(arrays: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class Generator:
-    """Maps condition x (optionally with noise z) to a generated y."""
+    """Maps condition x (optionally with noise z) to a generated y.
+
+    `params` must hold one array of each of `spec.param_shapes()`, in
+    order; any other list raises ValueError.
+    """
 
     spec: MlpSpec
     params: list[np.ndarray]
@@ -130,6 +166,7 @@ class Generator:
     def __post_init__(self):
         if self.noise_dim < 0:
             raise ValueError(f"noise_dim must be non-negative, got {self.noise_dim}")
+        _check_shapes(self.params, self.spec.param_shapes(), "generator params")
         self.params = _packed(self.params)
 
     @classmethod
@@ -142,7 +179,10 @@ class Generator:
 
 @dataclass
 class Discriminator:
-    """Early-fusion discriminator; final width must be 1 (scalar logit)."""
+    """Early-fusion discriminator; final width must be 1 (scalar logit).
+
+    `params` must fit `spec.param_shapes()`, as the generator's do.
+    """
 
     spec: MlpSpec
     params: list[np.ndarray]
@@ -150,6 +190,7 @@ class Discriminator:
     def __post_init__(self):
         if self.spec.widths[-1] != 1:
             raise ValueError(f"discriminator output width must be 1, got {self.spec.widths[-1]}")
+        _check_shapes(self.params, self.spec.param_shapes(), "discriminator params")
         self.params = _packed(self.params)
 
     @classmethod
@@ -160,8 +201,21 @@ class Discriminator:
 
 def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
     """h <- max(h, slope * h), which for 0 <= slope <= 1 and finite h is
-    np.where(h > 0, h, slope * h) bit for bit (module docstring)."""
-    np.maximum(h, slope * h, out=h)
+    np.where(h > 0, h, slope * h) bit for bit (module docstring).
+
+    An array of more than `_BLOCK` elements is done in blocks of its flat
+    view through one scratch array, so no full-size ``slope * h`` is made.
+    """
+    if h.size <= _BLOCK:
+        np.maximum(h, slope * h, out=h)
+        return
+    flat = h.reshape(-1, copy=False)  # a view, or ValueError: never a copy
+    scratch = np.empty(_BLOCK)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        times_slope = scratch[:block.size]
+        np.multiply(slope, block, out=times_slope)
+        np.maximum(block, times_slope, out=block)
 
 
 def mlp_forward(spec: MlpSpec, params: list[np.ndarray],

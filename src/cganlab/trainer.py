@@ -39,6 +39,7 @@ from .nets import (
     Discriminator,
     Generator,
     MlpSpec,
+    _check_shapes,
     _flat,
     _packed,
     mlp_backward,
@@ -373,8 +374,9 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
     `meta` holds the run's seed, its step and the task dict stored by
     `save_checkpoint` (None if none was given). Only the current format
-    version is read; an older file, a missing key or an array payload that
-    does not decode to its shape raises `CheckpointError`.
+    version is read; an older file, a missing key, an array payload that
+    does not decode to its shape, or a network parameter or Adam moment
+    whose shape does not fit the network's spec raises `CheckpointError`.
     """
     with open(path) as fh:
         try:
@@ -415,4 +417,8 @@ def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainStat
         rng=rng,
         step=doc["step"],
     )
+    for name, adam, net in (("adam_g", state.adam_g, gen), ("adam_d", state.adam_d, disc)):
+        if adam is not None:
+            for key in ("m", "v"):
+                _check_shapes(getattr(adam, key), [p.shape for p in net.params], f"{name}.{key}")
     return gen, disc, state, {"seed": doc["seed"], "step": doc["step"], "task": doc["task"]}

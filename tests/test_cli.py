@@ -21,7 +21,7 @@ import cganlab
 from cganlab import cli
 from cganlab.cli import main
 from cganlab.losses import FORMULATIONS, LossSpec
-from cganlab.nets import params_from_jsonable
+from cganlab.nets import params_from_jsonable, params_to_jsonable
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
 from cganlab.tasks import CondRegressionTask, regression_error
 from cganlab.trainer import TrainConfig, load_checkpoint
@@ -878,25 +878,35 @@ def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
     assert err.startswith("error: bad-checkpoint:") and "format_version" in err
 
 
-@pytest.mark.parametrize("damage, message", [
-    ("truncated_payload", "array payload holds"),
-    ("not_base64", "array payload is not base64"),
-    ("list_payload", "malformed checkpoint"),
-], ids=["truncated_payload", "not_base64", "list_payload"])
-def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, damage, message):
+_ONE_FLOAT = params_to_jsonable([np.zeros(1)])[0]  # shape [1], an 8-byte payload
+
+
+# MINI_TASK's networks: the generator is 4 -> 16 -> 16 -> 2, the discriminator 6 -> 16 -> 16 -> 1
+@pytest.mark.parametrize("where, damage, message", [
+    (("adam_d", "v", 0), lambda e: dict(e, data=e["data"][:-8]), "array payload holds"),
+    (("adam_d", "v", 0), lambda e: dict(e, data="@@not base64@@"), "array payload is not base64"),
+    (("adam_d", "v", 0), lambda e: dict(e, data=[0.0] * 4), "malformed checkpoint"),
+    # a b0 of one float broadcasts over every hidden unit unless its shape is checked
+    (("generator", "params", 1), lambda e: _ONE_FLOAT,
+     "generator params[1] has shape [1], expected [16]"),
+    (("generator", "params", 0), lambda e: dict(e, shape=e["shape"][::-1]),
+     "generator params[0] has shape [16, 4], expected [4, 16]"),
+    (("adam_d", "m", 0), lambda e: _ONE_FLOAT, "adam_d.m[0] has shape [1], expected [6, 16]"),
+], ids=["truncated_payload", "not_base64", "list_payload",
+        "bias_shape", "transposed_weight", "adam_moment_shape"])
+def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0
-    ckpt = out / "checkpoint.json"
-    doc = json.loads(ckpt.read_text())
-    entry = doc["adam_d"]["v"][0]
-    entry["data"] = {"truncated_payload": entry["data"][:-8],
-                     "not_base64": "@@not base64@@",
-                     "list_payload": [0.0] * 4}[damage]
-    ckpt.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad-checkpoint:") and message in err
+    doc = json.loads((out / "checkpoint.json").read_text())
+    section, key, i = where
+    doc[section][key][i] = damage(doc[section][key][i])
+    (out / "checkpoint.json").write_text(json.dumps(doc))
+    for stage in ("eval-conditionality", "ndb"):
+        capsys.readouterr()
+        assert main(_stage_args(stage, p1, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-checkpoint:") and message in err
+    assert not (out / "report.json").exists() and not (out / "ndb.json").exists()
 
 
 def test_checkpoint_without_task_refused(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from statistics import NormalDist
 
+from cganlab import evalcond
 from cganlab.evalcond import (
     PAIRINGS,
     _kmeans,
     build_histogram,
+    check_ndb_settings,
     classification_rates,
     collect_logits,
     ndb_score,
@@ -14,6 +19,7 @@ from cganlab.evalcond import (
     write_histogram_csv,
 )
 from cganlab.nets import Discriminator, Generator, MlpSpec, init_params
+from cganlab.pairing import _row_keys
 from cganlab.tasks import CondRegressionTask, GaussModesTask, sample_dataset
 
 
@@ -244,6 +250,40 @@ def test_ndb_preconditions():
     dup = np.tile(np.arange(3.0)[:, None], (100, 2))
     with pytest.raises(ValueError, match="distinct"):
         ndb_score(dup, big, k=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_distinct_points_check_matches_full_array_rule(data):
+    # few distinct rows (signed zeros equal, a row with a NaN distinct from
+    # every row), the prefix drawn from fewer of them than the rest
+    k = data.draw(st.integers(1, 6))
+    pool = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 2 * k)),
+                                             data.draw(st.integers(1, 3))),
+                                elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan])))
+    in_prefix = data.draw(st.integers(1, len(pool)))
+    picks = np.concatenate([
+        data.draw(hnp.arrays(np.intp, 10 * k, elements=st.integers(0, in_prefix - 1))),
+        data.draw(hnp.arrays(np.intp, data.draw(st.integers(0, 30)),
+                             elements=st.integers(0, len(pool) - 1)))])
+    real = pool[picks]
+    rows_keyed = []
+
+    def spy(rows):
+        rows_keyed.append(rows.shape[0])
+        return _row_keys(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evalcond, "_row_keys", spy)
+        try:
+            check_ndb_settings(real, 10 * k, k, 0.05)
+            refused = False
+        except ValueError as e:
+            assert str(e) == f"k={k} exceeds the number of distinct real points"
+            refused = True
+    assert refused == (_row_keys(real).max() + 1 < k)
+    if _row_keys(real[:10 * k]).max() + 1 >= k:  # the prefix settles it
+        assert max(rows_keyed) <= 10 * k
 
 
 def test_ndb_alpha_outside_unit_interval_rejected():

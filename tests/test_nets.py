@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cganlab import nets
 from cganlab.nets import (
     OUTPUT_ACTIVATIONS,
     Discriminator,
@@ -130,6 +133,18 @@ def test_discriminator_output_width_enforced():
         Discriminator(MlpSpec((5, 8, 2)), init_params(MlpSpec((5, 8, 2)), 0))
 
 
+@pytest.mark.parametrize("net", [Generator, Discriminator])
+@pytest.mark.parametrize("damage, message", [
+    (lambda ps: ps[:-1], "params: 5 arrays, expected 6"),
+    (lambda ps: [ps[0], np.zeros(1), *ps[2:]], r"params\[1\] has shape \[1\], expected \[8\]"),
+    (lambda ps: [ps[0].T, *ps[1:]], r"params\[0\] has shape \[8, 3\], expected \[3, 8\]"),
+], ids=["count", "bias", "transposed_weight"])
+def test_params_that_do_not_fit_the_spec_refused(net, damage, message):
+    spec = MlpSpec((3, 8, 4, 1))
+    with pytest.raises(ValueError, match=message):
+        net(spec, damage(init_params(spec, 0)))
+
+
 def test_disc_forward_batch_mismatch():
     disc = Discriminator.build(3, 2, seed=0)
     with pytest.raises(ValueError, match="batch sizes 4 and 5"):
@@ -226,6 +241,21 @@ _with_signed_zeros = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
+    _assert_mlp_matches_where(slope, activation, data)
+
+
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("slope", SELECT_SLOPES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, activation, data):
+    # hidden activations of up to 30 elements, so most take the blocked path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_BLOCK", 3)
+        _assert_mlp_matches_where(slope, activation, data)
+
+
+def _assert_mlp_matches_where(slope, activation, data):
     widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
     spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
     params = [data.draw(hnp.arrays(np.float64, p.shape, elements=_with_signed_zeros))
@@ -271,3 +301,60 @@ def test_leaky_select_exact_at_signed_zero(slope):
     _leaky_relu_inplace(h, slope)
     assert_same_bits(h, expected)
     assert np.signbit(h[1]) and not np.signbit(h[0])
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+# quiet NaNs of both signs: the ones arithmetic makes (module docstring)
+_SPECIAL = [0.0, -0.0, _TINY, -_TINY, np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308]
+
+
+def _blocked_shape(case, block, draw):
+    if case == "one_block":  # the one-call form
+        width = draw(st.integers(1, block))
+        return (draw(st.integers(1, block // width)), width)
+    if case == "blocks_and_remainder":
+        size = draw(st.integers(2, 4)) * block + draw(st.integers(1, block - 1))
+        width = draw(st.sampled_from([w for w in range(1, block + 1) if size % w == 0]))
+        return (size // width, width)
+    if case == "row_wider_than_block":
+        return (draw(st.integers(1, 4)), draw(st.integers(block + 1, block + 6)))
+    return (draw(st.integers(block + 1, 5 * block + 3)),)  # 1-D
+
+
+@pytest.mark.parametrize("block, case", [
+    (1, "one_block"), (3, "one_block"), (8, "one_block"),
+    (3, "blocks_and_remainder"), (8, "blocks_and_remainder"),
+    (1, "row_wider_than_block"), (3, "row_wider_than_block"), (8, "row_wider_than_block"),
+    (1, "1-D"), (3, "1-D"), (8, "1-D"),
+])
+@pytest.mark.parametrize("slope", SELECT_SLOPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_leaky_select_in_blocks_matches_where_bitwise(slope, block, case, data):
+    shape = _blocked_shape(case, block, data.draw)
+    special = [v for v in _SPECIAL if slope > 0 or v != np.inf]  # +inf at slope 0: the gap
+    h = data.draw(hnp.arrays(np.float64, shape,
+                             elements=st.sampled_from(special) | st.floats(-2.0, 2.0)))
+    with np.errstate(invalid="ignore"):  # 0 * -inf
+        expected = np.where(h > 0, h, slope * h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nets, "_BLOCK", block)
+            _leaky_relu_inplace(h, slope)
+    assert_same_bits(h, expected)
+
+
+def test_gen_forward_peak_memory_two_activations():
+    # 8,192 one-hot rows through (256, 256) hidden layers: one activation
+    # is 16.8 MB. A layer's input and output must coexist, which is 2;
+    # a full-size slope * h beside them would make it 3.
+    gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
+    x = np.eye(32)[np.arange(8192) % 32]
+    activation_bytes = 8192 * 256 * 8
+    tracemalloc.start()
+    try:
+        out = gen_forward(gen, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * activation_bytes
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])

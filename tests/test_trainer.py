@@ -149,9 +149,10 @@ def test_networks_and_adam_state_are_packed_however_built(tmp_path):
     moments = AdamState(m=raw, v=[p * p for p in raw], t=3)
     _assert_packed(moments.m, raw)
     gen, disc = small_nets(2)
-    fresh = AdamState.for_params(disc.params)
+    fresh = AdamState.for_params(gen.params)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(gen, disc, TrainState(fresh, moments, np.random.default_rng(0)),
+    # each network saved with moments of its own shapes, as a load requires
+    save_checkpoint(gen, direct, TrainState(fresh, moments, np.random.default_rng(0)),
                     small_config(0), path)
     gen_l, disc_l, state_l, _ = load_checkpoint(path)
     states = (fresh, moments, state_l.adam_g, state_l.adam_d)
