@@ -1,12 +1,12 @@
 """Desk-scale conditional GAN laboratory.
 
 Classic and a-contrario conditional adversarial training on synthetic
-tasks, with the tooling to check conditionality claims directly: optimal-
-discriminator logit histograms, per-pairing classification rates, oracle
-conditional accuracy, and NDB mode-collapse scoring. Everything is numpy:
-both networks are MLPs whose gradients are written out in closed form
-(`mlp_forward`, `mlp_backward`), chained with the losses' gradients by
-the trainer.
+tasks, with the tooling to check conditionality claims directly (one
+`evaluate` call): optimal-discriminator logit histograms, per-pairing
+classification rates and AUROCs, oracle conditional accuracy, and NDB
+mode-collapse scoring. Everything is numpy: both networks are MLPs whose
+gradients are written out in closed form (`mlp_forward`, `mlp_backward`),
+chained with the losses' gradients by the trainer.
 """
 
 from .losses import LossBreakdown, LossSpec, d_loss_total, g_loss
@@ -35,12 +35,7 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .evalcond import (
-    build_histogram,
-    classification_rates,
-    collect_logits,
-    ndb_score,
-    oracle_accuracy,
-)
+from .evalcond import (EvalConfig, auroc, build_histogram, classification_rates, collect_logits,
+                       evaluate, ndb_score, oracle_accuracy)
 
 __version__ = "0.1.0"

@@ -3,12 +3,16 @@
 Every run is described by a single JSON config; defaults are filled in,
 validated (unknown keys are rejected), and the effective config is echoed
 into the output directory so a run can be reproduced byte for byte. No
-environment variables are consulted. The `task`, `train` and `loss`
-sections take their keys and defaults from the dataclasses they build.
-Every value is judged once, by `load_config`, which builds the task, the
-`TrainConfig` and the untrained networks and checks the `eval` values, so
-all stages refuse the same configs; a stage runs only the checks that
-need its dataset or its checkpoint.
+environment variables are consulted. The `task`, `train`, `loss` and
+`eval` sections take their keys and defaults from the dataclasses they
+build; `evalcond.EvalConfig` owns `eval`. Every value is judged once, by
+`load_config`, which builds the task, the `TrainConfig`, the `EvalConfig`
+and the untrained networks, so all stages refuse the same configs; a
+stage runs only the checks that need its dataset or its checkpoint.
+
+This module holds no evaluation logic: `eval-conditionality` loads its
+inputs, calls `evalcond.evaluate` and writes `phase_metrics.csv` (when the
+evaluation completes, or on a divergence), `histogram.csv` and `report.json`.
 
 `gen-data` records the task dict (the config's `task` section without
 `n_samples`) beside the dataset as `dataset.json`, and `train` records it
@@ -18,7 +22,7 @@ task, and `eval-conditionality` and `ndb` refuse a checkpoint whose
 recorded task differs from the configured one, or which records none, and
 also one whose networks differ from the configured ones (`task-mismatch`).
 
-`eval-conditionality` records in `report.json` an `inputs` block: the
+`eval-conditionality` adds to the report an `inputs` block: the
 sha256 of the effective config without `out_dir`, of `dataset.csv`, of
 `dataset.json`, of the `--checkpoint` file and of the package's own `*.py`
 sources, and the numpy version. `out_dir` is left out so that two run
@@ -54,28 +58,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evalcond import (
-    build_histogram,
-    check_ndb_parameters,
-    check_ndb_settings,
-    classification_rates,
-    collect_logits,
-    make_report,
-    ndb_score,
-    oracle_accuracy,
-    write_histogram_csv,
-)
+from .evalcond import (EvalConfig, check_ndb_settings, evaluate, generator_ndb,
+                       write_histogram_csv)
 from .fileio import _atomic_open
 from .losses import DEFAULT_LAMBDAS, FORMULATIONS, LossSpec
-from .nets import Discriminator, Generator, gen_forward
+from .nets import Discriminator, Generator
 from .pairing import _check_pairable, load_dataset_csv, save_dataset_csv
-from .tasks import TASKS, GaussModesTask, regression_error, sample_dataset, task_from_dict
+from .tasks import TASKS, GaussModesTask, sample_dataset, task_from_dict
 from .trainer import (
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
     load_checkpoint,
-    optimal_discriminator_phase,
     save_checkpoint,
     train,
 )
@@ -127,8 +121,7 @@ TRAIN_DEFAULTS = _field_defaults(TrainConfig, "seed", "loss")
 
 LOSS_DEFAULTS = _field_defaults(LossSpec, "lambdas")
 
-EVAL_DEFAULTS = {"n_eval": 4000, "n_bins": 50, "ndb_k": 20, "alpha": 0.05,
-                 "n_per_label": 1000, "phase_epochs": 1, "threshold": 0.0}
+EVAL_DEFAULTS = _field_defaults(EvalConfig)
 
 RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/default"}
 
@@ -174,6 +167,7 @@ class Run(NamedTuple):
     train: TrainConfig
     gen: Generator  # untrained, seeded from the run seed
     disc: Discriminator
+    eval: EvalConfig
 
 
 @contextlib.contextmanager
@@ -238,13 +232,9 @@ def load_config(path, seed_override=None, out_override=None) -> Run:
                               seed=cfg["seed"] * 2 + 1)
         disc = Discriminator.build(task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
                                    seed=cfg["seed"] * 2 + 2)
-    ev = cfg["eval"]
     with _invalid("eval"):
-        for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1)):
-            if ev[key] < low:
-                raise ValueError(f"{key} must be at least {low}, got {ev[key]}")
-        check_ndb_parameters(ev["ndb_k"], ev["alpha"])
-    return Run(cfg, task, tc, gen, disc)
+        ev = EvalConfig(**cfg["eval"])
+    return Run(cfg, task, tc, gen, disc, ev)
 
 
 def write_json(obj, path) -> None:
@@ -357,15 +347,6 @@ def cmd_train(run: Run) -> None:
     write_json(cfg, os.path.join(cfg["out_dir"], "config.json"))
 
 
-def _ndb(cfg: dict, gen: Generator, ds):
-    """NDB of the generator's output over the dataset's conditions against the dataset."""
-    rng = np.random.default_rng([cfg["seed"], 2])
-    z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
-    ev = cfg["eval"]
-    return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev["ndb_k"], alpha=ev["alpha"],
-                     seed=cfg["seed"])
-
-
 def _sha256(path) -> str | None:
     """Hex sha256 of a file's bytes, read in chunks; None if it cannot be read."""
     digest = hashlib.sha256()
@@ -421,46 +402,30 @@ def _reported_ndb(run: Run, inputs: dict) -> dict | None:
 
 
 def cmd_eval_conditionality(run: Run, checkpoint_path) -> None:
-    cfg, task, tc = run.cfg, run.task, run.train
-    ev = cfg["eval"]
+    out, ev = run.cfg["out_dir"], run.eval
     inputs = _inputs(run, checkpoint_path)
     ds = _load_run_dataset(run)
-    _require_pairable(ds, tc.ac_mode, tc.batch_size, ev["n_eval"])
-    with _invalid("eval"):  # before any work, what `_ndb` would refuse later
-        check_ndb_settings(ds.ys, len(ds), ev["ndb_k"], ev["alpha"])
+    _require_pairable(ds, run.train.ac_mode, run.train.batch_size, ev.n_eval)
+    with _invalid("eval"):  # before any work, what `generator_ndb` would refuse later
+        check_ndb_settings(ds.ys, len(ds), ev.ndb_k, ev.alpha)
     gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, run)
-
-    phase_path = os.path.join(cfg["out_dir"], "phase_metrics.csv")
+    phase_path = os.path.join(out, "phase_metrics.csv")
     with _log_kept_on_divergence(phase_path):
-        phase_log = optimal_discriminator_phase(gen, disc, ds, tc, epochs=ev["phase_epochs"])
+        report, hist, phase_log = evaluate(gen, disc, ds, run.task, run.train, ev)
     phase_log.to_csv(phase_path)
-    logits = collect_logits(disc, gen, ds, ev["n_eval"], seed=cfg["seed"],
-                            ac_mode=tc.ac_mode)
-    hist = build_histogram(logits, ev["n_bins"])
-    rates = classification_rates(logits, ev["threshold"])
-
-    acc = regression = None
-    if isinstance(task, GaussModesTask):
-        acc = oracle_accuracy(gen, task, ev["n_per_label"], seed=cfg["seed"])
-    else:
-        regression = regression_error(task, gen, ev["n_eval"], cfg["seed"])
-    ndb = _ndb(cfg, gen, ds)
-
-    write_histogram_csv(hist, os.path.join(cfg["out_dir"], "histogram.csv"))
-    write_json(make_report(rates, ev["threshold"], acc, regression, ndb, inputs),
-               os.path.join(cfg["out_dir"], "report.json"))
+    write_histogram_csv(hist, os.path.join(out, "histogram.csv"))
+    write_json(dict(report, inputs=inputs), os.path.join(out, "report.json"))
 
 
 def cmd_ndb(run: Run, checkpoint_path) -> None:
-    cfg = run.cfg
     ndb = _reported_ndb(run, _inputs(run, checkpoint_path))
     if ndb is None:
         ds = _load_run_dataset(run)
         with _invalid("eval"):
-            check_ndb_settings(ds.ys, len(ds), cfg["eval"]["ndb_k"], cfg["eval"]["alpha"])
+            check_ndb_settings(ds.ys, len(ds), run.eval.ndb_k, run.eval.alpha)
         gen, _, _, _ = _load_run_checkpoint(checkpoint_path, run)
-        ndb = _ndb(cfg, gen, ds).to_dict()
-    write_json(ndb, os.path.join(cfg["out_dir"], "ndb.json"))
+        ndb = generator_ndb(gen, ds, run.eval, run.train.seed).to_dict()
+    write_json(ndb, os.path.join(run.cfg["out_dir"], "ndb.json"))
 
 
 def _run_json(path):

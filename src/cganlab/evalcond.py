@@ -1,10 +1,21 @@
 """Conditionality evaluation on a frozen discriminator.
 
-The central diagnostic is the distribution of the raw logit f(x, y) over
-the four pairings: a discriminator that learned conditionality separates
+`evaluate` runs the whole evaluation of a trained pair at the settings of
+an `EvalConfig`, a run config's `eval` section. After the optimal-
+discriminator phase it reads the raw logit f(x, y) over the four
+pairings: a discriminator that learned conditionality separates
 real-conditional from both a-contrario pairings, one that did not scores
 real-a-contrario pairs as true. Logits (not probabilities) are binned
-because the sigmoid saturates and hides the mode structure.
+because the sigmoid saturates and hides the mode structure. The report
+(`report.json` adds an `inputs` block) has the keys
+
+- `classification_rates`: per pairing, the share of logits above
+  `threshold`, which is recorded too;
+- `auroc`: `auroc` of `real_cond` against each other pairing, threshold-
+  free. `real_ac` near 0.5 means the discriminator ignores the condition;
+- `oracle_accuracy` on mode tasks or `regression` (the generator's
+  `tasks.regression_error`) on regression tasks, the other one null;
+- `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it.
 
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle
@@ -27,9 +38,29 @@ import numpy as np
 from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
 from .pairing import ConditionalDataset, _row_keys, assemble_pairings, sample_pair_batch
-from .tasks import GaussModesTask, _nearest_centroid, oracle_classify
+from .tasks import GaussModesTask, _nearest_centroid, oracle_classify, regression_error
+from .trainer import RunLog, TrainConfig, optimal_discriminator_phase
 
 PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
+
+
+@dataclass
+class EvalConfig:
+    """What `evaluate` computes and at what size: a run config's `eval` section."""
+
+    n_eval: int = 4000  # pair rows of the logits, and conditions of `regression`
+    n_bins: int = 50
+    ndb_k: int = 20
+    alpha: float = 0.05
+    n_per_label: int = 1000  # generated samples per label of `oracle_accuracy`
+    phase_epochs: int = 1
+    threshold: float = 0.0
+
+    def __post_init__(self):
+        for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        check_ndb_parameters(self.ndb_k, self.alpha)
 
 
 @dataclass
@@ -117,6 +148,21 @@ def classification_rates(logits: dict, threshold: float = 0.0) -> dict[str, floa
             raise ValueError(f"empty logit array for pairing {name}")
         rates[name] = float(np.mean(a > threshold))
     return rates
+
+
+def auroc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """P(a pos score exceeds a neg score), ties counted half (Hanley & McNeil 1982).
+
+    The Mann-Whitney U of `pos` from the ranks of both samples together,
+    tied scores sharing their average rank, over len(pos) * len(neg).
+    """
+    scores = np.concatenate([pos, neg])
+    order = np.argsort(scores, kind="stable")
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    n_pos, n_neg = len(pos), len(neg)
+    return float((ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> float:
@@ -230,6 +276,14 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
                      ndb_over_k=float(significant.sum() / k))
 
 
+def generator_ndb(gen: Generator, ds: ConditionalDataset, ev: EvalConfig,
+                  seed: int) -> NdbReport:
+    """NDB of the generator's output over the dataset's conditions against the dataset."""
+    rng = np.random.default_rng([seed, 2])
+    z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
+    return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev.ndb_k, alpha=ev.alpha, seed=seed)
+
+
 def write_histogram_csv(hist: FourWayHistogram, path) -> None:
     """Plot-ready CSV: one row per bin, one count column per pairing."""
     with _atomic_open(path) as fh:
@@ -240,25 +294,23 @@ def write_histogram_csv(hist: FourWayHistogram, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def make_report(rates: dict[str, float], threshold: float, oracle_acc: float | None,
-                regression: dict | None, ndb: NdbReport | None, inputs: dict) -> dict:
-    """Schema of the evaluation report JSON.
+def evaluate(gen: Generator, disc: Discriminator, ds: ConditionalDataset, task,
+             config: TrainConfig, ev: EvalConfig) -> tuple[dict, FourWayHistogram, RunLog]:
+    """The report (as the module docstring gives it), the logit histogram and the phase log.
 
-    `rates` are the `classification_rates` at `threshold`. `oracle_acc` is
-    set on mode tasks and `regression` (the generator's
-    `tasks.regression_error` against the noiseless map) on regression
-    tasks; the other one is null. `inputs` says what the numbers were
-    computed from: the hex sha256 of the effective config without
-    `out_dir` (`config_sha256`), of `dataset.csv`, `dataset.json` and the
-    checkpoint (`dataset_csv_sha256`, `dataset_json_sha256`,
-    `checkpoint_sha256`) and of the package's sources (`sources_sha256`),
-    each null where a file could not be read, and `numpy_version`.
+    Trains `disc` in place through `optimal_discriminator_phase`; every
+    draw is seeded from `config.seed`.
     """
-    return {
-        "classification_rates": dict(sorted(rates.items())),
-        "threshold": threshold,
-        "oracle_accuracy": oracle_acc,
-        "regression": regression,
-        "ndb": ndb.to_dict() if ndb is not None else None,
-        "inputs": inputs,
+    phase_log = optimal_discriminator_phase(gen, disc, ds, config, epochs=ev.phase_epochs)
+    logits = collect_logits(disc, gen, ds, ev.n_eval, seed=config.seed, ac_mode=config.ac_mode)
+    modes = isinstance(task, GaussModesTask)
+    report = {
+        "classification_rates": classification_rates(logits, ev.threshold),
+        "threshold": ev.threshold,
+        "auroc": {name: auroc(logits["real_cond"], logits[name]) for name in PAIRINGS[1:]},
+        "oracle_accuracy":
+            oracle_accuracy(gen, task, ev.n_per_label, seed=config.seed) if modes else None,
+        "regression": None if modes else regression_error(task, gen, ev.n_eval, config.seed),
+        "ndb": generator_ndb(gen, ds, ev, config.seed).to_dict(),
     }
+    return report, build_histogram(logits, ev.n_bins), phase_log

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cganlab
-from cganlab import cli
+from cganlab import cli, evalcond
 from cganlab.cli import main
+from cganlab.evalcond import EvalConfig, evaluate
 from cganlab.losses import FORMULATIONS, LossSpec
 from cganlab.nets import params_from_jsonable, params_to_jsonable
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
@@ -88,6 +89,8 @@ def test_full_pipeline_outputs_and_schema(tmp_path):
     assert 0.0 <= report["oracle_accuracy"] <= 1.0
     assert report["regression"] is None  # set on regression tasks only
     assert 0.0 <= report["ndb"]["ndb_over_k"] <= 1.0
+    assert set(report["auroc"]) == {"gen_cond", "real_ac", "gen_ac"}
+    assert all(0.0 <= v <= 1.0 for v in report["auroc"].values())
     effective = json.loads((out / "config.json").read_text())
     del effective["out_dir"]  # so that two run directories hold the same report
     assert report["inputs"] == {
@@ -300,7 +303,9 @@ def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path, formulation):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"loss": {"formulation": formulation}}))
-    assert cli.load_config(p).train == TrainConfig(loss=LossSpec(formulation))
+    run = cli.load_config(p)
+    assert run.train == TrainConfig(loss=LossSpec(formulation))
+    assert run.eval == EvalConfig()
 
 
 def test_removed_output_activation_refused(tmp_path, capsys):
@@ -459,7 +464,7 @@ def test_oversized_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeyp
     cfg = json.loads(p.read_text())
     cfg["eval"] = dict(MINI_EVAL, n_eval=250)
     p.write_text(json.dumps(cfg))
-    _forbid(monkeypatch, "optimal_discriminator_phase")
+    _forbid(monkeypatch, "evaluate")
     capsys.readouterr()
     assert main(["eval-conditionality", "--config", str(p),
                  "--checkpoint", str(out / "checkpoint.json")]) == 1
@@ -475,7 +480,7 @@ def test_zero_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch)
     cfg = json.loads(p.read_text())
     cfg["eval"] = dict(MINI_EVAL, n_eval=0)
     p.write_text(json.dumps(cfg))
-    _forbid(monkeypatch, "optimal_discriminator_phase")
+    _forbid(monkeypatch, "evaluate")
     capsys.readouterr()
     assert main(["eval-conditionality", "--config", str(p),
                  "--checkpoint", str(out / "checkpoint.json")]) == 1
@@ -498,7 +503,7 @@ def test_bad_eval_settings_refused_before_the_phase(tmp_path, capsys, monkeypatc
     cfg = json.loads(p.read_text())
     cfg["eval"] = dict(MINI_EVAL, **{key: value})
     p.write_text(json.dumps(cfg))
-    _forbid(monkeypatch, "optimal_discriminator_phase")
+    _forbid(monkeypatch, "evaluate")
     capsys.readouterr()
     assert main(["eval-conditionality", "--config", str(p),
                  "--checkpoint", str(out / "checkpoint.json")]) == 1
@@ -506,6 +511,20 @@ def test_bad_eval_settings_refused_before_the_phase(tmp_path, capsys, monkeypatc
     assert err.startswith("error: invalid-config: eval:") and err.count("\n") == 1
     assert re.search(message, err)
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("task", [MINI_TASK, {"type": "cond_regression", "n_samples": 400}],
+                         ids=["gauss_modes", "cond_regression"])
+def test_report_is_what_evaluate_returns(tmp_path, task):
+    p, out = _setup_run(tmp_path, "r", task=task)
+    assert main(["train", "--config", str(p)]) == 0
+    assert main(_stage_args("eval-conditionality", p, out)) == 0
+    written = json.loads((out / "report.json").read_text())
+    run = cli.load_config(p)
+    gen, disc, _, _ = load_checkpoint(str(out / "checkpoint.json"))
+    ds = load_dataset_csv(out / "dataset.csv")
+    report, _, _ = evaluate(gen, disc, ds, run.task, run.train, run.eval)
+    assert written == dict(report, inputs=written["inputs"])
 
 
 def test_ndb_k_above_distinct_real_points_refused_before_the_phase(tmp_path, capsys,
@@ -518,7 +537,7 @@ def test_ndb_k_above_distinct_real_points_refused_before_the_phase(tmp_path, cap
     cfg = json.loads(p.read_text())
     cfg["eval"] = dict(MINI_EVAL, ndb_k=5)
     p.write_text(json.dumps(cfg))
-    _forbid(monkeypatch, "optimal_discriminator_phase")
+    _forbid(monkeypatch, "evaluate")
     capsys.readouterr()
     assert main(["eval-conditionality", "--config", str(p),
                  "--checkpoint", str(out / "checkpoint.json")]) == 1
@@ -728,13 +747,13 @@ def test_dataset_of_another_task_record_refused(tmp_path, capsys, record, record
 
 def _spy_on_ndb_score(monkeypatch):
     """The list of `ndb_score` calls the CLI makes from now on."""
-    calls, real = [], cli.ndb_score
+    calls, real = [], evalcond.ndb_score
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ndb_score", spy)
+    monkeypatch.setattr(evalcond, "ndb_score", spy)
     return calls
 
 

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from statistics import NormalDist
 
-from cganlab import evalcond
+from cganlab import cli, evalcond
 from cganlab.evalcond import (
     PAIRINGS,
+    EvalConfig,
     _kmeans,
+    auroc,
     build_histogram,
     check_ndb_settings,
     classification_rates,
@@ -146,6 +151,58 @@ def test_rates_invariant_under_monotone_transform():
     probs = {name: 1.0 / (1.0 + np.exp(-a)) for name, a in logits.items()}
     transformed = classification_rates(probs, threshold=0.5)
     assert base == transformed
+
+
+# -- auroc ---------------------------------------------------------------
+
+def test_auroc_counts_ties_half():
+    assert auroc(np.array([1.0]), np.array([1.0])) == 0.5
+    assert auroc(np.array([2.0, 3.0]), np.array([1.0])) == 1.0
+    # of the 4 pairs one ties and none is won
+    assert auroc(np.array([1.0, 2.0]), np.array([2.0, 3.0])) == 0.125
+    assert auroc(np.array([0.0]), np.array([-0.0])) == 0.5
+
+
+# few distinct values, so most pairs tie; -0.0 and 0.0 must tie too
+_SCORES = st.lists(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf])
+                   | st.floats(allow_nan=False), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=_SCORES, neg=_SCORES)
+def test_auroc_is_the_mean_over_all_pairs(pos, neg):
+    p, n = np.array(pos)[:, None], np.array(neg)[None, :]
+    assert auroc(np.array(pos), np.array(neg)) == np.mean((p > n) + 0.5 * (p == n))
+
+
+# -- eval config ---------------------------------------------------------
+
+@pytest.mark.parametrize("values, message", [
+    ({"ndb_k": 0}, "ndb_k must be positive, got 0"),
+    ({"alpha": 0.0}, "alpha must lie in (2**-53, 1), got 0.0"),
+    ({"alpha": 1.5}, "alpha must lie in (2**-53, 1), got 1.5"),
+    ({"alpha": 1e-17}, "alpha must lie in (2**-53, 1), got 1e-17"),
+    ({"n_bins": 0}, "n_bins must be at least 1, got 0"),
+    ({"n_per_label": 0}, "n_per_label must be at least 1, got 0"),
+    ({"phase_epochs": -1}, "phase_epochs must be at least 0, got -1"),
+    ({"n_eval": 0}, "n_eval must be at least 2, got 0"),
+    # the range checks come before the NDB parameters, n_eval first
+    ({"alpha": 0.0, "n_bins": 0, "n_eval": 1}, "n_eval must be at least 2, got 1"),
+    ({"alpha": 0.0, "n_per_label": 0}, "n_per_label must be at least 1, got 0"),
+], ids=["ndb_k_zero", "alpha_zero", "alpha_above_one", "alpha_below_resolution", "n_bins_zero",
+        "n_per_label_zero", "phase_epochs_negative", "n_eval_zero", "n_eval_first",
+        "ranges_before_ndb"])
+def test_eval_config_refuses_what_the_cli_refuses(tmp_path, values, message):
+    # ndb_k above a tenth of the dataset's rows needs the dataset: the
+    # stages refuse it through check_ndb_settings
+    with pytest.raises(ValueError) as refused:
+        EvalConfig(**values)
+    assert str(refused.value) == message
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"eval": values}))
+    with pytest.raises(cli.CliError) as e:
+        cli.load_config(p)
+    assert (e.value.kind, str(e.value)) == ("invalid-config", f"eval: {message}")
 
 
 # -- oracle accuracy -----------------------------------------------------
