@@ -52,6 +52,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -457,8 +458,24 @@ def _run_field(path, doc, dotted: str, like, nullable: bool = False):
     return value
 
 
+def _sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of `wins` against `losses` (ties left out)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def cmd_report(run_dir) -> None:
-    """Consolidate per-run reports into a baseline vs a-contrario summary."""
+    """Consolidate per-run reports into a baseline vs a-contrario summary.
+
+    The verdict is threshold-free: each run's `auroc.real_ac` (near 0.5
+    when the discriminator ignores the condition), compared by group
+    median (`acontrario_auroc_real_ac_higher`) and by an exact sign test
+    over the seeds that hold exactly one run of each group
+    (`auroc_real_ac_sign_test`: a win is a higher a-contrario AUROC). The
+    `real_ac` rates at the report's threshold are kept beside it, but they
+    saturate at 0 or 1 when the logits sit on one side of the threshold.
+    """
     if not os.path.isdir(run_dir):
         raise CliError("missing-file", f"run directory not found: {run_dir}")
     runs = []
@@ -478,6 +495,7 @@ def cmd_report(run_dir) -> None:
             "oracle_accuracy": _run_field(report_path, report, "oracle_accuracy", 0.0,
                                           nullable=True),
             "ndb_over_k": _run_field(report_path, report, "ndb.ndb_over_k", 0.0, nullable=True),
+            "auroc_real_ac": _run_field(report_path, report, "auroc.real_ac", 0.0),
         })
     groups = {"baseline": [r for r in runs if "acontrario" not in r["formulation"]],
               "acontrario": [r for r in runs if "acontrario" in r["formulation"]]}
@@ -496,11 +514,25 @@ def cmd_report(run_dir) -> None:
             "median_real_ac_true_rate": med(rows, "real_ac_true_rate"),
             "median_oracle_accuracy": med(rows, "oracle_accuracy"),
             "median_ndb_over_k": med(rows, "ndb_over_k"),
+            "median_auroc_real_ac": med(rows, "auroc_real_ac"),
         }
     base, ac = summary["baseline"], summary["acontrario"]
+    paired = []  # (baseline, a-contrario) auroc.real_ac of each seed with one run of each
+    for seed in sorted({r["seed"] for r in runs}):
+        b, a = ([r["auroc_real_ac"] for r in groups[g] if r["seed"] == seed]
+                for g in ("baseline", "acontrario"))
+        if len(b) == len(a) == 1:
+            paired.append((b[0], a[0]))
+    wins = sum(a > b for b, a in paired)
+    losses = sum(a < b for b, a in paired)
     summary["comparison"] = {
         "acontrario_real_ac_rate_lower":
             ac["median_real_ac_true_rate"] < base["median_real_ac_true_rate"],
+        "acontrario_auroc_real_ac_higher":
+            ac["median_auroc_real_ac"] > base["median_auroc_real_ac"],
+        "auroc_real_ac_sign_test": {"seeds": len(paired), "wins": wins, "losses": losses,
+                                    "ties": len(paired) - wins - losses,
+                                    "p_value": _sign_test(wins, losses)},
         "oracle_accuracy_delta":
             None if ac["median_oracle_accuracy"] is None
             or base["median_oracle_accuracy"] is None

@@ -13,9 +13,15 @@ because the sigmoid saturates and hides the mode structure. The report
   `threshold`, which is recorded too;
 - `auroc`: `auroc` of `real_cond` against each other pairing, threshold-
   free. `real_ac` near 0.5 means the discriminator ignores the condition;
-- `oracle_accuracy` on mode tasks or `regression` (the generator's
-  `tasks.regression_error`) on regression tasks, the other one null;
-- `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it.
+- `oracle_accuracy` on mode tasks or `regression` on regression tasks,
+  the other one null. `regression` is `tasks.regression_error` on
+  `n_eval` conditions held out from the dataset: drawn from a stream of
+  their own, not the dataset's first rows;
+- `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it;
+- `phase`: `steps`, the number of steps the optimal-discriminator phase
+  ran, and `d_total_first` and `d_total_last`, the first and last
+  `d_total` of its log (`phase_metrics.csv`); 0, null and null when
+  `phase_epochs` is 0.
 
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle
@@ -110,11 +116,9 @@ def collect_logits(disc: Discriminator, gen: Generator, ds: ConditionalDataset,
         raise ValueError(f"n_eval {n_eval} exceeds dataset size {len(ds)}")
     rng = np.random.default_rng(seed)
     batch = sample_pair_batch(ds, n_eval, rng, ac_mode)
-    z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
-    y_g = gen_forward(gen, ds.xs[batch.idx], z)
-    pairs = assemble_pairings(ds, batch, y_g)
+    pairs = assemble_pairings(ds, batch, gen_forward(gen, ds.xs[batch.idx], rng)[0])
     return {
-        name: disc_forward(disc, px, py).ravel()
+        name: disc_forward(disc, px, py)[0].ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)
     }
 
@@ -177,8 +181,7 @@ def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> fl
     for label in range(k):
         x = np.zeros((n_per_label, k))
         x[:, label] = 1.0
-        z = rng.standard_normal((n_per_label, gen.noise_dim)) if gen.noise_dim > 0 else None
-        y = gen_forward(gen, x, z)
+        y = gen_forward(gen, x, rng)[0]
         correct += int(np.sum(oracle_classify(task, y) == label))
     return correct / (k * n_per_label)
 
@@ -279,9 +282,8 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
 def generator_ndb(gen: Generator, ds: ConditionalDataset, ev: EvalConfig,
                   seed: int) -> NdbReport:
     """NDB of the generator's output over the dataset's conditions against the dataset."""
-    rng = np.random.default_rng([seed, 2])
-    z = rng.standard_normal((len(ds), gen.noise_dim)) if gen.noise_dim > 0 else None
-    return ndb_score(ds.ys, gen_forward(gen, ds.xs, z), k=ev.ndb_k, alpha=ev.alpha, seed=seed)
+    y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, 2]))[0]
+    return ndb_score(ds.ys, y_g, k=ev.ndb_k, alpha=ev.alpha, seed=seed)
 
 
 def write_histogram_csv(hist: FourWayHistogram, path) -> None:
@@ -302,6 +304,7 @@ def evaluate(gen: Generator, disc: Discriminator, ds: ConditionalDataset, task,
     draw is seeded from `config.seed`.
     """
     phase_log = optimal_discriminator_phase(gen, disc, ds, config, epochs=ev.phase_epochs)
+    d_totals = [row["d_total"] for row in phase_log.rows]
     logits = collect_logits(disc, gen, ds, ev.n_eval, seed=config.seed, ac_mode=config.ac_mode)
     modes = isinstance(task, GaussModesTask)
     report = {
@@ -312,5 +315,7 @@ def evaluate(gen: Generator, disc: Discriminator, ds: ConditionalDataset, task,
             oracle_accuracy(gen, task, ev.n_per_label, seed=config.seed) if modes else None,
         "regression": None if modes else regression_error(task, gen, ev.n_eval, config.seed),
         "ndb": generator_ndb(gen, ds, ev, config.seed).to_dict(),
+        "phase": {"steps": len(d_totals), "d_total_first": d_totals[0] if d_totals else None,
+                  "d_total_last": d_totals[-1] if d_totals else None},
     }
     return report, build_histogram(logits, ev.n_bins), phase_log

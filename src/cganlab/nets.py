@@ -1,5 +1,12 @@
 """Generator and discriminator MLPs with early-fusion conditioning.
 
+`gen_forward` and `disc_forward` are the only way to run a network, in
+training and in evaluation alike: they own the input layouts, ``[x | z]``
+for the generator and ``[x | y]`` for the discriminator (condition
+columns first), and `gen_forward` draws the generator's noise ``z`` from
+the caller's random stream. Both return `mlp_forward`'s output and cache,
+so a caller that backpropagates uses the very pass it scored.
+
 The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
 never formed, because the losses and the conditionality histograms all
@@ -267,22 +274,24 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
     return grads_out, g if input_grad else None
 
 
-def gen_forward(gen: Generator, x, z=None) -> np.ndarray:
-    """Generator output; z is required iff noise_dim > 0."""
+def gen_forward(gen: Generator, x, rng=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Generator output on rows ``[x | z]``, and its `mlp_forward` cache.
+
+    The noise is drawn here, ``z = rng.standard_normal((len(x), noise_dim))``;
+    `rng` is required when noise_dim > 0 and unused at 0.
+    """
     h = np.asarray(x, dtype=np.float64)
     if gen.noise_dim > 0:
-        if z is None:
-            raise ValueError("generator has noise_dim > 0 but no z was supplied")
-        h = np.concatenate([h, np.asarray(z, dtype=np.float64)], axis=1)
-    elif z is not None:
-        raise ValueError("generator has noise_dim == 0 but z was supplied")
+        if rng is None:
+            raise ValueError("generator has noise_dim > 0 but no rng was supplied")
+        h = np.concatenate([h, rng.standard_normal((len(h), gen.noise_dim))], axis=1)
     if h.shape[1] != gen.spec.widths[0]:
         raise ValueError(f"gen_forward: input dim {h.shape[1]} != spec input {gen.spec.widths[0]}")
-    return mlp_forward(gen.spec, gen.params, h)[0]
+    return mlp_forward(gen.spec, gen.params, h)
 
 
-def disc_forward(disc: Discriminator, x, y) -> np.ndarray:
-    """The raw logit f(x, y), one row per sample."""
+def disc_forward(disc: Discriminator, x, y) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The raw logit f(x, y) on rows ``[x | y]``, one per sample, and its cache."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"disc_forward: batch sizes {x.shape[0]} and {y.shape[0]} differ")
@@ -290,7 +299,7 @@ def disc_forward(disc: Discriminator, x, y) -> np.ndarray:
     if h.shape[1] != disc.spec.widths[0]:
         raise ValueError(f"disc_forward: fused dim {h.shape[1]} != spec input "
                          f"{disc.spec.widths[0]}")
-    return mlp_forward(disc.spec, disc.params, h)[0]
+    return mlp_forward(disc.spec, disc.params, h)
 
 
 def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:

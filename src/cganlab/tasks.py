@@ -79,6 +79,8 @@ class CondRegressionTask:
 
 TASKS = {"gauss_modes": GaussModesTask, "cond_regression": CondRegressionTask}
 
+_HELD_OUT_STREAM = 0x0E  # decorrelates `regression_error`'s draw from `sample_dataset`'s
+
 
 def task_from_dict(d: dict):
     kind = d.get("type")
@@ -167,11 +169,13 @@ def regression_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
 
 def regression_error(task: CondRegressionTask, gen: Generator, n_eval: int,
                      seed: int = 0) -> dict:
-    """Generator error against the noiseless map on a fresh condition draw."""
+    """Generator error against the noiseless map on a fresh condition draw.
+
+    The conditions (then the generator's noise) come from a stream of their
+    own, not `sample_dataset`'s, so they are not the dataset's first rows.
+    """
     if not isinstance(task, CondRegressionTask):
         raise TypeError("regression_error requires a CondRegressionTask")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, _HELD_OUT_STREAM])
     xs = rng.standard_normal((n_eval, task.dim_x))
-    z = rng.standard_normal((n_eval, gen.noise_dim)) if gen.noise_dim > 0 else None
-    pred = gen_forward(gen, xs, z)
-    return regression_metrics(pred, task.clean_map(xs))
+    return regression_metrics(gen_forward(gen, xs, rng)[0], task.clean_map(xs))

@@ -1,14 +1,18 @@
 """Alternating min-max training of generator and discriminator.
 
 One training step draws a fresh pair batch, runs the generator forward
-once, makes d-steps-per-g-step discriminator updates on the four pairings
-built from that output, then one generator update on the same batch. Each
-discriminator update is one forward pass over the four pairings, stacked
-with the positive-lambda ones first, and one backward pass over those
-alone; the zero-lambda pairings' logits are only logged. The generator
-update runs the discriminator on the generated-conditional pairing, takes
-its input gradient on the y columns, adds the L1 gradient and
-backpropagates the sum through the generator. Each backward pass computes
+once (`nets.gen_forward`, which draws the noise from the step's stream
+right after the batch), makes d-steps-per-g-step discriminator updates on
+the four pairings built from that output, then one generator update on
+the same batch. Each network runs only through `nets.gen_forward` and
+`nets.disc_forward`, the functions evaluation runs it through. Each
+discriminator update is one `disc_forward` over the four pairings,
+row-stacked with the positive-lambda ones first, and one backward pass
+over those alone; the zero-lambda pairings' logits are only logged. The
+generator update runs `disc_forward` on the generated-conditional
+pairing, takes its input gradient on the y columns (`disc_forward`'s
+input is ``[x | y]``), adds the L1 gradient and backpropagates the sum
+through the generator's cache. Each backward pass computes
 only what the step reads: parameter gradients in a discriminator update
 and in the generator's pass, the input gradient in the discriminator's
 pass of the generator update. The optimal-discriminator phase runs the
@@ -42,8 +46,9 @@ from .nets import (
     _check_shapes,
     _flat,
     _packed,
+    disc_forward,
+    gen_forward,
     mlp_backward,
-    mlp_forward,
     params_from_jsonable,
     params_to_jsonable,
 )
@@ -212,18 +217,13 @@ def _check_finite(value: float, term: str, step: int) -> None:
         raise TrainingDiverged(f"non-finite {term} at step {step}")
 
 
-def _fused(pairs) -> np.ndarray:
-    """Row-stack (x, y) pairings into one discriminator input, x then y columns."""
-    return np.concatenate([np.concatenate([x for x, _ in pairs]),
-                           np.concatenate([y for _, y in pairs])], axis=1)
-
-
 def _discriminator_update(disc, pairs, config, adam_d, step):
     """One Adam step of D on the four pairings; returns (breakdown, grad norm)."""
     lambdas = config.loss.lambdas
     active = [p for p, lam in zip(pairs, lambdas) if lam > 0]
     idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
-    logits, cache = mlp_forward(disc.spec, disc.params, _fused(active + idle))
+    xs, ys = zip(*active, *idle)  # the pairings row-stacked, active ones first
+    logits, cache = disc_forward(disc, np.concatenate(xs), np.concatenate(ys))
     n = sum(len(x) for x, _ in active)
     breakdown, g_logits = d_loss_total(logits[:n], config.loss, logits[n:])
     for name, value in vars(breakdown).items():
@@ -243,10 +243,8 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     D update, no G update, and the G columns of the row read 0.
     """
     batch = sample_pair_batch(ds, config.batch_size, rng, config.ac_mode)
-    z = rng.standard_normal((config.batch_size, gen.noise_dim)) if gen.noise_dim else None
     x = ds.xs[batch.idx]
-    y_g, g_cache = mlp_forward(gen.spec, gen.params,
-                               x if z is None else np.concatenate([x, z], axis=1))
+    y_g, g_cache = gen_forward(gen, x, rng)
     pairs = assemble_pairings(ds, batch, y_g)
     for _ in range(1 if adam_g is None else config.d_steps_per_g_step):
         breakdown, gnorm_d = _discriminator_update(disc, pairs, config, adam_d, step)
@@ -255,10 +253,11 @@ def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
     if adam_g is None:
         return row
 
-    logit, d_cache = mlp_forward(disc.spec, disc.params, np.concatenate([x, y_g], axis=1))
+    logit, d_cache = disc_forward(disc, x, y_g)
     values, g_logit, g_y = g_loss(logit, config.loss, y_g, ds.ys[batch.idx])
     for name, value in values.items():
         _check_finite(value, name, step)
+    # disc_forward's columns are [x | y]: the generator gets the y part
     g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
     if g_y is not None:
         g_y_g = g_y_g + g_y

@@ -286,7 +286,7 @@ def test_matmul_and_concat_gradients_match_finite_differences(data, n, k, m):
     assume(_pre_activations_clear_of_kink(spec, params, fused))
 
     def loss():
-        return float((disc_forward(disc, x, y) * w).sum())
+        return float((disc_forward(disc, x, y)[0] * w).sum())
 
     _, cache = mlp_forward(spec, params, fused)
     _, g_in = mlp_backward(spec, params, cache, w)

@@ -140,18 +140,59 @@ def test_report_compares_formulations(tmp_path):
     summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
     assert {r["formulation"] for r in summary["runs"]} == {"classic", "acontrario"}
     assert set(summary["comparison"]) == {"acontrario_real_ac_rate_lower",
+                                          "acontrario_auroc_real_ac_higher",
+                                          "auroc_real_ac_sign_test",
                                           "oracle_accuracy_delta", "ndb_ordering_ok"}
     assert summary["baseline"]["median_real_ac_true_rate"] is not None
+    for group, name in (("baseline", "base"), ("acontrario", "ac")):
+        (run,) = [r for r in summary["runs"] if r["name"] == name]
+        report = json.loads((tmp_path / "sweep" / name / "report.json").read_text())
+        assert summary[group]["median_auroc_real_ac"] == run["auroc_real_ac"] \
+            == report["auroc"]["real_ac"]
+    assert summary["comparison"]["auroc_real_ac_sign_test"]["seeds"] == 1  # both at seed 0
 
 
-def _fake_run(run_dir, name, formulation):
+def _fake_run(run_dir, name, formulation, seed=0, auroc_real_ac=0.5):
     """A run directory holding a well-formed config.json and report.json."""
     sub = run_dir / name
     sub.mkdir(parents=True)
-    (sub / "config.json").write_text(json.dumps({"seed": 0, "loss": {"formulation": formulation}}))
+    (sub / "config.json").write_text(json.dumps({"seed": seed,
+                                                 "loss": {"formulation": formulation}}))
     (sub / "report.json").write_text(json.dumps(
-        {"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": None, "ndb": None}))
+        {"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": None, "ndb": None,
+         "auroc": {"real_ac": auroc_real_ac}}))
     return sub
+
+
+def test_report_judges_by_auroc_median_and_sign_test(tmp_path):
+    run_dir = tmp_path / "sweep"
+    # seeds 0-4 paired once each: 3 wins, a tie at seed 3, a loss at seed 4
+    for seed, ac in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
+        _fake_run(run_dir, f"base{seed}", "classic", seed, 0.6)
+        _fake_run(run_dir, f"ac{seed}", "hinge_acontrario", seed, ac)
+    _fake_run(run_dir, "ac5a", "acontrario", 5, 0.99)  # two a-contrario runs: unpaired
+    _fake_run(run_dir, "ac5b", "acontrario", 5, 0.99)
+    _fake_run(run_dir, "base5", "classic", 5, 0.1)
+    _fake_run(run_dir, "base6", "hinge_classic", 6, 0.1)  # no a-contrario run: unpaired
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["baseline"]["median_auroc_real_ac"] == 0.6
+    assert summary["acontrario"]["median_auroc_real_ac"] == 0.8
+    assert summary["comparison"]["acontrario_auroc_real_ac_higher"] is True
+    # two-sided: 2 * P(Binomial(4, 1/2) <= 1) = 2 * 5 / 16
+    assert summary["comparison"]["auroc_real_ac_sign_test"] == {
+        "seeds": 5, "wins": 3, "losses": 1, "ties": 1, "p_value": 0.625}
+    assert summary["comparison"]["acontrario_real_ac_rate_lower"] is False  # all rates 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(wins=st.integers(0, 40), losses=st.integers(0, 40))
+def test_sign_test_is_the_two_sided_binomial_test(wins, losses):
+    from scipy.stats import binomtest
+
+    expected = 1.0 if wins + losses == 0 else binomtest(wins, wins + losses, 0.5).pvalue
+    assert cli._sign_test(wins, losses) == pytest.approx(expected, rel=1e-12)
+    assert cli._sign_test(wins, losses) == cli._sign_test(losses, wins)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -163,8 +204,13 @@ def _fake_run(run_dir, name, formulation):
     ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
                     '"ndb": {"ndb_over_k": [0.5]}}', "ndb.ndb_over_k must be"),
     ("report.json", '{"classification_rates": ', "Expecting value"),
+    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
+                    '"ndb": null}', "missing auroc.real_ac"),
+    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
+                    '"ndb": null, "auroc": {"real_ac": null}}', "auroc.real_ac must be"),
 ], ids=["config_empty", "config_formulation_number", "config_seed_string", "report_list",
-        "report_rate_string", "report_ndb_list", "report_truncated"])
+        "report_rate_string", "report_ndb_list", "report_truncated", "report_without_auroc",
+        "report_auroc_null"])
 def test_malformed_run_file_reported_as_bad(tmp_path, capsys, name, text, message):
     run_dir = tmp_path / "sweep"
     _fake_run(run_dir, "base", "classic")
@@ -608,6 +654,9 @@ def test_phase_log_written_as_phase_metrics(tmp_path):
     for r in rows:
         assert all(float(r[c]) == 0.0 for c in ("g_adv", "g_recon", "g_total", "grad_norm_G"))
         assert math.isfinite(float(r["d_total"])) and float(r["grad_norm_D"]) > 0.0
+    report = json.loads((out / "report.json").read_text())
+    assert report["phase"] == {"steps": len(rows), "d_total_first": float(rows[0]["d_total"]),
+                               "d_total_last": float(rows[-1]["d_total"])}
 
 
 def test_diverged_phase_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):

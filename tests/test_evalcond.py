@@ -26,6 +26,7 @@ from cganlab.evalcond import (
 from cganlab.nets import Discriminator, Generator, MlpSpec, init_params
 from cganlab.pairing import _row_keys
 from cganlab.tasks import CondRegressionTask, GaussModesTask, sample_dataset
+from cganlab.trainer import TrainConfig
 
 
 def setup_eval(seed=0, n=400):
@@ -435,3 +436,13 @@ def test_kmeans_equals_fixed_iteration_loop(case):
             assert reseeds > 0
     if case == "cond_regression":
         assert stops == [True, False, True]
+
+
+def test_phase_block_without_a_phase():
+    # the steps run and the first and last d_total: test_cli checks them against
+    # phase_metrics.csv; with no phase there is no d_total to report
+    task, ds, gen, disc = setup_eval()
+    ev = EvalConfig(n_eval=200, ndb_k=4, n_per_label=20, phase_epochs=0)
+    report, _, phase_log = evalcond.evaluate(gen, disc, ds, task, TrainConfig(batch_size=50), ev)
+    assert phase_log.rows == []
+    assert report["phase"] == {"steps": 0, "d_total_first": None, "d_total_last": None}

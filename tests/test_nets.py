@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -78,40 +79,63 @@ def test_spec_refuses_slope_above_one_and_removed_outputs(field, value, message)
 def test_zero_generator_identity_output_is_zero():
     gen = Generator.build(3, 2, hidden=(8,), seed=0)
     gen.params = [np.zeros_like(p) for p in gen.params]
-    out = gen_forward(gen, np.ones((5, 3)))
+    out, _ = gen_forward(gen, np.ones((5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_batch_size_preserved():
     gen = Generator.build(3, 2, seed=1)
-    assert gen_forward(gen, np.ones((8, 3))).shape == (8, 2)
+    assert gen_forward(gen, np.ones((8, 3)))[0].shape == (8, 2)
 
 
 def test_gen_forward_deterministic():
     gen = Generator.build(3, 2, seed=2)
     x = np.random.default_rng(0).standard_normal((6, 3))
-    a = gen_forward(gen, x)
-    b = gen_forward(gen, x)
+    a, _ = gen_forward(gen, x)
+    b, _ = gen_forward(gen, x)
     assert a.tobytes() == b.tobytes()
 
 
 def test_noise_contract():
     gen = Generator.build(3, 2, noise_dim=4, seed=0)
     x = np.ones((2, 3))
-    with pytest.raises(ValueError):
-        gen_forward(gen, x)  # z required
-    out = gen_forward(gen, x, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="noise_dim > 0 but no rng"):
+        gen_forward(gen, x)  # rng required
+    out, _ = gen_forward(gen, x, np.random.default_rng(0))
     assert out.shape == (2, 2)
     no_noise = Generator.build(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        gen_forward(no_noise, x, np.zeros((2, 4)))  # z forbidden
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert gen_forward(no_noise, x, rng)[0].tobytes() == gen_forward(no_noise, x)[0].tobytes()
+    assert rng.bit_generator.state == state  # rng unused
+
+
+@settings(max_examples=40, deadline=None)
+@given(noise_dim=st.sampled_from([0, 1, 3]), n=st.sampled_from([1, 2, 7, 64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gen_forward_is_mlp_forward_on_x_and_its_own_noise(noise_dim, n, seed):
+    # gen_forward draws z from rng after nothing else, so a copy of rng
+    # that draws the same shape rebuilds its input [x | z] bit for bit
+    gen = Generator.build(3, 2, hidden=(8, 5), noise_dim=noise_dim, seed=seed % 97)
+    x = np.random.default_rng([seed, 1]).standard_normal((n, 3))
+    rng = np.random.default_rng(seed)
+    rng2 = copy.deepcopy(rng)
+    before = rng.bit_generator.state
+    out, cache = gen_forward(gen, x, rng)
+    h = np.concatenate([x, rng2.standard_normal((n, noise_dim))], axis=1)
+    expected, expected_cache = mlp_forward(gen.spec, gen.params, h)
+    assert out.tobytes() == expected.tobytes()
+    assert [c.tobytes() for c in cache] == [c.tobytes() for c in expected_cache]
+    assert rng.bit_generator.state == rng2.bit_generator.state
+    if noise_dim == 0:
+        assert rng.bit_generator.state == before  # nothing drawn
 
 
 def test_zero_discriminator_logit_zero_prob_half():
     disc = Discriminator.build(3, 2, hidden=(8,), seed=0)
     disc.params = [np.zeros_like(p) for p in disc.params]
     x, y = np.ones((4, 3)), np.ones((4, 2))
-    logit = disc_forward(disc, x, y)
+    logit, _ = disc_forward(disc, x, y)
     np.testing.assert_array_equal(logit, np.zeros((4, 1)))
     np.testing.assert_array_equal(1.0 / (1.0 + np.exp(-logit)), np.full((4, 1), 0.5))
 
@@ -122,8 +146,8 @@ def test_batch_permutation_equivariance():
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
     perm = rng.permutation(10)
-    out = disc_forward(disc, x, y)
-    out_p = disc_forward(disc, x[perm], y[perm])
+    out, _ = disc_forward(disc, x, y)
+    out_p, _ = disc_forward(disc, x[perm], y[perm])
     # blocked matmul reorders float sums, so equality holds to the ulp level
     np.testing.assert_allclose(out[perm], out_p, rtol=1e-12, atol=1e-15)
 
@@ -165,9 +189,11 @@ def test_forward_matches_mlp_forward_and_caches_layer_inputs():
     disc = Discriminator.build(3, 2, hidden=(8, 6), seed=4)
     x, y = np.ones((5, 3)), np.full((5, 2), -0.5)
     out, cache = mlp_forward(disc.spec, disc.params, np.concatenate([x, y], axis=1))
-    assert out.tobytes() == disc_forward(disc, x, y).tobytes()
+    d_out, d_cache = disc_forward(disc, x, y)
+    assert out.tobytes() == d_out.tobytes()
+    assert [c.tobytes() for c in cache] == [c.tobytes() for c in d_cache]
     assert [c.shape for c in cache] == [(5, 5), (5, 8), (5, 6), (5, 1)]
-    assert cache[-1] is out
+    assert cache[-1] is out and d_cache[-1] is d_out
 
 
 @pytest.mark.parametrize("activation", ["tanh"])
@@ -352,7 +378,7 @@ def test_gen_forward_peak_memory_two_activations():
     activation_bytes = 8192 * 256 * 8
     tracemalloc.start()
     try:
-        out = gen_forward(gen, x)
+        out, _ = gen_forward(gen, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

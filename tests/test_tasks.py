@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cganlab import tasks
 from cganlab.nets import Generator, MlpSpec, init_params
 from cganlab.pairing import save_dataset_csv
 from cganlab.tasks import (
@@ -180,3 +181,22 @@ def test_task_dict_round_trip():
         assert task_from_dict(task.to_dict()) == task
     with pytest.raises(ValueError):
         task_from_dict({"type": "images"})
+
+
+def test_regression_error_scores_conditions_the_dataset_does_not_hold(monkeypatch):
+    # its conditions once were sample_dataset's first n_eval rows at the same seed
+    task = CondRegressionTask()
+    gen = Generator.build(task.dim_x, task.dim_y, hidden=(8,), noise_dim=1, seed=0)
+    seen = []
+    real_forward = tasks.gen_forward
+
+    def spy(gen_, x, rng=None):
+        seen.append(x)
+        return real_forward(gen_, x, rng)
+
+    monkeypatch.setattr(tasks, "gen_forward", spy)
+    regression_error(task, gen, 500, seed=3)
+    (xs,) = seen
+    assert xs.shape == (500, task.dim_x)
+    dataset_rows = {row.tobytes() for row in sample_dataset(task, 2000, seed=3).xs}
+    assert not dataset_rows & {row.tobytes() for row in xs}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cganlab import nets
 from cganlab import trainer as tr
 from cganlab.losses import LossSpec, g_loss
 from cganlab.nets import (
@@ -253,13 +254,13 @@ def test_metrics_rows_and_csv(tmp_path):
 def test_one_discriminator_forward_per_d_update(monkeypatch):
     # a classic step logs its zero-lambda pairings from the D update's own forward pass
     calls = []
-    real_forward = tr.mlp_forward
+    real_forward = nets.mlp_forward
 
     def counted(spec, params, h):
         calls.append(spec)
         return real_forward(spec, params, h)
 
-    monkeypatch.setattr(tr, "mlp_forward", counted)
+    monkeypatch.setattr(nets, "mlp_forward", counted)
     ds = small_dataset()
     gen, disc = small_nets()
     config = small_config(1, formulation="classic")
@@ -307,10 +308,9 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
     def g_total():
         rng = np.random.default_rng(3)  # the step's batch and noise
         batch = sample_pair_batch(ds, config.batch_size, rng, config.ac_mode)
-        z = rng.standard_normal((config.batch_size, gen.noise_dim))
         x = ds.xs[batch.idx]
-        y_g = gen_forward(gen, x, z)
-        return g_loss(disc_forward(disc, x, y_g), loss, y_g, ds.ys[batch.idx])[0]["g_total"]
+        y_g = gen_forward(gen, x, rng)[0]
+        return g_loss(disc_forward(disc, x, y_g)[0], loss, y_g, ds.ys[batch.idx])[0]["g_total"]
 
     for p, analytic in zip(gen.params, captured[id(gen.params)]):
         np.testing.assert_allclose(analytic, central_differences(g_total, p),
@@ -385,9 +385,9 @@ def test_phase_separable_toy_reaches_99_percent():
     ds, gen, disc = _separable_setup()
     cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
     optimal_discriminator_phase(gen, disc, ds, cfg, epochs=10)
-    real_logits = disc_forward(disc, ds.xs, ds.ys)
-    fake = gen_forward(gen, ds.xs)
-    fake_logits = disc_forward(disc, ds.xs, fake)
+    real_logits = disc_forward(disc, ds.xs, ds.ys)[0]
+    fake = gen_forward(gen, ds.xs)[0]
+    fake_logits = disc_forward(disc, ds.xs, fake)[0]
     accuracy = 0.5 * (np.mean(real_logits > 0) + np.mean(fake_logits < 0))
     assert accuracy >= 0.99
 

@@ -1,12 +1,15 @@
-"""Each `cganlab` module reads every name it imports, and the package
-reads every private name it defines.
+"""Each `cganlab` module reads every name it imports, the package reads
+every private name it defines, and only `nets` runs a network.
 
 A stdlib stand-in for a linter's unused-import rule: each module except
 the package `__init__` (which imports to re-export) is parsed with `ast`,
 and a name bound by an import that no expression of the module reads
 fails the test. Likewise a module-level private name (a function, class
 or constant whose name starts with one underscore) that no module of the
-package reads fails: a helper that only tests call is dead code.
+package reads fails: a helper that only tests call is dead code. And a
+module other than `nets` that reads `mlp_forward`, or draws generator
+noise (a `standard_normal` call whose arguments name `noise_dim`), fails:
+`nets.gen_forward` and `nets.disc_forward` are the one forward path.
 """
 
 import ast
@@ -87,3 +90,41 @@ def test_private_name_checker_finds_unread_names():
 def test_package_reads_every_private_name():
     sources = {p.stem: p.read_text() for p in PACKAGE_FILES}
     assert unread_private_names(sources) == []
+
+
+def forward_path_bypasses(source: str) -> list[str]:
+    """Each read of `mlp_forward` and each noise draw of `source`, as `line N: what`.
+
+    A noise draw is a call of `standard_normal` (a name or an attribute)
+    with `noise_dim`, as a name or an attribute, anywhere in its arguments.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name == "mlp_forward" and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, "reads mlp_forward"))
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "standard_normal":
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for arg in [*node.args, *(k.value for k in node.keywords)]
+                     for n in ast.walk(arg)}
+            if "noise_dim" in names:
+                found.append((node.lineno, "draws noise"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_forward_path_checker_finds_bypasses():
+    source = ("from .nets import mlp_forward\nimport numpy as np\n"
+              "y = mlp_forward(spec, params, h)\nf = nets.mlp_forward\n"
+              "z = rng.standard_normal((n, gen.noise_dim))\n"
+              "w = standard_normal(size=(n, noise_dim))\nv = rng.standard_normal((n, 2))\n")
+    assert forward_path_bypasses(source) == [
+        "line 3: reads mlp_forward", "line 4: reads mlp_forward",
+        "line 5: draws noise", "line 6: draws noise"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE_FILES if p.name != "nets.py"],
+                         ids=lambda p: p.name)
+def test_only_nets_runs_a_network(path):
+    assert forward_path_bypasses(path.read_text()) == []
