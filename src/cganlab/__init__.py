@@ -15,7 +15,7 @@ from .nets import (Discriminator, Generator, MlpSpec, disc_forward, gen_forward,
 from .pairing import (
     ConditionalDataset,
     PairBatch,
-    assemble_pairings,
+    draw_pairings,
     make_ac_permutation,
     sample_pair_batch,
 )

@@ -43,11 +43,11 @@ import numpy as np
 
 from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
-from .pairing import ConditionalDataset, _row_keys, assemble_pairings, sample_pair_batch
+from .pairing import PAIRINGS, ConditionalDataset, _row_keys, draw_pairings
 from .tasks import GaussModesTask, _nearest_centroid, oracle_classify, regression_error
 from .trainer import RunLog, TrainConfig, optimal_discriminator_phase
 
-PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")
+_NDB_STREAM = 2  # decorrelates `generator_ndb`'s noise from the other draws of the seed
 
 
 @dataclass
@@ -106,17 +106,11 @@ def collect_logits(disc: Discriminator, gen: Generator, ds: ConditionalDataset,
                    n_eval: int, seed: int = 0, ac_mode: str = "within_batch") -> dict:
     """Raw logits of the frozen discriminator over the four pairings.
 
-    One pair batch of `n_eval` rows is drawn with the training sampler, and
-    the generator runs once on its conditions (with noise drawn after the
-    batch when it has `noise_dim` > 0).
+    The pairings of `n_eval` rows are drawn as a training step draws its
+    own, by `pairing.draw_pairings` from the stream of `seed`.
     """
-    if n_eval < 2:
-        raise ValueError("n_eval must be at least 2")
-    if n_eval > len(ds):
-        raise ValueError(f"n_eval {n_eval} exceeds dataset size {len(ds)}")
-    rng = np.random.default_rng(seed)
-    batch = sample_pair_batch(ds, n_eval, rng, ac_mode)
-    pairs = assemble_pairings(ds, batch, gen_forward(gen, ds.xs[batch.idx], rng)[0])
+    # [0] frees the generator's cache before the four discriminator passes (peak memory)
+    pairs = draw_pairings(ds, gen, n_eval, np.random.default_rng(seed), ac_mode)[0]
     return {
         name: disc_forward(disc, px, py)[0].ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)
@@ -282,7 +276,7 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
 def generator_ndb(gen: Generator, ds: ConditionalDataset, ev: EvalConfig,
                   seed: int) -> NdbReport:
     """NDB of the generator's output over the dataset's conditions against the dataset."""
-    y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, 2]))[0]
+    y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, _NDB_STREAM]))[0]
     return ndb_score(ds.ys, y_g, k=ev.ndb_k, alpha=ev.alpha, seed=seed)
 
 

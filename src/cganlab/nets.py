@@ -75,9 +75,10 @@ _BLOCK = 32_768
 class MlpSpec:
     """Layer widths plus activations; at least one hidden layer.
 
-    The leaky-ReLU slope must lie in [0, 1], so that a hidden unit's
-    output is positive exactly where its pre-activation is, and is
-    ``max(h, slope * h)``.
+    Each width is a positive integer, a Python or numpy one; a float or a
+    bool is refused, not rounded. The leaky-ReLU slope must lie in [0, 1],
+    so that a hidden unit's output is positive exactly where its
+    pre-activation is, and is ``max(h, slope * h)``.
     """
 
     widths: tuple[int, ...]
@@ -87,8 +88,9 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.widths) < 3:
             raise ValueError(f"MlpSpec needs at least one hidden layer, got widths {self.widths}")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError(f"MlpSpec widths must be positive, got {self.widths}")
+        if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w <= 0
+               for w in self.widths):
+            raise ValueError(f"MlpSpec widths must be positive integers, got {self.widths}")
         if not 0 <= self.hidden_slope <= 1:
             raise ValueError(f"hidden_slope must lie in [0, 1], got {self.hidden_slope}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
@@ -163,7 +165,8 @@ class Generator:
     """Maps condition x (optionally with noise z) to a generated y.
 
     `params` must hold one array of each of `spec.param_shapes()`, in
-    order; any other list raises ValueError.
+    order, and `noise_dim` must be a non-negative int (not a float or a
+    bool); anything else raises ValueError.
     """
 
     spec: MlpSpec
@@ -171,8 +174,9 @@ class Generator:
     noise_dim: int = 0
 
     def __post_init__(self):
-        if self.noise_dim < 0:
-            raise ValueError(f"noise_dim must be non-negative, got {self.noise_dim}")
+        if isinstance(self.noise_dim, bool) or not isinstance(self.noise_dim, int) \
+                or self.noise_dim < 0:
+            raise ValueError(f"noise_dim must be a non-negative int, got {self.noise_dim!r}")
         _check_shapes(self.params, self.spec.param_shapes(), "generator params")
         self.params = _packed(self.params)
 

@@ -17,6 +17,11 @@ random swaps. That is not uniform over the valid mappings, but the label
 a row is mapped to is close to uniform over the other labels; a test pins
 it at 8 modes and batch 64. In both modes a valid draw exists iff some m
 rows keep each key to m // 2 of them (`_check_pairable`).
+
+Training and evaluation draw their pairings by `draw_pairings`: from one
+stream the batch, then the noise of `nets.gen_forward` on its conditions
+(none at `noise_dim` 0), in `PAIRINGS` order (x, y), (x, y_G),
+(x_tilde, y), (x_tilde, y_G).
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import _atomic_open
+from .nets import Generator, gen_forward
 
 AC_MODES = ("within_batch", "outside_batch")
+PAIRINGS = ("real_cond", "gen_cond", "real_ac", "gen_ac")  # the order of `draw_pairings`
 MAX_SAMPLER_ATTEMPTS = 10_000
 MAX_REPAIR_SWEEPS = 200
 
@@ -207,21 +214,16 @@ def sample_pair_batch(
     )
 
 
-def assemble_pairings(ds: ConditionalDataset, batch: PairBatch, y_g: np.ndarray):
-    """Return the four (x, y) pairs for one batch.
+def draw_pairings(ds: ConditionalDataset, gen: Generator, size: int,
+                  rng: np.random.Generator, ac_mode: str):
+    """The (x, y) pairings of a fresh batch in `PAIRINGS` order, and `gen_forward`'s cache.
 
-    Order: real-conditional, generated-conditional, real-a-contrario,
-    generated-a-contrario. y_g must be row-aligned with batch.idx.
+    Draws from `rng` the batch (`sample_pair_batch`), then the generator's noise.
     """
-    y_g = np.asarray(y_g, dtype=np.float64)
-    if y_g.shape[0] != batch.idx.shape[0]:
-        raise ValueError(
-            f"y_g rows {y_g.shape[0]} misaligned with batch size {batch.idx.shape[0]}"
-        )
-    x = ds.xs[batch.idx]
-    y = ds.ys[batch.idx]
-    x_tilde = ds.xs[batch.ac_source_idx]
-    return (x, y), (x, y_g), (x_tilde, y), (x_tilde, y_g)
+    batch = sample_pair_batch(ds, size, rng, ac_mode)
+    x, y, x_tilde = ds.xs[batch.idx], ds.ys[batch.idx], ds.xs[batch.ac_source_idx]
+    y_g, cache = gen_forward(gen, x, rng)
+    return ((x, y), (x, y_g), (x_tilde, y), (x_tilde, y_g)), cache
 
 
 # -- dataset CSV format (shared with tasks and cli) ----------------------

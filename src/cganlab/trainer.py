@@ -1,22 +1,21 @@
 """Alternating min-max training of generator and discriminator.
 
-One training step draws a fresh pair batch, runs the generator forward
-once (`nets.gen_forward`, which draws the noise from the step's stream
-right after the batch), makes d-steps-per-g-step discriminator updates on
-the four pairings built from that output, then one generator update on
-the same batch. Each network runs only through `nets.gen_forward` and
-`nets.disc_forward`, the functions evaluation runs it through. Each
-discriminator update is one `disc_forward` over the four pairings,
-row-stacked with the positive-lambda ones first, and one backward pass
-over those alone; the zero-lambda pairings' logits are only logged. The
-generator update runs `disc_forward` on the generated-conditional
-pairing, takes its input gradient on the y columns (`disc_forward`'s
-input is ``[x | y]``), adds the L1 gradient and backpropagates the sum
-through the generator's cache. Each backward pass computes
-only what the step reads: parameter gradients in a discriminator update
-and in the generator's pass, the input gradient in the discriminator's
-pass of the generator update. The optimal-discriminator phase runs the
-same loop, `train`, with the generator frozen, verified by checksum.
+A training step takes its four pairings and the generator's cache from
+`pairing.draw_pairings`, which draws the batch, then the generator's
+noise, from the step's stream, as evaluation's `collect_logits` does.
+The discriminator's input, the pairings row-stacked with the
+positive-lambda ones first, is built once per step. Each of the
+d-steps-per-g-step discriminator updates is one `disc_forward` over it
+and one backward pass over the positive-lambda rows alone; the
+zero-lambda pairings' logits are only logged. The generator update on
+the same batch runs `disc_forward` on the generated-conditional pairing,
+takes its input gradient on the y columns (`disc_forward`'s input is
+``[x | y]``), adds the L1 gradient and backpropagates the sum through the
+generator's cache. Both networks update through `_update`: a backward
+pass that computes parameter gradients only, into the Adam state's
+buffer, one `adam_step`, and the mean |grad| for the metrics row. The
+optimal-discriminator phase runs the same loop, `train`, with the
+generator frozen, verified by checksum.
 
 Each network's parameters are views of one flat vector (`nets._packed`),
 and its `AdamState` packs the moments `m`, `v` and a gradient buffer
@@ -47,12 +46,11 @@ from .nets import (
     _flat,
     _packed,
     disc_forward,
-    gen_forward,
     mlp_backward,
     params_from_jsonable,
     params_to_jsonable,
 )
-from .pairing import AC_MODES, ConditionalDataset, assemble_pairings, sample_pair_batch
+from .pairing import AC_MODES, ConditionalDataset, draw_pairings
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -212,59 +210,52 @@ def _mean_abs_grad(state: AdamState) -> float:
     return total / start
 
 
-def _check_finite(value: float, term: str, step: int) -> None:
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"non-finite {term} at step {step}")
+def _check_finite(values: dict, step: int) -> None:
+    for term, value in values.items():
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"non-finite {term} at step {step}")
 
 
-def _discriminator_update(disc, pairs, config, adam_d, step):
-    """One Adam step of D on the four pairings; returns (breakdown, grad norm)."""
-    lambdas = config.loss.lambdas
-    active = [p for p, lam in zip(pairs, lambdas) if lam > 0]
-    idle = [p for p, lam in zip(pairs, lambdas) if lam == 0]
-    xs, ys = zip(*active, *idle)  # the pairings row-stacked, active ones first
-    logits, cache = disc_forward(disc, np.concatenate(xs), np.concatenate(ys))
-    n = sum(len(x) for x, _ in active)
-    breakdown, g_logits = d_loss_total(logits[:n], config.loss, logits[n:])
-    for name, value in vars(breakdown).items():
-        _check_finite(value, name, step)
-
-    mlp_backward(disc.spec, disc.params, [c[:n] for c in cache], g_logits,
-                 grads_out=adam_d.grads, input_grad=False)
-    adam_step(disc.params, adam_d.grads, adam_d, config.lr, config.beta1, config.beta2)
-    return breakdown, _mean_abs_grad(adam_d)
+def _update(net, cache, g, adam: AdamState, config: TrainConfig) -> float:
+    """Backpropagate `g` through `net`'s cache into `adam.grads` and take one
+    Adam step of `net`; returns the mean |grad|."""
+    mlp_backward(net.spec, net.params, cache, g, grads_out=adam.grads, input_grad=False)
+    adam_step(net.params, adam.grads, adam, config.lr, config.beta1, config.beta2)
+    return _mean_abs_grad(adam)
 
 
-def _step(gen, disc, ds, config, rng, adam_d, step, adam_g=None) -> dict:
-    """One training step on a fresh pair batch; returns its metrics row.
+def _step(gen, disc, ds, config, state: TrainState) -> dict:
+    """Training step `state.step + 1` on a fresh pair batch; returns its metrics row.
 
     The generator runs forward once, and its output feeds every
-    discriminator update. With `adam_g` None the generator is frozen: one
-    D update, no G update, and the G columns of the row read 0.
+    discriminator update. With `state.adam_g` None the generator is
+    frozen: one D update, no G update, and the G columns of the row read 0.
     """
-    batch = sample_pair_batch(ds, config.batch_size, rng, config.ac_mode)
-    x = ds.xs[batch.idx]
-    y_g, g_cache = gen_forward(gen, x, rng)
-    pairs = assemble_pairings(ds, batch, y_g)
-    for _ in range(1 if adam_g is None else config.d_steps_per_g_step):
-        breakdown, gnorm_d = _discriminator_update(disc, pairs, config, adam_d, step)
+    step = state.step + 1
+    pairs, g_cache = draw_pairings(ds, gen, config.batch_size, state.rng, config.ac_mode)
+    # D's input: the pairings row-stacked, the n rows of positive-lambda ones first
+    order = sorted(range(len(pairs)), key=lambda k: config.loss.lambdas[k] == 0)
+    d_x, d_y = (np.concatenate([pairs[k][col] for k in order]) for col in (0, 1))
+    n = config.batch_size * sum(lam > 0 for lam in config.loss.lambdas)
+    for _ in range(1 if state.adam_g is None else config.d_steps_per_g_step):
+        logits, d_cache = disc_forward(disc, d_x, d_y)
+        breakdown, g_logits = d_loss_total(logits[:n], config.loss, logits[n:])
+        _check_finite(vars(breakdown), step)
+        gnorm_d = _update(disc, [c[:n] for c in d_cache], g_logits, state.adam_d, config)
     row = {"step": step, **vars(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
            "grad_norm_G": 0.0, "grad_norm_D": gnorm_d}
-    if adam_g is None:
+    if state.adam_g is None:
         return row
 
+    (x, y), (_, y_g) = pairs[:2]
     logit, d_cache = disc_forward(disc, x, y_g)
-    values, g_logit, g_y = g_loss(logit, config.loss, y_g, ds.ys[batch.idx])
-    for name, value in values.items():
-        _check_finite(value, name, step)
+    values, g_logit, g_y = g_loss(logit, config.loss, y_g, y)
+    _check_finite(values, step)
     # disc_forward's columns are [x | y]: the generator gets the y part
     g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
     if g_y is not None:
         g_y_g = g_y_g + g_y
-    mlp_backward(gen.spec, gen.params, g_cache, g_y_g, grads_out=adam_g.grads,
-                 input_grad=False)
-    adam_step(gen.params, adam_g.grads, adam_g, config.lr, config.beta1, config.beta2)
-    row.update(values, grad_norm_G=_mean_abs_grad(adam_g))
+    row.update(values, grad_norm_G=_update(gen, g_cache, g_y_g, state.adam_g, config))
     return row
 
 
@@ -286,18 +277,17 @@ def train(gen: Generator, disc: Discriminator, dataset: ConditionalDataset,
 
     log = RunLog()
     for _ in range(config.epochs * steps_per_epoch):
-        step = state.step + 1
         try:
-            row = _step(gen, disc, dataset, config, state.rng, state.adam_d, step, state.adam_g)
+            row = _step(gen, disc, dataset, config, state)
         except TrainingDiverged as e:
             e.log = log
             raise
         log.rows.append(row)
-        state.step = step
+        state.step += 1
         if checkpoint_dir is not None and config.checkpoint_every > 0 \
-                and step % config.checkpoint_every == 0:
+                and state.step % config.checkpoint_every == 0:
             save_checkpoint(gen, disc, state, config,
-                            f"{checkpoint_dir}/step_{step:08d}.json", task=task)
+                            f"{checkpoint_dir}/step_{state.step:08d}.json", task=task)
     return log, state
 
 

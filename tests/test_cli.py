@@ -597,10 +597,10 @@ def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
     real_step = trainer._step
     k = 4
 
-    def diverging_step(gen, disc, ds, config, rng, adam_d, step, adam_g=None):
-        if step == k:
+    def diverging_step(gen, disc, ds, config, state):
+        if state.step + 1 == k:
             gen.params[-1][:] = np.nan
-        return real_step(gen, disc, ds, config, rng, adam_d, step, adam_g)
+        return real_step(gen, disc, ds, config, state)
 
     monkeypatch.setattr(trainer, "_step", diverging_step)
     capsys.readouterr()
@@ -666,10 +666,10 @@ def test_diverged_phase_writes_the_rows_before_it(tmp_path, capsys, monkeypatch)
     real_step = trainer._step
     k = 3
 
-    def diverging_step(gen, disc, ds, config, rng, adam_d, step, adam_g=None):
-        if step == k:
+    def diverging_step(gen, disc, ds, config, state):
+        if state.step + 1 == k:
             gen.params[-1][:] = np.nan
-        return real_step(gen, disc, ds, config, rng, adam_d, step, adam_g)
+        return real_step(gen, disc, ds, config, state)
 
     monkeypatch.setattr(trainer, "_step", diverging_step)
     capsys.readouterr()
@@ -960,14 +960,20 @@ _ONE_FLOAT = params_to_jsonable([np.zeros(1)])[0]  # shape [1], an 8-byte payloa
     (("generator", "params", 0), lambda e: dict(e, shape=e["shape"][::-1]),
      "generator params[0] has shape [16, 4], expected [4, 16]"),
     (("adam_d", "m", 0), lambda e: _ONE_FLOAT, "adam_d.m[0] has shape [1], expected [6, 16]"),
+    # equal to the configured 0 and 16, so only their type shows they were never written
+    (("generator", "noise_dim"), float, "noise_dim must be a non-negative int, got 0.0"),
+    (("generator", "spec", "widths", 1), lambda w: w + 0.5, "widths must be positive integers"),
 ], ids=["truncated_payload", "not_base64", "list_payload",
-        "bias_shape", "transposed_weight", "adam_moment_shape"])
+        "bias_shape", "transposed_weight", "adam_moment_shape", "noise_dim_float",
+        "width_fraction"])
 def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0
     doc = json.loads((out / "checkpoint.json").read_text())
-    section, key, i = where
-    doc[section][key][i] = damage(doc[section][key][i])
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = damage(parent[where[-1]])
     (out / "checkpoint.json").write_text(json.dumps(doc))
     for stage in ("eval-conditionality", "ndb"):
         capsys.readouterr()

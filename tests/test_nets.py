@@ -76,6 +76,27 @@ def test_spec_refuses_slope_above_one_and_removed_outputs(field, value, message)
         MlpSpec((4, 8, 2), **{field: value})
 
 
+@pytest.mark.parametrize("width", [8.0, 8.5, True, "8"], ids=["float", "fraction", "bool", "str"])
+def test_spec_refuses_a_width_that_is_not_an_integer(width):
+    # int(8.5) would build an 8-wide layer from a spec that asked for 8.5
+    with pytest.raises(ValueError, match="widths must be positive integers"):
+        MlpSpec((4, width, 2))
+
+
+def test_spec_keeps_numpy_integer_widths_as_ints():
+    spec = MlpSpec((np.int64(4), np.int32(8), 2))
+    assert spec.widths == (4, 8, 2) and all(type(w) is int for w in spec.widths)
+
+
+@pytest.mark.parametrize("noise_dim", [2.0, True, np.int64(2), -1],
+                         ids=["float", "bool", "numpy", "negative"])
+def test_generator_refuses_a_noise_dim_that_is_not_a_non_negative_int(noise_dim):
+    # a checkpoint stores noise_dim as a JSON int, which a numpy integer is not
+    spec = MlpSpec((5, 8, 2))
+    with pytest.raises(ValueError, match="noise_dim must be a non-negative int"):
+        Generator(spec, init_params(spec, 0), noise_dim)
+
+
 def test_zero_generator_identity_output_is_zero():
     gen = Generator.build(3, 2, hidden=(8,), seed=0)
     gen.params = [np.zeros_like(p) for p in gen.params]

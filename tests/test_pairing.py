@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import itertools
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cganlab
+from cganlab.nets import Generator, gen_forward
 from cganlab.pairing import (
+    AC_MODES,
+    PAIRINGS,
     ConditionalDataset,
     _check_pairable,
     _row_keys,
     PairBatch,
-    assemble_pairings,
+    draw_pairings,
     load_dataset_csv,
     make_ac_permutation,
     sample_pair_batch,
@@ -72,21 +76,28 @@ def _toy_dataset(n=20, dx=3, dy=2, seed=0):
                               ys=rng.standard_normal((n, dy)))
 
 
-def test_assemble_pairings_definitions():
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ac_mode=st.sampled_from(AC_MODES), noise_dim=st.sampled_from([0, 2]),
+       size=st.sampled_from([2, 5, 8]), seed=st.integers(0, 2**32 - 1))
+def test_draw_pairings_definitions(ac_mode, noise_dim, size, seed):
+    # the batch, then the generator's noise, from one stream, as the two calls draw them
     ds = _toy_dataset()
-    rng = np.random.default_rng(3)
-    batch = sample_pair_batch(ds, 6, rng)
-    y_g = np.random.default_rng(4).standard_normal((6, 2))
-    (x, y), (x2, y_g2), (xt, y3), (xt2, y_g3) = assemble_pairings(ds, batch, y_g)
-    np.testing.assert_array_equal(x, ds.xs[batch.idx])
-    np.testing.assert_array_equal(y, ds.ys[batch.idx])
-    np.testing.assert_array_equal(x2, x)
-    np.testing.assert_array_equal(y_g2, y_g)
-    np.testing.assert_array_equal(xt, ds.xs[batch.ac_source_idx])
-    np.testing.assert_array_equal(np.sort(batch.ac_source_idx), np.sort(batch.idx))
-    np.testing.assert_array_equal(y3, y)
-    np.testing.assert_array_equal(xt2, xt)
-    np.testing.assert_array_equal(y_g3, y_g)
+    gen = Generator.build(3, 2, hidden=(4,), noise_dim=noise_dim, seed=1)
+    rng = np.random.default_rng(seed)
+    ref = copy.deepcopy(rng)
+    pairs, cache = draw_pairings(ds, gen, size, rng, ac_mode)
+    batch = sample_pair_batch(ds, size, ref, ac_mode)
+    x, y, xt = ds.xs[batch.idx], ds.ys[batch.idx], ds.xs[batch.ac_source_idx]
+    y_g, ref_cache = gen_forward(gen, x, ref)
+    assert len(pairs) == len(PAIRINGS)
+    for got, want in zip(pairs, [(x, y), (x, y_g), (xt, y), (xt, y_g)]):
+        assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert len(cache) == len(ref_cache) and all(map(_same_bits, cache, ref_cache))
 
 
 def test_shuffled_condition_always_differs():
@@ -94,15 +105,13 @@ def test_shuffled_condition_always_differs():
     rng = np.random.default_rng(5)
     for _ in range(50):
         batch = sample_pair_batch(ds, 8, rng)
-        (x, _), _, (xt, _), _ = assemble_pairings(ds, batch, np.zeros((8, 2)))
-        assert not np.any(np.all(xt == x, axis=1))
+        assert not np.any(np.all(ds.xs[batch.ac_source_idx] == ds.xs[batch.idx], axis=1))
 
 
 def test_b2_swap():
     ds = ConditionalDataset(xs=np.array([[1.0], [2.0]]), ys=np.array([[0.1], [0.2]]))
     batch = PairBatch(idx=np.array([0, 1]), ac_source_idx=np.array([1, 0]))
-    (x, _), _, (xt, _), _ = assemble_pairings(ds, batch, np.zeros((2, 1)))
-    np.testing.assert_array_equal(xt, x[::-1])
+    np.testing.assert_array_equal(ds.xs[batch.ac_source_idx], ds.xs[batch.idx][::-1])
 
 
 def test_label_batches_avoid_same_label_mapping():
@@ -177,8 +186,6 @@ def test_outside_batch_mode():
     batch = sample_pair_batch(ds, 10, rng, ac_mode="outside_batch")
     assert batch.ac_source_idx is not None
     assert not np.intersect1d(batch.idx, batch.ac_source_idx).size
-    (x, _), _, (xt, _), _ = assemble_pairings(ds, batch, np.zeros((10, 2)))
-    np.testing.assert_array_equal(xt, ds.xs[batch.ac_source_idx])
 
 
 def test_outside_batch_row_inclusion_uniform():
@@ -251,20 +258,12 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith(("numpy.m
     assert out.strip() == "[]"
 
 
-def test_misaligned_y_g_rejected():
-    ds = _toy_dataset()
-    batch = sample_pair_batch(ds, 6, np.random.default_rng(9))
-    with pytest.raises(ValueError):
-        assemble_pairings(ds, batch, np.zeros((5, 2)))
-
-
 def _collect_ac_pairs(ds, n_pairs, batch_size, rng, ac_mode="within_batch"):
     xt_rows, y_rows = [], []
     while len(xt_rows) * batch_size < n_pairs:
         batch = sample_pair_batch(ds, batch_size, rng, ac_mode)
-        (_, y), _, (xt, _), _ = assemble_pairings(ds, batch, np.zeros((batch_size, 2)))
-        xt_rows.append(xt)
-        y_rows.append(y)
+        xt_rows.append(ds.xs[batch.ac_source_idx])
+        y_rows.append(ds.ys[batch.idx])
     return np.concatenate(xt_rows), np.concatenate(y_rows)
 
 

@@ -264,8 +264,7 @@ def test_one_discriminator_forward_per_d_update(monkeypatch):
     ds = small_dataset()
     gen, disc = small_nets()
     config = small_config(1, formulation="classic")
-    state = TrainState.fresh(gen, disc, config)
-    tr._step(gen, disc, ds, config, state.rng, state.adam_d, 1, state.adam_g)
+    tr._step(gen, disc, ds, config, TrainState.fresh(gen, disc, config))
     assert calls == [gen.spec, disc.spec, disc.spec]  # generator, D update, G update
 
 
@@ -301,9 +300,9 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
         captured[id(params)] = grads  # keep the parameters fixed
 
     monkeypatch.setattr(tr, "adam_step", no_update)
-    adam = AdamState.for_params(disc.params)
-    tr._step(gen, disc, ds, config, np.random.default_rng(3), adam, 1,
-             AdamState.for_params(gen.params))
+    tr._step(gen, disc, ds, config, TrainState(adam_g=AdamState.for_params(gen.params),
+                                               adam_d=AdamState.for_params(disc.params),
+                                               rng=np.random.default_rng(3)))
 
     def g_total():
         rng = np.random.default_rng(3)  # the step's batch and noise
@@ -360,10 +359,10 @@ def test_phase_divergence_carries_the_rows_before_it(monkeypatch):
     real_step = tr._step
     k = 5
 
-    def diverging_step(gen_, disc_, ds_, config, rng, adam_d, step, adam_g=None):
-        if step == k:
+    def diverging_step(gen_, disc_, ds_, config, state):
+        if state.step + 1 == k:
             disc_.params[-1][:] = np.nan
-        return real_step(gen_, disc_, ds_, config, rng, adam_d, step, adam_g)
+        return real_step(gen_, disc_, ds_, config, state)
 
     monkeypatch.setattr(tr, "_step", diverging_step)
     with pytest.raises(TrainingDiverged, match=f"at step {k}") as exc:

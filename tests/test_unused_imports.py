@@ -1,5 +1,6 @@
 """Each `cganlab` module reads every name it imports, the package reads
-every private name it defines, and only `nets` runs a network.
+every private name it defines, only `nets` runs a network, only
+`pairing` draws a pair batch, and each random stream has its own key.
 
 A stdlib stand-in for a linter's unused-import rule: each module except
 the package `__init__` (which imports to re-export) is parsed with `ast`,
@@ -10,6 +11,11 @@ package reads fails: a helper that only tests call is dead code. And a
 module other than `nets` that reads `mlp_forward`, or draws generator
 noise (a `standard_normal` call whose arguments name `noise_dim`), fails:
 `nets.gen_forward` and `nets.disc_forward` are the one forward path.
+A module other than `pairing` that reads `sample_pair_batch` fails too:
+`pairing.draw_pairings` is the one pair-batch path. Last, a stream seeded
+``default_rng([seed, KEY])`` must name `KEY` by a module-level constant,
+and no two such constants may hold one value, nor any the value 0: the
+stream ``[seed, 0]`` is the stream ``seed`` itself.
 """
 
 import ast
@@ -92,6 +98,12 @@ def test_package_reads_every_private_name():
     assert unread_private_names(sources) == []
 
 
+def _name(node):
+    """The name a Name or Attribute node spells, else None."""
+    return node.id if isinstance(node, ast.Name) \
+        else node.attr if isinstance(node, ast.Attribute) else None
+
+
 def forward_path_bypasses(source: str) -> list[str]:
     """Each read of `mlp_forward` and each noise draw of `source`, as `line N: what`.
 
@@ -100,14 +112,10 @@ def forward_path_bypasses(source: str) -> list[str]:
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name == "mlp_forward" and isinstance(node.ctx, ast.Load):
+        if _name(node) == "mlp_forward" and isinstance(node.ctx, ast.Load):
             found.append((node.lineno, "reads mlp_forward"))
-        elif isinstance(node, ast.Call) and getattr(
-                node.func, "attr", getattr(node.func, "id", None)) == "standard_normal":
-            names = {getattr(n, "id", getattr(n, "attr", None))
-                     for arg in [*node.args, *(k.value for k in node.keywords)]
+        elif isinstance(node, ast.Call) and _name(node.func) == "standard_normal":
+            names = {_name(n) for arg in [*node.args, *(k.value for k in node.keywords)]
                      for n in ast.walk(arg)}
             if "noise_dim" in names:
                 found.append((node.lineno, "draws noise"))
@@ -128,3 +136,77 @@ def test_forward_path_checker_finds_bypasses():
                          ids=lambda p: p.name)
 def test_only_nets_runs_a_network(path):
     assert forward_path_bypasses(path.read_text()) == []
+
+
+def pair_path_bypasses(source: str) -> list[str]:
+    """Each read of `sample_pair_batch` in `source`, as `line N`."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if _name(node) == "sample_pair_batch" and isinstance(node.ctx, ast.Load))]
+
+
+def test_pair_path_checker_finds_bypasses():
+    source = ("from .pairing import sample_pair_batch\n"
+              "batch = sample_pair_batch(ds, 8, rng, mode)\ndraw = pairing.sample_pair_batch\n"
+              "pairs = draw_pairings(ds, gen, 8, rng, mode)\n")
+    assert pair_path_bypasses(source) == ["line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE_FILES if p.name != "pairing.py"],
+                         ids=lambda p: p.name)
+def test_only_pairing_draws_a_pair_batch(path):
+    assert pair_path_bypasses(path.read_text()) == []
+
+
+def stream_key_problems(sources: dict[str, str]) -> list[str]:
+    """What breaks the stream-key rule in `sources`, which maps module names to source.
+
+    A keyed stream is a `default_rng` call seeded by a list or tuple
+    display; every element after the first is a key. A key must be a name
+    bound at the module level of its own module to a literal, the values of
+    the named constants must differ across `sources`, and none may be 0.
+    """
+    problems, values = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        constants = {t.id: node.value.value for node in tree.body
+                     if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                     for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "default_rng"):
+                continue
+            seed = [*node.args, *(k.value for k in node.keywords if k.arg == "seed"), None][0]
+            for key in seed.elts[1:] if isinstance(seed, (ast.List, ast.Tuple)) else []:
+                if isinstance(key, ast.Name) and key.id in constants:
+                    values[f"{module}.{key.id}"] = constants[key.id]
+                else:
+                    problems.append(f"{module} line {key.lineno}: key {ast.unparse(key)} "
+                                    f"is not a module-level constant")
+    names_of = {}
+    for name, value in sorted(values.items()):
+        names_of.setdefault(value, []).append(name)
+        if value == 0:
+            problems.append(f"{name} is 0: the stream [seed, 0] is the stream seed")
+    return problems + [f"{' and '.join(names)} share the value {value!r}"
+                       for value, names in names_of.items() if len(names) > 1]
+
+
+def test_stream_key_checker_finds_unnamed_and_shared_keys():
+    sources = {
+        "a": "_A = 1\n_B = 2\n_Z = 0\nr = np.random.default_rng([s, _A])\n"
+             "r = default_rng(seed=(s, _Z))\nr = default_rng([s, 3])\nr = default_rng(s)\n",
+        "b": "from a import _B\n_C = 1\nr = default_rng([s, _C])\nr = default_rng([s, _B])\n"
+             "r = default_rng([s, _C, k])\nr = default_rng([s, _A])\n",
+    }
+    assert stream_key_problems(sources) == [
+        "a line 6: key 3 is not a module-level constant",
+        "b line 4: key _B is not a module-level constant",
+        "b line 5: key k is not a module-level constant",
+        "b line 6: key _A is not a module-level constant",
+        "a._Z is 0: the stream [seed, 0] is the stream seed",
+        "a._A and b._C share the value 1",
+    ]
+
+
+def test_package_streams_have_distinct_named_keys():
+    assert stream_key_problems({p.stem: p.read_text() for p in PACKAGE_FILES}) == []
