@@ -472,9 +472,7 @@ def cmd_report(run_dir) -> None:
     when the discriminator ignores the condition), compared by group
     median (`acontrario_auroc_real_ac_higher`) and by an exact sign test
     over the seeds that hold exactly one run of each group
-    (`auroc_real_ac_sign_test`: a win is a higher a-contrario AUROC). The
-    `real_ac` rates at the report's threshold are kept beside it, but they
-    saturate at 0 or 1 when the logits sit on one side of the threshold.
+    (`auroc_real_ac_sign_test`: a win is a higher a-contrario AUROC).
     """
     if not os.path.isdir(run_dir):
         raise CliError("missing-file", f"run directory not found: {run_dir}")
@@ -511,9 +509,7 @@ def cmd_report(run_dir) -> None:
     summary = {"runs": runs}
     for group, rows in groups.items():
         summary[group] = {
-            "median_real_ac_true_rate": med(rows, "real_ac_true_rate"),
             "median_oracle_accuracy": med(rows, "oracle_accuracy"),
-            "median_ndb_over_k": med(rows, "ndb_over_k"),
             "median_auroc_real_ac": med(rows, "auroc_real_ac"),
         }
     base, ac = summary["baseline"], summary["acontrario"]
@@ -526,8 +522,6 @@ def cmd_report(run_dir) -> None:
     wins = sum(a > b for b, a in paired)
     losses = sum(a < b for b, a in paired)
     summary["comparison"] = {
-        "acontrario_real_ac_rate_lower":
-            ac["median_real_ac_true_rate"] < base["median_real_ac_true_rate"],
         "acontrario_auroc_real_ac_higher":
             ac["median_auroc_real_ac"] > base["median_auroc_real_ac"],
         "auroc_real_ac_sign_test": {"seeds": len(paired), "wins": wins, "losses": losses,
@@ -537,9 +531,6 @@ def cmd_report(run_dir) -> None:
             None if ac["median_oracle_accuracy"] is None
             or base["median_oracle_accuracy"] is None
             else ac["median_oracle_accuracy"] - base["median_oracle_accuracy"],
-        "ndb_ordering_ok":
-            None if ac["median_ndb_over_k"] is None or base["median_ndb_over_k"] is None
-            else ac["median_ndb_over_k"] <= base["median_ndb_over_k"],
     }
     write_json(summary, os.path.join(run_dir, "summary.json"))
 

@@ -41,13 +41,17 @@ read from the table ``[s, 1.0]`` at the uint8 view of the mask
 ``1.0``; the product is taken in place on the fresh ``g`` of the layer
 above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
 
-Each network keeps its parameters as reshaped views of one contiguous
-float64 vector (`_packed`), in the order W0, b0, W1, b1, ...; the Adam
-moments and the gradient buffer of `trainer.AdamState` are laid out the
-same way, so the optimizer updates one whole vector per call.
-`mlp_backward` writes the weight gradients with ``np.matmul(..., out=)``
-and the bias gradients with ``np.sum(..., axis=0, out=)`` into such a
-buffer: the same BLAS call and the same row-by-row sum as without ``out``.
+A network stores one float64 vector, `flat`, and nothing
+else that changes: its `params` are reshaped views of it, in the order
+W0, b0, W1, b1, ..., built once when the network is made (`_unpack`).
+A copy or an unpickled network is made through its constructor, so it
+builds its views from its own vector. `_pack` is the only way a list of
+arrays becomes such a vector. The Adam moments and the gradient buffer
+of `trainer.AdamState` are vectors laid out the same way, so the
+optimizer updates one whole vector per call. `mlp_backward` writes the
+weight gradients with ``np.matmul(..., out=)`` and the bias gradients
+with ``np.sum(..., axis=0, out=)`` into views of such a buffer: the same
+BLAS call and the same row-by-row sum as without ``out``.
 
 Checkpoints store each array as its shape and the base64 of its
 little-endian float64 bytes (`params_to_jsonable`).
@@ -58,7 +62,7 @@ from __future__ import annotations
 import base64
 import binascii
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,90 +128,95 @@ def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
     return params
 
 
-def _packed(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Copies of `arrays` as reshaped views of one new contiguous float64 vector."""
-    flat = np.concatenate([np.ravel(a) for a in arrays] + [np.empty(0)])
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + np.size(a)].reshape(np.shape(a)))
-        start += np.size(a)
-    return views
-
-
-def _check_shapes(arrays: list[np.ndarray], shapes: list[tuple[int, ...]], what: str) -> None:
-    """Raise ValueError unless `arrays` holds one array of each of `shapes`, in order."""
+def _pack(arrays: list[np.ndarray], spec: MlpSpec, what: str) -> np.ndarray:
+    """`arrays`, one of each of `spec.param_shapes()` in order, copied into one new
+    float64 vector; raises ValueError, naming a misfit as `what`[i], when they do not fit."""
+    shapes = spec.param_shapes()
     if len(arrays) != len(shapes):
         raise ValueError(f"{what}: {len(arrays)} arrays, expected {len(shapes)}")
     for i, (a, shape) in enumerate(zip(arrays, shapes)):
         if np.shape(a) != shape:
             raise ValueError(f"{what}[{i}] has shape {list(np.shape(a))}, "
                              f"expected {list(shape)}")
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
 
 
-def _flat(arrays: list[np.ndarray]) -> np.ndarray:
-    """The vector that `arrays` are packed views of, as `_packed` lays them out.
+def _unpack(flat: np.ndarray, spec: MlpSpec) -> list[np.ndarray]:
+    """Views of `flat` shaped as `spec.param_shapes()`, in order.
 
-    Raises ValueError unless the arrays are C-contiguous views of one 1-D
-    float64 vector whose sizes add up to its length. The check compares
-    bases and sizes, not addresses (an address costs more than the whole
-    check), so it trusts that the views are in `_packed`'s order.
+    Raises ValueError unless `flat` is a float64 vector of exactly as many
+    elements as the shapes hold.
     """
-    flat = arrays[0].base if arrays else None
-    if (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
-            and all(a.base is flat and a.flags.c_contiguous for a in arrays)
-            and sum(a.size for a in arrays) == flat.size):
-        return flat
-    raise ValueError("arrays are not packed views of one float64 vector")
+    shapes = spec.param_shapes()
+    sizes = [math.prod(s) for s in shapes]
+    n = sum(sizes)
+    if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (n,)):
+        got = f"{flat.dtype} {list(flat.shape)}" if isinstance(flat, np.ndarray) \
+            else type(flat).__name__
+        raise ValueError(f"parameters must be a float64 vector of {n} elements, got {got}")
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Maps condition x (optionally with noise z) to a generated y.
 
-    `params` must hold one array of each of `spec.param_shapes()`, in
-    order, and `noise_dim` must be a non-negative int (not a float or a
-    bool); anything else raises ValueError.
+    `flat` holds the parameters as one float64 vector of the spec's
+    parameter count, and `params` its views (module docstring); the
+    network changes only through writes into them. `noise_dim` must be a
+    non-negative int (not a float or a bool). Anything else raises
+    ValueError.
     """
 
     spec: MlpSpec
-    params: list[np.ndarray]
+    flat: np.ndarray
     noise_dim: int = 0
+    params: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.noise_dim, bool) or not isinstance(self.noise_dim, int) \
                 or self.noise_dim < 0:
             raise ValueError(f"noise_dim must be a non-negative int, got {self.noise_dim!r}")
-        _check_shapes(self.params, self.spec.param_shapes(), "generator params")
-        self.params = _packed(self.params)
+        object.__setattr__(self, "params", _unpack(self.flat, self.spec))
+
+    def __reduce__(self):
+        return type(self), (self.spec, self.flat, self.noise_dim)
 
     @classmethod
     def build(cls, dim_x, dim_y, hidden=(128, 128), noise_dim=0,
               output_activation="identity", seed=0) -> "Generator":
         spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y),
                        output_activation=output_activation)
-        return cls(spec, init_params(spec, seed), noise_dim)
+        return cls(spec, _pack(init_params(spec, seed), spec, "generator params"), noise_dim)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Discriminator:
     """Early-fusion discriminator; final width must be 1 (scalar logit).
 
-    `params` must fit `spec.param_shapes()`, as the generator's do.
+    `flat` and `params` are laid out as the generator's are.
     """
 
     spec: MlpSpec
-    params: list[np.ndarray]
+    flat: np.ndarray
+    params: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.spec.widths[-1] != 1:
             raise ValueError(f"discriminator output width must be 1, got {self.spec.widths[-1]}")
-        _check_shapes(self.params, self.spec.param_shapes(), "discriminator params")
-        self.params = _packed(self.params)
+        object.__setattr__(self, "params", _unpack(self.flat, self.spec))
+
+    def __reduce__(self):
+        return type(self), (self.spec, self.flat)
 
     @classmethod
     def build(cls, dim_x, dim_y, hidden=(128, 128), seed=0) -> "Discriminator":
         spec = MlpSpec((dim_x + dim_y, *hidden, 1))
-        return cls(spec, init_params(spec, seed))
+        return cls(spec, _pack(init_params(spec, seed), spec, "discriminator params"))
 
 
 def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
@@ -255,11 +264,11 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
     """Gradients of a loss from its gradient `g_out` w.r.t. the MLP output.
 
     Writes the parameter gradients into `grads_out`, arrays shaped like
-    `params` (such as `trainer.AdamState.grads`), or computes none when it
-    is None. Returns (`grads_out`, gradient w.r.t. the input rows); the
-    second is None, and not computed, when `input_grad` is false. A hidden
-    unit passes the gradient where its output is positive and scales it by
-    the slope elsewhere.
+    `params` (such as the views of a `trainer.AdamState.grads` vector), or
+    computes none when it is None. Returns (`grads_out`, gradient w.r.t.
+    the input rows); the second is None, and not computed, when
+    `input_grad` is false. A hidden unit passes the gradient where its
+    output is positive and scales it by the slope elsewhere.
     """
     out = cache[-1]
     g = g_out

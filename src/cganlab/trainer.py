@@ -17,11 +17,12 @@ buffer, one `adam_step`, and the mean |grad| for the metrics row. The
 optimal-discriminator phase runs the same loop, `train`, with the
 generator frozen, verified by checksum.
 
-Each network's parameters are views of one flat vector (`nets._packed`),
-and its `AdamState` packs the moments `m`, `v` and a gradient buffer
-`grads` the same way. The backward pass writes its parameter gradients
-into `grads`, and `adam_step` updates the whole vectors with 14 in-place
-ufunc calls over two scratch vectors of the state. Each of them computes
+Each network stores its parameters as one vector, `flat`, and its
+`AdamState` holds the moments `m`, `v` and a gradient buffer `grads` as
+vectors of the same layout. The backward pass writes its parameter
+gradients into views of `grads` (`nets._unpack`), and `adam_step`
+updates the whole vectors with 14 in-place ufunc calls over two scratch
+vectors of the state. Each of them computes
 one product, quotient, sum or square root of the per-array formula
 ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
 p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` with the same operands, so every
@@ -42,9 +43,8 @@ from .nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _check_shapes,
-    _flat,
-    _packed,
+    _pack,
+    _unpack,
     disc_forward,
     mlp_backward,
     params_from_jsonable,
@@ -106,46 +106,39 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam moments of one network, packed like its parameters.
+    """Adam moments of one network: vectors laid out as its `flat`.
 
-    `grads` (packed the same way) is where the backward pass writes the
-    network's gradients, and `scratch` holds the two vectors `adam_step`
-    computes in; neither is saved in a checkpoint.
+    `grads`, a vector of the same length, is where the backward pass
+    writes the network's gradients, and `scratch` holds the two vectors
+    `adam_step` computes in; neither is saved in a checkpoint.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    grads: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    grads: np.ndarray = field(init=False, repr=False, compare=False)
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.m, self.v = _packed(self.m), _packed(self.v)
-        self.grads = _packed([np.zeros_like(m) for m in self.m])
-        n = _flat(self.m).size
-        self.scratch = (np.empty(n), np.empty(n))
+        self.grads = np.zeros_like(self.m)
+        self.scratch = (np.empty(self.m.size), np.empty(self.m.size))
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_net(cls, net: Generator | Discriminator) -> "AdamState":
+        return cls(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState,
               lr: float, beta1: float, beta2: float, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update, in place, over whole packed vectors.
+    """Bias-corrected Adam update of the parameter vector `p`, in place.
 
-    `params`, `grads`, `state.m` and `state.v` must each be packed views
-    of one vector (`nets._packed`); any other list raises ValueError.
+    `p`, the gradient `g`, `state.m` and `state.v` are vectors of one
+    shape; anything else raises ValueError before any of them changes.
     """
-    if len(params) != len(grads):
-        raise ValueError(f"{len(params)} params but {len(grads)} grads")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-    p, g, m, v = _flat(params), _flat(grads), _flat(state.m), _flat(state.v)
-    if not p.size == m.size == v.size:
-        raise ValueError(f"{p.size} parameters but Adam moments of {m.size} and {v.size}")
+    m, v = state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ValueError(f"parameters {p.shape}, gradients {g.shape} and Adam moments "
+                         f"{m.shape}, {v.shape} differ in shape")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
@@ -175,8 +168,7 @@ class TrainState:
 
     @classmethod
     def fresh(cls, gen: Generator, disc: Discriminator, config: TrainConfig) -> "TrainState":
-        return cls(adam_g=AdamState.for_params(gen.params),
-                   adam_d=AdamState.for_params(disc.params),
+        return cls(adam_g=AdamState.for_net(gen), adam_d=AdamState.for_net(disc),
                    rng=np.random.default_rng(config.seed))
 
 
@@ -200,11 +192,11 @@ def params_checksum(params: list[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _mean_abs_grad(state: AdamState) -> float:
-    """Mean |g| over `state.grads`, summed array by array as `np.abs(g).sum()` sums."""
-    a = np.abs(_flat(state.grads), out=state.scratch[0])
+def _mean_abs_grad(state: AdamState, grads: list[np.ndarray]) -> float:
+    """Mean |g| over `state.grads`, summed view by view of `grads` as `np.abs(g).sum()` sums."""
+    a = np.abs(state.grads, out=state.scratch[0])
     total, start = 0.0, 0
-    for g in state.grads:
+    for g in grads:
         total += float(a[start:start + g.size].sum())
         start += g.size
     return total / start
@@ -219,9 +211,10 @@ def _check_finite(values: dict, step: int) -> None:
 def _update(net, cache, g, adam: AdamState, config: TrainConfig) -> float:
     """Backpropagate `g` through `net`'s cache into `adam.grads` and take one
     Adam step of `net`; returns the mean |grad|."""
-    mlp_backward(net.spec, net.params, cache, g, grads_out=adam.grads, input_grad=False)
-    adam_step(net.params, adam.grads, adam, config.lr, config.beta1, config.beta2)
-    return _mean_abs_grad(adam)
+    grads = _unpack(adam.grads, net.spec)
+    mlp_backward(net.spec, net.params, cache, g, grads_out=grads, input_grad=False)
+    adam_step(net.flat, adam.grads, adam, config.lr, config.beta1, config.beta2)
+    return _mean_abs_grad(adam, grads)
 
 
 def _step(gen, disc, ds, config, state: TrainState) -> dict:
@@ -301,7 +294,7 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
     and returns the log. Any mutation of the generator fails hard.
     """
     before = params_checksum(gen.params)
-    state = TrainState(adam_g=None, adam_d=AdamState.for_params(disc.params),
+    state = TrainState(adam_g=None, adam_d=AdamState.for_net(disc),
                        rng=np.random.default_rng([config.seed, _PHASE_STREAM]))
     log, _ = train(gen, disc, dataset, replace(config, epochs=epochs), state)
     if params_checksum(gen.params) != before:
@@ -311,12 +304,15 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
 
 # -- checkpointing -------------------------------------------------------
 
-def _adam_to_jsonable(state: AdamState) -> dict:
-    return {"t": state.t, "m": params_to_jsonable(state.m), "v": params_to_jsonable(state.v)}
+def _adam_to_jsonable(state: AdamState, spec: MlpSpec) -> dict:
+    return {"t": state.t, "m": params_to_jsonable(_unpack(state.m, spec)),
+            "v": params_to_jsonable(_unpack(state.v, spec))}
 
 
-def _adam_from_jsonable(d: dict) -> AdamState:
-    return AdamState(m=params_from_jsonable(d["m"]), v=params_from_jsonable(d["v"]), t=d["t"])
+def _adam_from_jsonable(d: dict, spec: MlpSpec, name: str) -> AdamState:
+    """The moments packed with the network's `spec`; a misfit raises ValueError as `name.m[i]`."""
+    m, v = (_pack(params_from_jsonable(d[key]), spec, f"{name}.{key}") for key in ("m", "v"))
+    return AdamState(m, v, t=d["t"])
 
 
 def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
@@ -349,8 +345,8 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
             "spec": disc.spec.to_dict(),
             "params": params_to_jsonable(disc.params),
         },
-        "adam_g": None if state.adam_g is None else _adam_to_jsonable(state.adam_g),
-        "adam_d": _adam_to_jsonable(state.adam_d),
+        "adam_g": None if state.adam_g is None else _adam_to_jsonable(state.adam_g, gen.spec),
+        "adam_d": _adam_to_jsonable(state.adam_d, disc.spec),
         "rng_state": state.rng.bit_generator.state,
     }
     with _atomic_open(path) as fh:
@@ -389,25 +385,19 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
 
 def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainState, dict]:
-    gen = Generator(
-        spec=MlpSpec.from_dict(doc["generator"]["spec"]),
-        params=params_from_jsonable(doc["generator"]["params"]),
-        noise_dim=doc["generator"]["noise_dim"],
-    )
-    disc = Discriminator(
-        spec=MlpSpec.from_dict(doc["discriminator"]["spec"]),
-        params=params_from_jsonable(doc["discriminator"]["params"]),
-    )
+    g_spec = MlpSpec.from_dict(doc["generator"]["spec"])
+    d_spec = MlpSpec.from_dict(doc["discriminator"]["spec"])
+    gen = Generator(g_spec, _pack(params_from_jsonable(doc["generator"]["params"]), g_spec,
+                                  "generator params"), doc["generator"]["noise_dim"])
+    disc = Discriminator(d_spec, _pack(params_from_jsonable(doc["discriminator"]["params"]),
+                                       d_spec, "discriminator params"))
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     state = TrainState(
-        adam_g=None if doc["adam_g"] is None else _adam_from_jsonable(doc["adam_g"]),
-        adam_d=_adam_from_jsonable(doc["adam_d"]),
+        adam_g=None if doc["adam_g"] is None
+        else _adam_from_jsonable(doc["adam_g"], g_spec, "adam_g"),
+        adam_d=_adam_from_jsonable(doc["adam_d"], d_spec, "adam_d"),
         rng=rng,
         step=doc["step"],
     )
-    for name, adam, net in (("adam_g", state.adam_g, gen), ("adam_d", state.adam_d, disc)):
-        if adam is not None:
-            for key in ("m", "v"):
-                _check_shapes(getattr(adam, key), [p.shape for p in net.params], f"{name}.{key}")
     return gen, disc, state, {"seed": doc["seed"], "step": doc["step"], "task": doc["task"]}

@@ -20,6 +20,7 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
+    _pack,
     disc_forward,
     gen_forward,
     init_params,
@@ -278,7 +279,7 @@ def test_unary_op_gradients_match_finite_differences(name, data):
 def test_matmul_and_concat_gradients_match_finite_differences(data, n, k, m):
     # D's input gradient, split at dim_x, against differences in x and in y apart
     spec, params, _, _ = data.draw(_mlp_cases("identity", 0.2, widths=(k + m, 3, 1)))
-    disc = Discriminator(spec, params)
+    disc = Discriminator(spec, _pack(params, spec, "discriminator params"))
     x = data.draw(hnp.arrays(np.float64, (n, k), elements=_away_from_zero))
     y = data.draw(hnp.arrays(np.float64, (n, m), elements=_away_from_zero))
     w = data.draw(hnp.arrays(np.float64, (n, 1), elements=st.floats(0.5, 1.5)))

@@ -23,7 +23,7 @@ from cganlab.evalcond import (
     oracle_accuracy,
     write_histogram_csv,
 )
-from cganlab.nets import Discriminator, Generator, MlpSpec, init_params
+from cganlab.nets import Discriminator, Generator, MlpSpec, _pack, init_params
 from cganlab.pairing import _row_keys
 from cganlab.tasks import CondRegressionTask, GaussModesTask, sample_dataset
 from cganlab.trainer import TrainConfig
@@ -44,14 +44,14 @@ def centroid_generator(task):
     params = [np.zeros_like(p) for p in init_params(spec, 0)]
     params[0][:] = 2.0 * np.eye(task.n_modes)
     params[2][:] = task.centers() / 2.0
-    return Generator(spec, params)
+    return Generator(spec, _pack(params, spec, "generator params"))
 
 
 # -- collect_logits ------------------------------------------------------
 
 def test_zero_discriminator_gives_all_zero_logits():
     task, ds, gen, disc = setup_eval()
-    disc.params = [np.zeros_like(p) for p in disc.params]
+    disc.flat[:] = 0.0
     logits = collect_logits(disc, gen, ds, 100, seed=0)
     for name in PAIRINGS:
         np.testing.assert_array_equal(logits[name], np.zeros(100))
@@ -218,7 +218,7 @@ def test_condition_blind_generator_scores_chance():
     spec = MlpSpec((task.n_modes, task.n_modes, 2))
     params = [np.zeros_like(p) for p in init_params(spec, 0)]
     params[-1][:] = task.centers()[0]  # constant output at centroid 0
-    gen = Generator(spec, params)
+    gen = Generator(spec, _pack(params, spec, "generator params"))
     assert oracle_accuracy(gen, task, 50, seed=0) == 1.0 / task.n_modes
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,9 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _flat,
     _leaky_relu_inplace,
-    _packed,
+    _pack,
+    _unpack,
     disc_forward,
     gen_forward,
     init_params,
@@ -94,12 +95,14 @@ def test_generator_refuses_a_noise_dim_that_is_not_a_non_negative_int(noise_dim)
     # a checkpoint stores noise_dim as a JSON int, which a numpy integer is not
     spec = MlpSpec((5, 8, 2))
     with pytest.raises(ValueError, match="noise_dim must be a non-negative int"):
-        Generator(spec, init_params(spec, 0), noise_dim)
+        Generator(spec, _pack(init_params(spec, 0), spec, "generator params"), noise_dim)
 
 
 def test_zero_generator_identity_output_is_zero():
     gen = Generator.build(3, 2, hidden=(8,), seed=0)
-    gen.params = [np.zeros_like(p) for p in gen.params]
+    gen.flat[:] = 0.0  # a network changes only through writes into its vector
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.params = [np.zeros_like(p) for p in gen.params]
     out, _ = gen_forward(gen, np.ones((5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
@@ -154,7 +157,7 @@ def test_gen_forward_is_mlp_forward_on_x_and_its_own_noise(noise_dim, n, seed):
 
 def test_zero_discriminator_logit_zero_prob_half():
     disc = Discriminator.build(3, 2, hidden=(8,), seed=0)
-    disc.params = [np.zeros_like(p) for p in disc.params]
+    disc.flat[:] = 0.0
     x, y = np.ones((4, 3)), np.ones((4, 2))
     logit, _ = disc_forward(disc, x, y)
     np.testing.assert_array_equal(logit, np.zeros((4, 1)))
@@ -174,8 +177,9 @@ def test_batch_permutation_equivariance():
 
 
 def test_discriminator_output_width_enforced():
-    with pytest.raises(ValueError):
-        Discriminator(MlpSpec((5, 8, 2)), init_params(MlpSpec((5, 8, 2)), 0))
+    spec = MlpSpec((5, 8, 2))
+    with pytest.raises(ValueError, match="output width must be 1"):
+        Discriminator(spec, _pack(init_params(spec, 0), spec, "discriminator params"))
 
 
 @pytest.mark.parametrize("net", [Generator, Discriminator])
@@ -185,9 +189,16 @@ def test_discriminator_output_width_enforced():
     (lambda ps: [ps[0].T, *ps[1:]], r"params\[0\] has shape \[8, 3\], expected \[3, 8\]"),
 ], ids=["count", "bias", "transposed_weight"])
 def test_params_that_do_not_fit_the_spec_refused(net, damage, message):
+    # a list becomes a vector only through _pack, which names the misfit;
+    # a network takes a vector of exactly the spec's parameter count
     spec = MlpSpec((3, 8, 4, 1))
     with pytest.raises(ValueError, match=message):
-        net(spec, damage(init_params(spec, 0)))
+        _pack(damage(init_params(spec, 0)), spec, "params")
+    flat = _pack(init_params(spec, 0), spec, "params")
+    for bad, got in [(flat[:-1], r"float64 \[72\]"), (flat.astype(np.float32), r"float32 \[73\]"),
+                     (flat.reshape(1, -1), r"float64 \[1, 73\]"), (list(flat), "list")]:
+        with pytest.raises(ValueError, match=f"vector of 73 elements, got {got}"):
+            net(spec, bad)
 
 
 def test_disc_forward_batch_mismatch():
@@ -317,12 +328,13 @@ def _assert_mlp_matches_where(slope, activation, data):
     for c, r in zip(cache, ref_cache, strict=True):
         assert_same_bits(c, r)
 
-    # written into a packed buffer, as the trainer's AdamState.grads
-    grads_out = _packed(fresh_grads(params))
+    # written into views of one vector, as the trainer's AdamState.grads
+    flat = np.full(sum(p.size for p in params), np.nan)
+    grads_out = _unpack(flat, spec)
     grads, g_in = mlp_backward(spec, params, cache, g_out, grads_out=grads_out)
     ref_grads, ref_g_in = _where_backward(spec, params, ref_cache, g_out)
     assert grads is grads_out
-    _flat(grads)  # every entry is still a view of the one vector
+    assert flat.tobytes() == np.concatenate([r.ravel() for r in ref_grads]).tobytes()
     for g, r in zip(grads, ref_grads, strict=True):
         assert_same_bits(g, r)
     assert_same_bits(g_in, ref_g_in)

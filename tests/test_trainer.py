@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -15,8 +17,8 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _flat,
-    _packed,
+    _pack,
+    _unpack,
     disc_forward,
     gen_forward,
     init_params,
@@ -62,32 +64,33 @@ def small_config(epochs, formulation="acontrario", seed=0, **kw):
 
 # -- adam ----------------------------------------------------------------
 
+def fresh_adam(n):
+    return AdamState(np.zeros(n), np.zeros(n))
+
+
 def test_adam_zero_gradient_is_fixed_point():
-    params = _packed([np.array([1.0, -2.0]), np.ones((2, 2))])
-    before = [p.copy() for p in params]
-    state = AdamState.for_params(params)
-    adam_step(params, _packed([np.zeros_like(p) for p in params]), state, 0.1, 0.5, 0.999)
-    for p, b in zip(params, before):
-        assert p.tobytes() == b.tobytes()
+    params = np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0])
+    before = params.copy()
+    adam_step(params, np.zeros(6), fresh_adam(6), 0.1, 0.5, 0.999)
+    assert params.tobytes() == before.tobytes()
 
 
 def test_adam_first_step_is_signed_lr():
     # first bias-corrected step reduces to -lr * sign(g), up to the epsilon
-    params = _packed([np.array([0.0, 0.0, 0.0])])
+    params = np.zeros(3)
     g = np.array([3.0, -0.2, 1e-3])
-    state = AdamState.for_params(params)
-    adam_step(params, _packed([g]), state, lr=0.01, beta1=0.5, beta2=0.999)
-    np.testing.assert_allclose(params[0], -0.01 * np.sign(g), rtol=1e-4)
+    adam_step(params, g, fresh_adam(3), lr=0.01, beta1=0.5, beta2=0.999)
+    np.testing.assert_allclose(params, -0.01 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_trajectory_deterministic():
     def run():
-        params = _packed([np.full(3, 0.5)])
-        state = AdamState.for_params(params)
+        params = np.full(3, 0.5)
+        state = fresh_adam(3)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            adam_step(params, _packed([rng.standard_normal(3)]), state, 1e-3, 0.9, 0.999)
-        return params[0].copy()
+            adam_step(params, rng.standard_normal(3), state, 1e-3, 0.9, 0.999)
+        return params
 
     assert run().tobytes() == run().tobytes()
 
@@ -112,80 +115,67 @@ _adam_values = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308])
        lr=st.sampled_from([2e-4, 1e-3, 0.1, 1.0]), beta1=st.sampled_from([0.0, 0.5, 0.9]),
        beta2=st.sampled_from([0.0, 0.9, 0.999]), t0=st.integers(0, 20) | st.just(10**6))
 def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, lr, beta1, beta2, t0):
-    shapes = data.draw(st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
-                                min_size=1, max_size=4))
+    spec = MlpSpec(tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))))
 
     def draw_arrays(elements=_adam_values):
-        return [data.draw(hnp.arrays(np.float64, s, elements=elements)) for s in shapes]
+        return [data.draw(hnp.arrays(np.float64, s, elements=elements))
+                for s in spec.param_shapes()]
+
+    def pack(arrays):
+        return _pack(arrays, spec, "arrays")
 
     params = draw_arrays()
     m = draw_arrays()
     v = draw_arrays(st.floats(0.0, 1e200, allow_subnormal=True))
     ref = [[a.copy() for a in arrays] for arrays in (params, m, v)]
-    packed = _packed(params)
-    state = AdamState(m, v, t=t0)
+    packed = pack(params)
+    state = AdamState(pack(m), pack(v), t=t0)
     for k in range(steps):
         grads = draw_arrays()
         with np.errstate(all="ignore"):  # squares overflow to inf, inf/inf is NaN
             _reference_adam(*ref, t0 + k + 1, grads, lr, beta1, beta2)
-            adam_step(packed, _packed(grads), state, lr, beta1, beta2)
+            adam_step(packed, pack(grads), state, lr, beta1, beta2)
     assert state.t == t0 + steps
     for got, want in zip((packed, state.m, state.v), ref, strict=True):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+        assert got.tobytes() == pack(want).tobytes()
 
 
-def _assert_packed(arrays, like):
-    flat = _flat(arrays)
-    assert flat.size == sum(a.size for a in like)
-    for a, b in zip(arrays, like, strict=True):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert not np.shares_memory(a, b)  # a copy, not the caller's array
+def _assert_views_of_flat(net):
+    views = _unpack(net.flat, net.spec)
+    for p, view in zip(net.params, views, strict=True):
+        assert p.shape == view.shape and p.ctypes.data == view.ctypes.data
+        assert np.shares_memory(p, net.flat)
 
 
 def test_networks_and_adam_state_are_packed_however_built(tmp_path):
-    d_spec, g_spec = MlpSpec((3, 5, 4, 1)), MlpSpec((3, 5, 4, 2))
+    d_spec = MlpSpec((3, 5, 4, 1))
     raw = init_params(d_spec, 1)
-    direct = Discriminator(d_spec, raw)
-    _assert_packed(direct.params, raw)
-    moments = AdamState(m=raw, v=[p * p for p in raw], t=3)
-    _assert_packed(moments.m, raw)
+    direct = Discriminator(d_spec, _pack(raw, d_spec, "discriminator params"))
+    assert not any(np.shares_memory(direct.flat, p) for p in raw)  # a copy
+    assert [p.tobytes() for p in direct.params] == [p.tobytes() for p in raw]
+    moments = AdamState(m=direct.flat.copy(), v=direct.flat ** 2, t=3)
     gen, disc = small_nets(2)
-    fresh = AdamState.for_params(gen.params)
-    path = str(tmp_path / "ck.json")
+    fresh = AdamState.for_net(gen)
+    path = tmp_path / "ck.json"
     # each network saved with moments of its own shapes, as a load requires
     save_checkpoint(gen, direct, TrainState(fresh, moments, np.random.default_rng(0)),
                     small_config(0), path)
     gen_l, disc_l, state_l, _ = load_checkpoint(path)
-    states = (fresh, moments, state_l.adam_g, state_l.adam_d)
-    for arrays in [gen.params, disc.params, Generator(g_spec, init_params(g_spec, 1)).params,
-                   gen_l.params, disc_l.params,
-                   *[getattr(s, k) for s in states for k in ("m", "v", "grads")]]:
-        _flat(arrays)
-    for s in states:
-        assert [g.shape for g in s.grads] == [m.shape for m in s.m]
-        assert all(x.shape == s.grads[0].base.shape for x in s.scratch)
-
-
-@pytest.mark.parametrize("unpacked", ["params", "grads", "m", "v", "sublist", "mixed"])
-def test_adam_refuses_unpacked_lists(unpacked):
-    disc = Discriminator.build(2, 1, hidden=(3,), seed=0)
-    state = AdamState.for_params(disc.params)
-    params, grads = disc.params, _packed([np.ones_like(p) for p in disc.params])
-    bare = [p.copy() for p in params]
-    if unpacked == "params":
-        params = bare
-    elif unpacked == "grads":
-        grads = [g.copy() for g in grads]
-    elif unpacked == "sublist":
-        params, grads = params[:2], grads[:2]
-    elif unpacked == "mixed":
-        params = [params[0], *bare[1:]]
-    else:
-        setattr(state, unpacked, [a.copy() for a in getattr(state, unpacked)])
-    with pytest.raises(ValueError, match="packed"):
-        adam_step(params, grads, state, 1e-3, 0.9, 0.999)
-    assert state.t == 0
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(disc.params, bare))
+    for net in (gen, disc, direct, gen_l, disc_l):
+        _assert_views_of_flat(net)
+    for s, net in ((fresh, gen), (moments, direct), (state_l.adam_g, gen_l),
+                   (state_l.adam_d, disc_l)):
+        assert all(a.shape == net.flat.shape for a in (s.m, s.v, s.grads, *s.scratch))
+    # moments that do not fit their network are still refused by name
+    doc = json.loads(path.read_text())
+    for key, damage, message in [
+            ("m", lambda e: e[:-1], r"adam_d\.m: 5 arrays, expected 6"),
+            ("v", lambda e: [e[1], *e[1:]], r"adam_d\.v\[0\] has shape \[5\], expected \[3, 5\]")]:
+        bad = copy.deepcopy(doc)
+        bad["adam_d"][key] = damage(bad["adam_d"][key])
+        path.write_text(json.dumps(bad))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("shapes", [[(10, 128), (128,), (128, 128), (128,), (128, 1), (1,)],
@@ -193,20 +183,25 @@ def test_adam_refuses_unpacked_lists(unpacked):
 def test_mean_abs_grad_sums_array_by_array(shapes):
     # grad_norm_* goes into metrics.csv, so the flat sum keeps the per-array
     # order; one sum over the whole vector changes the mean at some seeds
-    state = AdamState.for_params([np.zeros(s) for s in shapes])
+    spec = MlpSpec((shapes[0][0], *[s[1] for s in shapes[::2]]))
+    state = fresh_adam(sum(np.prod(s) for s in shapes))
+    grads = _unpack(state.grads, spec)
+    assert [g.shape for g in grads] == shapes
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        for g in state.grads:
+        for g in grads:
             g[...] = rng.standard_normal(g.shape)
-        want = sum(float(np.abs(g).sum()) for g in state.grads) / sum(g.size for g in state.grads)
-        assert tr._mean_abs_grad(state) == want
+        want = sum(float(np.abs(g).sum()) for g in grads) / state.grads.size
+        assert tr._mean_abs_grad(state, grads) == want
 
 
 def test_adam_shape_mismatch():
-    params = [np.zeros(3)]
-    state = AdamState.for_params(params)
-    with pytest.raises(ValueError):
-        adam_step(params, [np.zeros(4)], state, 1e-3, 0.9, 0.999)
+    for params, grads, state in [(np.zeros(3), np.zeros(4), fresh_adam(3)),
+                                 (np.zeros((3, 1)), np.zeros(3), fresh_adam(3)),
+                                 (np.zeros(3), np.zeros(3), AdamState(np.zeros(3), np.zeros(4)))]:
+        with pytest.raises(ValueError, match="differ in shape"):
+            adam_step(params, grads, state, 1e-3, 0.9, 0.999)
+        assert state.t == 0 and not params.any()  # refused before any change
 
 
 # -- train loop ----------------------------------------------------------
@@ -289,10 +284,9 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
     gen = Generator.build(task.dim_x, task.dim_y, hidden=(6, 5), noise_dim=1,
                           output_activation="tanh", seed=11)
     disc = Discriminator.build(task.dim_x, task.dim_y, hidden=(5, 4), seed=12)
-    gen.params = [np.random.default_rng(i).normal(0, 0.7, p.shape)
-                  for i, p in enumerate(gen.params)]
-    disc.params = [np.random.default_rng(50 + i).normal(0, 0.7, p.shape)
-                   for i, p in enumerate(disc.params)]
+    for net, offset in ((gen, 0), (disc, 50)):
+        net.flat[:] = _pack([np.random.default_rng(offset + i).normal(0, 0.7, p.shape)
+                             for i, p in enumerate(net.params)], net.spec, "params")
     config = TrainConfig(epochs=1, batch_size=8, seed=0, loss=loss)
     captured = {}
 
@@ -300,8 +294,8 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
         captured[id(params)] = grads  # keep the parameters fixed
 
     monkeypatch.setattr(tr, "adam_step", no_update)
-    tr._step(gen, disc, ds, config, TrainState(adam_g=AdamState.for_params(gen.params),
-                                               adam_d=AdamState.for_params(disc.params),
+    tr._step(gen, disc, ds, config, TrainState(adam_g=AdamState.for_net(gen),
+                                               adam_d=AdamState.for_net(disc),
                                                rng=np.random.default_rng(3)))
 
     def g_total():
@@ -311,7 +305,7 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
         y_g = gen_forward(gen, x, rng)[0]
         return g_loss(disc_forward(disc, x, y_g)[0], loss, y_g, ds.ys[batch.idx])[0]["g_total"]
 
-    for p, analytic in zip(gen.params, captured[id(gen.params)]):
+    for p, analytic in zip(gen.params, _unpack(captured[id(gen.flat)], gen.spec)):
         np.testing.assert_allclose(analytic, central_differences(g_total, p),
                                    rtol=1e-4, atol=1e-8)
 
@@ -326,7 +320,7 @@ def _separable_setup(n=2000, seed=0):
     spec = MlpSpec((1, 8, 1))
     params = [np.zeros_like(p) for p in init_params(spec, 0)]
     params[-1][:] = -1.0
-    gen = Generator(spec, params)
+    gen = Generator(spec, _pack(params, spec, "generator params"))
     disc = Discriminator.build(1, 1, hidden=(16, 16), seed=3)
     return ds, gen, disc
 
@@ -419,8 +413,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert state2.step == state.step and meta["seed"] == cfg.seed
     assert meta["task"] == task
     assert state2.rng.bit_generator.state == state.rng.bit_generator.state
-    for a, b in zip(state.adam_g.m + state.adam_d.v, state2.adam_g.m + state2.adam_d.v):
-        assert a.tobytes() == b.tobytes()
+    for adam, adam2 in ((state.adam_g, state2.adam_g), (state.adam_d, state2.adam_d)):
+        assert adam.m.tobytes() == adam2.m.tobytes() and adam.v.tobytes() == adam2.v.tobytes()
 
 
 def test_resume_equals_uninterrupted(tmp_path):
@@ -503,17 +497,15 @@ def _train_states(draw):
     gen = Generator.build(dim_x, dim_y, hidden=hidden, noise_dim=draw(st.integers(0, 2)))
     disc = Discriminator.build(dim_x, dim_y, hidden=hidden)
 
-    def arrays_like(params):
-        return [draw(hnp.arrays(np.float64, p.shape, elements=_any_float64)) for p in params]
+    def vector_like(net):
+        return draw(hnp.arrays(np.float64, net.flat.shape, elements=_any_float64))
 
-    gen.params, disc.params = arrays_like(gen.params), arrays_like(disc.params)
+    gen.flat[:], disc.flat[:] = vector_like(gen), vector_like(disc)
     rng = np.random.default_rng(draw(st.integers(0, 2**63)))
     rng.integers(2**32, size=draw(st.integers(0, 3)), dtype=np.uint32)  # half-used 64-bit word
     state = TrainState(
-        adam_g=AdamState(arrays_like(gen.params), arrays_like(gen.params),
-                         t=draw(st.integers(0, 10**9))),
-        adam_d=AdamState(arrays_like(disc.params), arrays_like(disc.params),
-                         t=draw(st.integers(0, 10**9))),
+        adam_g=AdamState(vector_like(gen), vector_like(gen), t=draw(st.integers(0, 10**9))),
+        adam_d=AdamState(vector_like(disc), vector_like(disc), t=draw(st.integers(0, 10**9))),
         rng=rng, step=draw(st.integers(0, 10**9)))
     return gen, disc, state
 
@@ -531,7 +523,7 @@ def test_checkpoint_round_trip_bit_exact_property(nets_and_state, seed):
     pairs = [(gen.params, gen2.params), (disc.params, disc2.params)]
     for before, after in [(state.adam_g, state2.adam_g), (state.adam_d, state2.adam_d)]:
         assert after.t == before.t
-        pairs += [(before.m, after.m), (before.v, after.v)]
+        pairs += [([before.m], [after.m]), ([before.v], [after.v])]
     for before, after in pairs:
         assert len(before) == len(after)
         assert all(_same_bits(a, b) and b.flags.writeable for a, b in zip(before, after))
@@ -563,12 +555,58 @@ def test_resume_equals_uninterrupted_property(k, j, seed, formulation):
 
     assert log_c.rows == log_a.rows[k:]
     assert state_c.step == state_a.step == k + j
-    arrays_a = [*gen_a.params, *disc_a.params, *state_a.adam_g.m, *state_a.adam_g.v,
-                *state_a.adam_d.m, *state_a.adam_d.v]
-    arrays_c = [*gen_c.params, *disc_c.params, *state_c.adam_g.m, *state_c.adam_g.v,
-                *state_c.adam_d.m, *state_c.adam_d.v]
+    arrays_a = [gen_a.flat, disc_a.flat, state_a.adam_g.m, state_a.adam_g.v,
+                state_a.adam_d.m, state_a.adam_d.v]
+    arrays_c = [gen_c.flat, disc_c.flat, state_c.adam_g.m, state_c.adam_g.v,
+                state_c.adam_d.m, state_c.adam_d.v]
     assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays_a, arrays_c, strict=True))
     assert state_c.rng.bit_generator.state == state_a.rng.bit_generator.state
+
+
+def _arrays(gen, disc, state):
+    """Every array the three objects hold, parameter views and Adam buffers too."""
+    adams = [a for a in (state.adam_g, state.adam_d) if a is not None]
+    return [gen.flat, *gen.params, disc.flat, *disc.params,
+            *[x for a in adams for x in (a.m, a.v, a.grads, *a.scratch)]]
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@settings(max_examples=15, deadline=None)
+@given(hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+       noise_dim=st.sampled_from([0, 2]), seed=st.integers(0, 2**16))
+def test_copied_and_unpickled_runs_train_like_the_original(hidden, noise_dim, seed):
+    # networks, Adam states and a trained TrainState, copied one by one or whole
+    task = GaussModesTask()
+    ds = small_dataset(n=64, seed=seed)
+    gen = Generator.build(task.dim_x, task.dim_y, hidden=tuple(hidden), noise_dim=noise_dim,
+                          seed=2 * seed + 1)
+    disc = Discriminator.build(task.dim_x, task.dim_y, hidden=tuple(hidden), seed=2 * seed + 2)
+    config = small_config(1, seed=seed)
+    _, state = train(gen, disc, ds, config)
+    runs = []
+    for copier in (copy.deepcopy, _pickled):
+        runs.append((copier(gen), copier(disc), copier(state)))
+        runs.append((copier(gen), copier(disc),
+                     TrainState(copier(state.adam_g), copier(state.adam_d), copier(state.rng),
+                                state.step)))
+    originals = _arrays(gen, disc, state)
+    for run in runs:
+        assert not any(np.shares_memory(a, b) for a in _arrays(*run) for b in originals)
+    log, _ = train(gen, disc, ds, config, state)
+    for gen_c, disc_c, state_c in runs:
+        log_c, _ = train(gen_c, disc_c, ds, config, state_c)
+        assert log_c.rows == log.rows and state_c.step == state.step
+        for net, net_c in ((gen, gen_c), (disc, disc_c)):
+            assert net_c.flat.tobytes() == net.flat.tobytes()
+            assert all(np.shares_memory(p, net_c.flat) for p in net_c.params)
+        for adam, adam_c in ((state.adam_g, state_c.adam_g), (state.adam_d, state_c.adam_d)):
+            assert adam_c.t == adam.t
+            assert adam_c.m.tobytes() == adam.m.tobytes()
+            assert adam_c.v.tobytes() == adam.v.tobytes()
+        assert state_c.rng.bit_generator.state == state.rng.bit_generator.state
 
 
 def test_intermediate_checkpoints_written(tmp_path):
@@ -585,7 +623,7 @@ def test_frozen_generator_checkpoint_resumes_frozen(tmp_path):
     ds = small_dataset()
 
     def frozen(disc):
-        return TrainState(adam_g=None, adam_d=AdamState.for_params(disc.params),
+        return TrainState(adam_g=None, adam_d=AdamState.for_net(disc),
                           rng=np.random.default_rng(3))
 
     gen_a, disc_a = small_nets()
