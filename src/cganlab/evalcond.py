@@ -23,6 +23,14 @@ because the sigmoid saturates and hides the mode structure. The report
   `d_total` of its log (`phase_metrics.csv`); 0, null and null when
   `phase_epochs` is 0.
 
+Evaluation never backpropagates, so it keeps no activation cache: its
+own network passes call ``gen_forward`` and ``disc_forward`` with
+``cache=False`` (`nets`), which gives the cached pass's bits and, on the
+dataset-sized pass of `generator_ndb`, holds one hidden activation where
+the cached pass holds two. The pairings come from `draw_pairings`, whose
+generator pass is training's cached one; `collect_logits` drops that
+cache at once.
+
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle
 share one nearest-centroid kernel, `tasks._nearest_centroid`. They give
@@ -112,7 +120,7 @@ def collect_logits(disc: Discriminator, gen: Generator, ds: ConditionalDataset,
     # [0] frees the generator's cache before the four discriminator passes (peak memory)
     pairs = draw_pairings(ds, gen, n_eval, np.random.default_rng(seed), ac_mode)[0]
     return {
-        name: disc_forward(disc, px, py)[0].ravel()
+        name: disc_forward(disc, px, py, cache=False)[0].ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)
     }
 
@@ -175,7 +183,7 @@ def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> fl
     for label in range(k):
         x = np.zeros((n_per_label, k))
         x[:, label] = 1.0
-        y = gen_forward(gen, x, rng)[0]
+        y = gen_forward(gen, x, rng, cache=False)[0]
         correct += int(np.sum(oracle_classify(task, y) == label))
     return correct / (k * n_per_label)
 
@@ -276,7 +284,7 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
 def generator_ndb(gen: Generator, ds: ConditionalDataset, ev: EvalConfig,
                   seed: int) -> NdbReport:
     """NDB of the generator's output over the dataset's conditions against the dataset."""
-    y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, _NDB_STREAM]))[0]
+    y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, _NDB_STREAM]), cache=False)[0]
     return ndb_score(ds.ys, y_g, k=ev.ndb_k, alpha=ev.alpha, seed=seed)
 
 

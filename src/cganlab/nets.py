@@ -5,7 +5,10 @@ training and in evaluation alike: they own the input layouts, ``[x | z]``
 for the generator and ``[x | y]`` for the discriminator (condition
 columns first), and `gen_forward` draws the generator's noise ``z`` from
 the caller's random stream. Both return `mlp_forward`'s output and cache,
-so a caller that backpropagates uses the very pass it scored.
+so a caller that backpropagates uses the very pass it scored. A caller
+that never backpropagates, evaluation, passes ``cache=False`` and gets
+the same output bit for bit and None for the cache, from a pass that
+keeps at most one full-size hidden activation (below).
 
 The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
@@ -41,6 +44,31 @@ read from the table ``[s, 1.0]`` at the uint8 view of the mask
 ``1.0``; the product is taken in place on the fresh ``g`` of the layer
 above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
 
+The cache-free pass (`_forward_uncached`) runs an input of at least
+4,096 rows, twice `_ROWS`, through the hidden layers in n // `_ROWS` row
+blocks, of equal size to within a row and so of 2,048 to 3,072 rows, and
+writes only the last hidden layer, with ``np.matmul(..., out=)``, into
+one full-size array: a 16,000-row pass through two 256-wide hidden
+layers holds one 32.8 MB activation and a 2,286-row block (4.7 MB) where
+the cached pass holds two activations. Splitting evenly, rather than
+leaving the remainder to the last block (3,712 rows, 7.6 MB), took
+`modes32-wide-classic`'s eval peak RSS from 124.1 to 121.3 MB. The
+narrow output layer then runs once over all rows, as in `mlp_forward`.
+This rests on how OpenBLAS's dgemm rounds, measured (scipy-openblas
+0.3.31 on a 2-core Xeon VM, 1 and 2 threads) on inputs of 4,096 to
+16,000 rows and 1 to 256 columns, C- or Fortran-ordered, and in blocks
+of 7 to 4,095 rows: a row's bits do not depend on how many rows share
+the product when the output is at least 8 columns wide (5 to 7 held too)
+and the blocks hold at least 7 rows, but they do change for outputs at
+most 4 wide and for 1-row products. So the output layer is never
+blocked, and a network with a hidden layer narrower than
+`_MIN_BLOCKED_WIDTH` = 8, or an input of fewer than 4,096 rows, takes
+`mlp_forward` and drops its cache. Beside the one activation, the
+largest part of the remaining peak is the output layer's all-rows
+product: with 2 BLAS threads it touches about 28 MB of OpenBLAS's pack
+buffer (256 x 13,824 x 8 bytes; a fresh process's RSS rose 31.4 MB
+across one (16000, 256) @ (256, 2) product, and 0.3 MB with 1 thread).
+
 A network stores one float64 vector, `flat`, and nothing
 else that changes: its `params` are reshaped views of it, in the order
 W0, b0, W1, b1, ..., built once when the network is made (`_unpack`).
@@ -73,6 +101,10 @@ WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 # elements per block of the hidden activation: a block and its scratch
 # take 512 KB, which stays in a 2 MB per-core L2 (module docstring)
 _BLOCK = 32_768
+# rows per block of the cache-free pass's hidden layers, and the narrowest
+# hidden layer whose product keeps its bits in such blocks (module docstring)
+_ROWS = 2_048
+_MIN_BLOCKED_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -287,11 +319,40 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
     return grads_out, g if input_grad else None
 
 
-def gen_forward(gen: Generator, x, rng=None) -> tuple[np.ndarray, list[np.ndarray]]:
+def _forward_uncached(spec: MlpSpec, params: list[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """`mlp_forward`'s output on rows `h`, bit for bit, without its cache.
+
+    At least 2 * `_ROWS` rows through hidden layers all at least
+    `_MIN_BLOCKED_WIDTH` wide run the hidden layers in n // `_ROWS` row
+    blocks of equal size to within a row, and only the last hidden layer is
+    written whole; the output layer runs once over all rows (module
+    docstring). Any other input is `mlp_forward`'s pass.
+    """
+    n = h.shape[0]
+    if n < 2 * _ROWS or min(spec.widths[1:-1]) < _MIN_BLOCKED_WIDTH:
+        return mlp_forward(spec, params, h)[0]
+    n_hidden, n_blocks = len(spec.widths) - 2, n // _ROWS
+    last = np.empty((n, spec.widths[-2]))
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        a = h[start:stop]
+        for i in range(n_hidden):
+            a = np.matmul(a, params[2 * i], out=last[start:stop] if i == n_hidden - 1 else None)
+            a += params[2 * i + 1]
+            _leaky_relu_inplace(a, spec.hidden_slope)
+    out = last @ params[-2]
+    out += params[-1]
+    return np.tanh(out) if spec.output_activation == "tanh" else out
+
+
+def gen_forward(gen: Generator, x, rng=None, *,
+                cache: bool = True) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Generator output on rows ``[x | z]``, and its `mlp_forward` cache.
 
     The noise is drawn here, ``z = rng.standard_normal((len(x), noise_dim))``;
-    `rng` is required when noise_dim > 0 and unused at 0.
+    `rng` is required when noise_dim > 0 and unused at 0. With `cache`
+    false the cache is None and the same output comes from the cache-free
+    pass (module docstring), for callers that never backpropagate.
     """
     h = np.asarray(x, dtype=np.float64)
     if gen.noise_dim > 0:
@@ -300,11 +361,17 @@ def gen_forward(gen: Generator, x, rng=None) -> tuple[np.ndarray, list[np.ndarra
         h = np.concatenate([h, rng.standard_normal((len(h), gen.noise_dim))], axis=1)
     if h.shape[1] != gen.spec.widths[0]:
         raise ValueError(f"gen_forward: input dim {h.shape[1]} != spec input {gen.spec.widths[0]}")
+    if not cache:
+        return _forward_uncached(gen.spec, gen.params, h), None
     return mlp_forward(gen.spec, gen.params, h)
 
 
-def disc_forward(disc: Discriminator, x, y) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The raw logit f(x, y) on rows ``[x | y]``, one per sample, and its cache."""
+def disc_forward(disc: Discriminator, x, y, *,
+                 cache: bool = True) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """The raw logit f(x, y) on rows ``[x | y]``, one per sample, and its cache.
+
+    With `cache` false the cache is None, as in `gen_forward`.
+    """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"disc_forward: batch sizes {x.shape[0]} and {y.shape[0]} differ")
@@ -312,6 +379,8 @@ def disc_forward(disc: Discriminator, x, y) -> tuple[np.ndarray, list[np.ndarray
     if h.shape[1] != disc.spec.widths[0]:
         raise ValueError(f"disc_forward: fused dim {h.shape[1]} != spec input "
                          f"{disc.spec.widths[0]}")
+    if not cache:
+        return _forward_uncached(disc.spec, disc.params, h), None
     return mlp_forward(disc.spec, disc.params, h)
 
 

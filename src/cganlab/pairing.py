@@ -66,6 +66,7 @@ class ConditionalDataset:
     labels: np.ndarray | None = None  # integer labels for oracle tasks
     # derived dense keys: equal keys mean equal labels, or equal xs rows if unlabelled
     keys: np.ndarray = field(init=False, repr=False)
+    key_counts: np.ndarray = field(init=False, repr=False)  # np.bincount(keys)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -80,6 +81,7 @@ class ConditionalDataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
         self.keys = _row_keys(self.xs) if self.labels is None \
             else np.unique(self.labels, return_inverse=True)[1]
+        self.key_counts = np.bincount(self.keys)
 
     def __len__(self):
         return self.xs.shape[0]
@@ -157,14 +159,15 @@ def _check_pairable(ds: ConditionalDataset, batch_size: int, ac_mode: str) -> in
     m = B (`within_batch`) or 2B (`outside_batch`): the dataset rows of
     `idx` and `ac_source_idx` together. They admit a key-respecting
     mapping iff no key fills more than m // 2 of them, so some draw does
-    iff sum_k min(count_k, m // 2) >= m over `ds.keys`; one rule for both
-    modes, for labelled and unlabelled data, and for m > len(ds). A batch
-    size below 2 is refused first: at 0 the rule would hold vacuously.
+    iff sum_k min(count_k, m // 2) >= m over `ds.key_counts`; one rule for
+    both modes, for labelled and unlabelled data, and for m > len(ds). A
+    batch size below 2 is refused first: at 0 the rule would hold
+    vacuously.
     """
     if batch_size < 2:
         raise ValueError(f"{ac_mode} pairing needs a batch size of at least 2, got {batch_size}")
     m = batch_size if ac_mode == "within_batch" else 2 * batch_size
-    counts = np.bincount(ds.keys)
+    counts = ds.key_counts
     if np.minimum(counts, m // 2).sum() < m:
         raise ValueError(f"{ac_mode} pairing at batch size {batch_size}: no {m} rows hold "
                          f"each condition key at most {m // 2} times ({counts.size} keys, "

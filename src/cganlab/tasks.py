@@ -178,4 +178,4 @@ def regression_error(task: CondRegressionTask, gen: Generator, n_eval: int,
         raise TypeError("regression_error requires a CondRegressionTask")
     rng = np.random.default_rng([seed, _HELD_OUT_STREAM])
     xs = rng.standard_normal((n_eval, task.dim_x))
-    return regression_metrics(gen_forward(gen, xs, rng)[0], task.clean_map(xs))
+    return regression_metrics(gen_forward(gen, xs, rng, cache=False)[0], task.clean_map(xs))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -417,3 +417,62 @@ def test_gen_forward_peak_memory_two_activations():
         tracemalloc.stop()
     assert peak < 2.5 * activation_bytes
     assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+
+
+def test_cache_free_gen_forward_peak_memory_one_activation_and_a_block():
+    # the same pass without a cache: the last hidden layer is the one
+    # full-size array, the first comes and goes in blocks of 2,048 rows
+    gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
+    x = np.eye(32)[np.arange(8192) % 32]
+    activation_bytes = 8192 * 256 * 8
+    tracemalloc.start()
+    try:
+        out, cache = gen_forward(gen, x, cache=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache is None
+    assert peak < 1.5 * activation_bytes
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+
+
+_R = nets._ROWS
+
+
+@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("slope", SELECT_SLOPES)
+@settings(max_examples=8, deadline=None)
+@example(hidden=[128, 2], rows=2 * _R, noise_dim=2, dim_y=2, fortran=False, seed=0)
+@example(hidden=[128, 1], rows=2 * _R + 1, noise_dim=0, dim_y=5, fortran=False, seed=1)
+@example(hidden=[128], rows=5 * _R + 3, noise_dim=0, dim_y=2, fortran=True, seed=2)
+@given(hidden=st.lists(st.sampled_from([1, 2, 4, 8, 16, 128]), min_size=1, max_size=2),
+       rows=st.sampled_from([2 * _R - 1, 2 * _R, 2 * _R + 1, 5 * _R + 3]),
+       noise_dim=st.sampled_from([0, 2]), dim_y=st.sampled_from([1, 2, 5]),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cache_free_forward_is_the_cached_output_bit_for_bit(
+        slope, activation, hidden, rows, noise_dim, dim_y, fortran, seed):
+    # row-blocked from 2 * _ROWS rows when every hidden layer is at least 8
+    # wide; a product 1 to 4 wide changes its bits with its row count (the
+    # examples do, on OpenBLAS 0.3.31), so those widths take the unblocked pass
+    dim_x = 3
+    make = np.random.default_rng(seed)
+    g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), slope, activation)
+    d_spec = MlpSpec((dim_x + dim_y, *hidden, 1), slope, activation)
+    gen = Generator(g_spec, make.standard_normal(sum(map(np.prod, g_spec.param_shapes()))),
+                    noise_dim)
+    disc = Discriminator(d_spec, make.standard_normal(sum(map(np.prod, d_spec.param_shapes()))))
+    x = make.standard_normal((rows, dim_x))
+    if fortran:
+        x = np.asfortranarray(x)
+    rng, rng_free = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+
+    y, gen_cache = gen_forward(gen, x, rng)
+    y_free, none = gen_forward(gen, x, rng_free, cache=False)
+    assert gen_cache is not None and none is None
+    assert_same_bits(y_free, y)
+    assert rng_free.bit_generator.state == rng.bit_generator.state
+
+    logit, disc_cache = disc_forward(disc, x, y)
+    logit_free, none = disc_forward(disc, x, y, cache=False)
+    assert disc_cache is not None and none is None
+    assert_same_bits(logit_free, logit)

@@ -369,6 +369,16 @@ def test_dataset_csv_round_trip_bitwise(tmp_path):
     assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ds2.csv").read_bytes()
 
 
+@pytest.mark.parametrize("task", [GaussModesTask(), CondRegressionTask()],
+                         ids=["labelled", "unlabelled"])
+def test_loaded_dataset_counts_its_keys_once(tmp_path, task):
+    # the sampler's pairability rule reads these counts on every draw
+    save_dataset_csv(sample_dataset(task, 300, seed=5), tmp_path / "ds.csv")
+    ds = load_dataset_csv(tmp_path / "ds.csv")
+    assert ds.key_counts.tobytes() == np.bincount(ds.keys).tobytes()
+    assert ds.key_counts.sum() == len(ds)
+
+
 def _csv_writer_reference(ds, path):
     """The dataset writer as it was before it built lines itself: csv.writer rows."""
     dx, dy = ds.xs.shape[1], ds.ys.shape[1]

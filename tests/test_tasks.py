@@ -190,9 +190,9 @@ def test_regression_error_scores_conditions_the_dataset_does_not_hold(monkeypatc
     seen = []
     real_forward = tasks.gen_forward
 
-    def spy(gen_, x, rng=None):
+    def spy(gen_, x, rng=None, **kwargs):
         seen.append(x)
-        return real_forward(gen_, x, rng)
+        return real_forward(gen_, x, rng, **kwargs)
 
     monkeypatch.setattr(tasks, "gen_forward", spy)
     regression_error(task, gen, 500, seed=3)

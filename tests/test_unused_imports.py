@@ -12,7 +12,11 @@ module other than `nets` that reads `mlp_forward`, or draws generator
 noise (a `standard_normal` call whose arguments name `noise_dim`), fails:
 `nets.gen_forward` and `nets.disc_forward` are the one forward path.
 A module other than `pairing` that reads `sample_pair_batch` fails too:
-`pairing.draw_pairings` is the one pair-batch path. Last, a stream seeded
+`pairing.draw_pairings` is the one pair-batch path. The evaluation
+modules, `evalcond` and `tasks`, call `gen_forward` and `disc_forward`
+only with ``cache=False``: they never backpropagate, and the cached pass
+holds every hidden activation (training, in `trainer` and
+`pairing.draw_pairings`, needs the cache). Last, a stream seeded
 ``default_rng([seed, KEY])`` must name `KEY` by a module-level constant,
 and no two such constants may hold one value, nor any the value 0: the
 stream ``[seed, 0]`` is the stream ``seed`` itself.
@@ -156,6 +160,28 @@ def test_pair_path_checker_finds_bypasses():
                          ids=lambda p: p.name)
 def test_only_pairing_draws_a_pair_batch(path):
     assert pair_path_bypasses(path.read_text()) == []
+
+
+def cached_forwards(source: str) -> list[str]:
+    """Each `gen_forward` or `disc_forward` call of `source` that does not pass
+    ``cache=False``, as `line N`."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _name(node.func) in ("gen_forward", "disc_forward")
+        and not any(k.arg == "cache" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in node.keywords))]
+
+
+def test_cached_forward_checker_finds_cached_calls():
+    source = ("y = gen_forward(gen, x, rng)[0]\ny = nets.gen_forward(gen, x, cache=True)\n"
+              "f = disc_forward(disc, x, y, cache=False)[0]\nf = disc_forward(disc, x, y, cache=0)\n"
+              "y = gen_forward(gen, x, rng, cache=False)[0]\nf = disc_forward(disc, x, y)\n")
+    assert cached_forwards(source) == ["line 1", "line 2", "line 4", "line 6"]
+
+
+@pytest.mark.parametrize("name", ["evalcond.py", "tasks.py"])
+def test_evaluation_runs_networks_without_a_cache(name):
+    assert cached_forwards((PACKAGE_FILES[0].parent / name).read_text()) == []
 
 
 def stream_key_problems(sources: dict[str, str]) -> list[str]:
