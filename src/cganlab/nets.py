@@ -81,14 +81,14 @@ weight gradients with ``np.matmul(..., out=)`` and the bias gradients
 with ``np.sum(..., axis=0, out=)`` into views of such a buffer: the same
 BLAS call and the same row-by-row sum as without ``out``.
 
-Checkpoints store each array as its shape and the base64 of its
-little-endian float64 bytes (`params_to_jsonable`).
+Checkpoints store `flat` and each Adam moment as one string, the base64
+of the vector's little-endian float64 bytes (`encode_vector`); the spec
+fixes the layout, so no shapes are stored.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import math
 from dataclasses import dataclass, field
 
@@ -148,6 +148,11 @@ class MlpSpec:
         """Shapes of W0, b0, W1, b1, ...: (w_in, w_out), then (w_out,), per layer."""
         return [shape for w_in, w_out in zip(self.widths[:-1], self.widths[1:])
                 for shape in ((w_in, w_out), (w_out,))]
+
+    @property
+    def n_params(self) -> int:
+        """Length of a network's `flat`: the elements of all `param_shapes()`."""
+        return sum(math.prod(s) for s in self.param_shapes())
 
 
 def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
@@ -384,28 +389,22 @@ def disc_forward(disc: Discriminator, x, y, *,
     return mlp_forward(disc.spec, disc.params, h)
 
 
-def params_to_jsonable(params: list[np.ndarray]) -> list[dict]:
-    """Each array as its shape and the base64 of its little-endian float64 bytes."""
-    return [{"shape": list(p.shape),
-             "data": base64.b64encode(p.astype("<f8", copy=False).tobytes()).decode("ascii")}
-            for p in params]
+def encode_vector(flat: np.ndarray) -> str:
+    """The base64 of the vector's little-endian float64 bytes."""
+    return base64.b64encode(flat.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def params_from_jsonable(entries: list[dict]) -> list[np.ndarray]:
-    """Writable float64 arrays back from `params_to_jsonable` entries.
+def decode_vector(data, size: int, what: str) -> np.ndarray:
+    """A writable float64 vector back from `encode_vector`'s string.
 
-    Raises ValueError when a payload is not base64 or does not hold
-    8 * prod(shape) bytes.
+    Raises ValueError, naming the vector as `what`, when `data` is not
+    base64 or does not hold exactly `size` float64s.
     """
-    params = []
-    for e in entries:
-        shape = tuple(e["shape"])
-        try:
-            raw = base64.b64decode(e["data"], validate=True)
-        except binascii.Error as err:
-            raise ValueError(f"array payload is not base64: {err}") from None
-        if len(raw) != 8 * math.prod(shape):
-            raise ValueError(f"array payload holds {len(raw)} bytes, shape {list(shape)} "
-                             f"needs {8 * math.prod(shape)}")
-        params.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
-    return params
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise ValueError(f"{what} is not base64: {err}") from None
+    if len(raw) != 8 * size:
+        raise ValueError(f"{what} holds {len(raw)} bytes, expected {8 * size} "
+                         f"({size} float64s)")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -196,8 +196,6 @@ def sample_pair_batch(
     if ac_mode not in AC_MODES:
         raise ValueError(f"unknown ac_mode {ac_mode!r}")
     n = len(ds)
-    if batch_size < 2 or batch_size > n:
-        raise ValueError(f"batch_size {batch_size} invalid for dataset of {n}")
     m = _check_pairable(ds, batch_size, ac_mode)
 
     for _ in range(MAX_SAMPLER_ATTEMPTS):

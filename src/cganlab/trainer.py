@@ -15,7 +15,7 @@ generator's cache. Both networks update through `_update`: a backward
 pass that computes parameter gradients only, into the Adam state's
 buffer, one `adam_step`, and the mean |grad| for the metrics row. The
 optimal-discriminator phase runs the same loop, `train`, with the
-generator frozen, verified by checksum.
+generator frozen, verified on the bytes of its vector.
 
 Each network stores its parameters as one vector, `flat`, and its
 `AdamState` holds the moments `m`, `v` and a gradient buffer `grads` as
@@ -31,7 +31,6 @@ element rounds as before; only the temporaries are gone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -43,16 +42,15 @@ from .nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _pack,
     _unpack,
+    decode_vector,
     disc_forward,
+    encode_vector,
     mlp_backward,
-    params_from_jsonable,
-    params_to_jsonable,
 )
 from .pairing import AC_MODES, ConditionalDataset, draw_pairings
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 METRICS_COLUMNS = (
     "step", "d_real_cond", "d_gen_cond", "d_real_ac", "d_gen_ac", "d_total",
@@ -184,14 +182,6 @@ class RunLog:
                 fh.write(",".join(cells) + "\n")
 
 
-def params_checksum(params: list[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for p in params:
-        h.update(str(p.shape).encode())
-        h.update(p.tobytes())
-    return h.hexdigest()
-
-
 def _mean_abs_grad(state: AdamState, grads: list[np.ndarray]) -> float:
     """Mean |g| over `state.grads`, summed view by view of `grads` as `np.abs(g).sum()` sums."""
     a = np.abs(state.grads, out=state.scratch[0])
@@ -293,25 +283,24 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
     `train`, from fresh Adam moments and the phase's own random stream,
     and returns the log. Any mutation of the generator fails hard.
     """
-    before = params_checksum(gen.params)
+    before = gen.flat.tobytes()
     state = TrainState(adam_g=None, adam_d=AdamState.for_net(disc),
                        rng=np.random.default_rng([config.seed, _PHASE_STREAM]))
     log, _ = train(gen, disc, dataset, replace(config, epochs=epochs), state)
-    if params_checksum(gen.params) != before:
+    if gen.flat.tobytes() != before:
         raise FreezeViolation("generator parameters changed during the frozen phase")
     return log
 
 
 # -- checkpointing -------------------------------------------------------
 
-def _adam_to_jsonable(state: AdamState, spec: MlpSpec) -> dict:
-    return {"t": state.t, "m": params_to_jsonable(_unpack(state.m, spec)),
-            "v": params_to_jsonable(_unpack(state.v, spec))}
+def _adam_to_jsonable(state: AdamState) -> dict:
+    return {"t": state.t, "m": encode_vector(state.m), "v": encode_vector(state.v)}
 
 
-def _adam_from_jsonable(d: dict, spec: MlpSpec, name: str) -> AdamState:
-    """The moments packed with the network's `spec`; a misfit raises ValueError as `name.m[i]`."""
-    m, v = (_pack(params_from_jsonable(d[key]), spec, f"{name}.{key}") for key in ("m", "v"))
+def _adam_from_jsonable(d: dict, size: int, name: str) -> AdamState:
+    """The moments as vectors of `size`, their network's; a misfit raises ValueError as `name.m`."""
+    m, v = (decode_vector(d[key], size, f"{name}.{key}") for key in ("m", "v"))
     return AdamState(m, v, t=d["t"])
 
 
@@ -323,13 +312,13 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
     `"task"` (null when not given) so that a loader can refuse the
     checkpoint under another task.
 
-    Format 3 is one JSON object. `format_version`, `step`, `seed`, `task`,
+    Format 4 is one JSON object. `format_version`, `step`, `seed`, `task`,
     both network specs, the generator's `noise_dim`, the Adam step counts
     `t` and `rng_state` (the bit generator's state dict) are plain JSON;
-    `adam_g` is null for a frozen generator. Every array (`params` of both
-    networks and the Adam moments `m` and `v`) is a `{"shape": [...],
-    "data": "<base64>"}` entry whose data is the array's little-endian
-    float64 bytes in C order, so a load gives back the same bits.
+    `adam_g` is null for a frozen generator. Each network's `flat` and
+    each Adam moment `m` and `v` is one string, the base64 of the vector's
+    little-endian float64 bytes (`nets.encode_vector`), so a load gives
+    back the same bits. The spec fixes the layout, so no shapes are stored.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -339,14 +328,14 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
         "generator": {
             "spec": gen.spec.to_dict(),
             "noise_dim": gen.noise_dim,
-            "params": params_to_jsonable(gen.params),
+            "flat": encode_vector(gen.flat),
         },
         "discriminator": {
             "spec": disc.spec.to_dict(),
-            "params": params_to_jsonable(disc.params),
+            "flat": encode_vector(disc.flat),
         },
-        "adam_g": None if state.adam_g is None else _adam_to_jsonable(state.adam_g, gen.spec),
-        "adam_d": _adam_to_jsonable(state.adam_d, disc.spec),
+        "adam_g": None if state.adam_g is None else _adam_to_jsonable(state.adam_g),
+        "adam_d": _adam_to_jsonable(state.adam_d),
         "rng_state": state.rng.bit_generator.state,
     }
     with _atomic_open(path) as fh:
@@ -359,9 +348,9 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
     `meta` holds the run's seed, its step and the task dict stored by
     `save_checkpoint` (None if none was given). Only the current format
-    version is read; an older file, a missing key, an array payload that
-    does not decode to its shape, or a network parameter or Adam moment
-    whose shape does not fit the network's spec raises `CheckpointError`.
+    version is read; an older file, a missing key, or a vector that is not
+    base64 or not as long as its network's spec requires raises
+    `CheckpointError`.
     """
     with open(path) as fh:
         try:
@@ -385,18 +374,18 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
 
 def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainState, dict]:
-    g_spec = MlpSpec.from_dict(doc["generator"]["spec"])
-    d_spec = MlpSpec.from_dict(doc["discriminator"]["spec"])
-    gen = Generator(g_spec, _pack(params_from_jsonable(doc["generator"]["params"]), g_spec,
-                                  "generator params"), doc["generator"]["noise_dim"])
-    disc = Discriminator(d_spec, _pack(params_from_jsonable(doc["discriminator"]["params"]),
-                                       d_spec, "discriminator params"))
+    g_doc, d_doc = doc["generator"], doc["discriminator"]
+    g_spec, d_spec = MlpSpec.from_dict(g_doc["spec"]), MlpSpec.from_dict(d_doc["spec"])
+    gen = Generator(g_spec, decode_vector(g_doc["flat"], g_spec.n_params, "generator.flat"),
+                    g_doc["noise_dim"])
+    disc = Discriminator(d_spec, decode_vector(d_doc["flat"], d_spec.n_params,
+                                               "discriminator.flat"))
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     state = TrainState(
         adam_g=None if doc["adam_g"] is None
-        else _adam_from_jsonable(doc["adam_g"], g_spec, "adam_g"),
-        adam_d=_adam_from_jsonable(doc["adam_d"], d_spec, "adam_d"),
+        else _adam_from_jsonable(doc["adam_g"], gen.flat.size, "adam_g"),
+        adam_d=_adam_from_jsonable(doc["adam_d"], disc.flat.size, "adam_d"),
         rng=rng,
         step=doc["step"],
     )

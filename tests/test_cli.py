@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import hashlib
@@ -22,7 +23,7 @@ from cganlab import cli, evalcond
 from cganlab.cli import main
 from cganlab.evalcond import EvalConfig, evaluate
 from cganlab.losses import FORMULATIONS, LossSpec
-from cganlab.nets import params_from_jsonable, params_to_jsonable
+from cganlab.nets import MlpSpec, _unpack, decode_vector, encode_vector
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
 from cganlab.tasks import CondRegressionTask, regression_error
 from cganlab.trainer import TrainConfig, load_checkpoint
@@ -923,18 +924,28 @@ def test_mid_run_checkpoint_task_mismatch(tmp_path, capsys):
     assert "task-mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["format_1", "format_2"])
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["format_1", "format_2", "format_3"])
 def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
-    # as formats 1 and 2 wrote it: arrays as JSON lists of floats, no task in format 1
+    # as formats 1 to 3 wrote it: a network's "params" and each Adam moment as one
+    # {"shape", "data"} entry per array, its data a JSON list of floats (formats 1
+    # and 2) or the base64 of its float64 bytes (format 3); no task in format 1
     p1, out = _setup_run(tmp_path, "old")
     assert main(["train", "--config", str(p1)]) == 0
     ckpt = out / "checkpoint.json"
     doc = json.loads(ckpt.read_text())
     doc["format_version"] = version
-    for entries in (doc["generator"]["params"], doc["discriminator"]["params"],
-                    *(doc[adam][k] for adam in ("adam_g", "adam_d") for k in ("m", "v"))):
-        for entry, array in zip(entries, params_from_jsonable(entries)):
-            entry["data"] = array.ravel().tolist()
+
+    def per_array(data, spec):
+        arrays = _unpack(decode_vector(data, spec.n_params, "vector"), spec)
+        return [{"shape": list(a.shape),
+                 "data": a.ravel().tolist() if version < 3 else encode_vector(a.ravel())}
+                for a in arrays]
+
+    for net, adam in (("generator", "adam_g"), ("discriminator", "adam_d")):
+        spec = MlpSpec.from_dict(doc[net]["spec"])
+        doc[net]["params"] = per_array(doc[net].pop("flat"), spec)
+        doc[adam] = dict(doc[adam], m=per_array(doc[adam]["m"], spec),
+                         v=per_array(doc[adam]["v"], spec))
     if version == 1:
         del doc["task"]
     ckpt.write_text(json.dumps(doc))
@@ -944,26 +955,30 @@ def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
     assert err.startswith("error: bad-checkpoint:") and "format_version" in err
 
 
-_ONE_FLOAT = params_to_jsonable([np.zeros(1)])[0]  # shape [1], an 8-byte payload
+def _rebytes(change):
+    """Damage that applies `change` to a vector string's bytes and encodes them again."""
+    return lambda data: base64.b64encode(change(base64.b64decode(data))).decode("ascii")
 
 
-# MINI_TASK's networks: the generator is 4 -> 16 -> 16 -> 2, the discriminator 6 -> 16 -> 16 -> 1
+# MINI_TASK's networks: the generator is 4 -> 16 -> 16 -> 2 (386 parameters), the
+# discriminator 6 -> 16 -> 16 -> 1 (401)
 @pytest.mark.parametrize("where, damage, message", [
-    (("adam_d", "v", 0), lambda e: dict(e, data=e["data"][:-8]), "array payload holds"),
-    (("adam_d", "v", 0), lambda e: dict(e, data="@@not base64@@"), "array payload is not base64"),
-    (("adam_d", "v", 0), lambda e: dict(e, data=[0.0] * 4), "malformed checkpoint"),
-    # a b0 of one float broadcasts over every hidden unit unless its shape is checked
-    (("generator", "params", 1), lambda e: _ONE_FLOAT,
-     "generator params[1] has shape [1], expected [16]"),
-    (("generator", "params", 0), lambda e: dict(e, shape=e["shape"][::-1]),
-     "generator params[0] has shape [16, 4], expected [4, 16]"),
-    (("adam_d", "m", 0), lambda e: _ONE_FLOAT, "adam_d.m[0] has shape [1], expected [6, 16]"),
+    (("adam_d", "v"), lambda data: data[:-8], "adam_d.v holds 3204 bytes, expected 3208"),
+    (("adam_d", "v"), lambda data: "@@not base64@@", "adam_d.v is not base64"),
+    (("adam_d", "v"), lambda data: [0.0] * 4, "adam_d.v is not base64"),
+    # a vector a float short or long, or a moment of another length, is refused
+    # by its length: the file holds no shapes to check
+    (("generator", "flat"), _rebytes(lambda b: b[:-8]),
+     "generator.flat holds 3080 bytes, expected 3088 (386 float64s)"),
+    (("discriminator", "flat"), _rebytes(lambda b: b + bytes(8)),
+     "discriminator.flat holds 3216 bytes, expected 3208 (401 float64s)"),
+    (("adam_d", "m"), _rebytes(lambda b: b[:8]), "adam_d.m holds 8 bytes, expected 3208"),
     # equal to the configured 0 and 16, so only their type shows they were never written
     (("generator", "noise_dim"), float, "noise_dim must be a non-negative int, got 0.0"),
     (("generator", "spec", "widths", 1), lambda w: w + 0.5, "widths must be positive integers"),
 ], ids=["truncated_payload", "not_base64", "list_payload",
-        "bias_shape", "transposed_weight", "adam_moment_shape", "noise_dim_float",
-        "width_fraction"])
+        "generator_flat_short", "discriminator_flat_long", "adam_moment_length",
+        "noise_dim_float", "width_fraction"])
 def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0
@@ -994,8 +1009,8 @@ def test_checkpoint_without_task_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: task-mismatch:")
 
 
-@pytest.mark.parametrize("path", [("seed",), ("generator", "params")],
-                         ids=["seed", "generator.params"])
+@pytest.mark.parametrize("path", [("seed",), ("generator", "flat")],
+                         ids=["seed", "generator.flat"])
 def test_checkpoint_missing_key_reported_as_bad(tmp_path, capsys, path):
     p1, out = _setup_run(tmp_path, "nokey")
     assert main(["train", "--config", str(p1)]) == 0
@@ -1022,7 +1037,7 @@ def test_checkpoint_not_an_object_reported_as_bad(tmp_path, capsys):
 
 
 def test_checkpoint_with_removed_output_activation_reported_as_bad(tmp_path, capsys):
-    # a format-3 file whose generator spec names an output nets no longer has
+    # a checkpoint whose generator spec names an output nets no longer has
     p1, out = _setup_run(tmp_path, "sigmoid")
     assert main(["train", "--config", str(p1)]) == 0
     ckpt = out / "checkpoint.json"

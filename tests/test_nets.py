@@ -17,13 +17,13 @@ from cganlab.nets import (
     _leaky_relu_inplace,
     _pack,
     _unpack,
+    decode_vector,
     disc_forward,
+    encode_vector,
     gen_forward,
     init_params,
     mlp_backward,
     mlp_forward,
-    params_from_jsonable,
-    params_to_jsonable,
 )
 
 
@@ -242,11 +242,11 @@ def test_outputs_and_gradients_finite_at_saturation(activation):
 
 
 def test_params_jsonable_round_trip_exact():
-    params = init_params(MlpSpec((4, 8, 2)), 9)
-    back = params_from_jsonable(params_to_jsonable(params))
-    for a, b in zip(params, back):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    spec = MlpSpec((4, 8, 2))
+    flat = _pack(init_params(spec, 9), spec, "params")
+    back = decode_vector(encode_vector(flat), spec.n_params, "params")
+    assert back.shape == flat.shape == (spec.n_params,)
+    assert back.tobytes() == flat.tobytes()
 
 
 # -- the branchless select against the np.where formulation, bit for bit --

@@ -156,7 +156,9 @@ def _refused_before_any_draw(ds, batch_size, ac_mode):
     (np.repeat([0, 1], 200), 3, True),           # two labels, odd batch
     (np.repeat([0, 1, 2], [1, 2, 97]), 8, True),  # 1 + 2 + 4 rows: too few beside label 2
     (np.repeat([0, 1], 200), 3, False),          # two condition values, no labels
-], ids=["two_labels_odd_batch", "dominant_label", "two_values_unlabelled_odd_batch"])
+    (np.repeat([0, 1], 200), 401, True),         # a batch of more rows than exist
+], ids=["two_labels_odd_batch", "dominant_label", "two_values_unlabelled_odd_batch",
+        "batch_over_the_rows"])
 def test_impossible_within_batch_refused_at_once(labels, batch_size, labelled):
     ds = ConditionalDataset(xs=np.eye(3)[labels], ys=np.zeros((labels.size, 1)),
                             labels=labels if labelled else None)
@@ -166,7 +168,8 @@ def test_impossible_within_batch_refused_at_once(labels, batch_size, labelled):
 @pytest.mark.parametrize("labels, batch_size", [
     (np.arange(20), 11),                # 22 rows needed, 20 exist
     (np.repeat([0, 1], [35, 5]), 10),   # 20 rows with at most 10 of label 0: only 15
-], ids=["batch_over_half_the_rows", "dominant_label"])
+    (np.arange(20), 21),                # a batch of more rows than exist
+], ids=["batch_over_half_the_rows", "dominant_label", "batch_over_the_rows"])
 def test_impossible_outside_batch_refused_at_once(labels, batch_size):
     ds = ConditionalDataset(xs=np.eye(20)[labels], ys=np.zeros((labels.size, 1)), labels=labels)
     _refused_before_any_draw(ds, batch_size, "outside_batch")
