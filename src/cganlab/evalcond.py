@@ -23,13 +23,13 @@ because the sigmoid saturates and hides the mode structure. The report
   `d_total` of its log (`phase_metrics.csv`); 0, null and null when
   `phase_epochs` is 0.
 
-Evaluation never backpropagates, so it keeps no activation cache: its
-own network passes call ``gen_forward`` and ``disc_forward`` with
-``cache=False`` (`nets`), which gives the cached pass's bits and, on the
-dataset-sized pass of `generator_ndb`, holds one hidden activation where
-the cached pass holds two. The pairings come from `draw_pairings`, whose
-generator pass is training's cached one; `collect_logits` drops that
-cache at once.
+Evaluation never backpropagates, so it keeps no activation cache: it
+calls ``gen_forward``, ``disc_forward`` and ``draw_pairings`` with
+``cache=False`` (`nets`), which gives the cached pass's bits. On a large
+input such a pass holds its hidden activations in row blocks, where the
+cached pass holds every layer whole. Only where the output layer cannot be
+blocked, as for the discriminator's 1-wide logit, is the last hidden layer
+written whole.
 
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle
@@ -117,8 +117,7 @@ def collect_logits(disc: Discriminator, gen: Generator, ds: ConditionalDataset,
     The pairings of `n_eval` rows are drawn as a training step draws its
     own, by `pairing.draw_pairings` from the stream of `seed`.
     """
-    # [0] frees the generator's cache before the four discriminator passes (peak memory)
-    pairs = draw_pairings(ds, gen, n_eval, np.random.default_rng(seed), ac_mode)[0]
+    pairs, _ = draw_pairings(ds, gen, n_eval, np.random.default_rng(seed), ac_mode, cache=False)
     return {
         name: disc_forward(disc, px, py, cache=False)[0].ravel()
         for name, (px, py) in zip(PAIRINGS, pairs)

@@ -45,29 +45,42 @@ read from the table ``[s, 1.0]`` at the uint8 view of the mask
 above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
 
 The cache-free pass (`_forward_uncached`) runs an input of at least
-4,096 rows, twice `_ROWS`, through the hidden layers in n // `_ROWS` row
-blocks, of equal size to within a row and so of 2,048 to 3,072 rows, and
-writes only the last hidden layer, with ``np.matmul(..., out=)``, into
-one full-size array: a 16,000-row pass through two 256-wide hidden
-layers holds one 32.8 MB activation and a 2,286-row block (4.7 MB) where
-the cached pass holds two activations. Splitting evenly, rather than
-leaving the remainder to the last block (3,712 rows, 7.6 MB), took
-`modes32-wide-classic`'s eval peak RSS from 124.1 to 121.3 MB. The
-narrow output layer then runs once over all rows, as in `mlp_forward`.
-This rests on how OpenBLAS's dgemm rounds, measured (scipy-openblas
-0.3.31 on a 2-core Xeon VM, 1 and 2 threads) on inputs of 4,096 to
-16,000 rows and 1 to 256 columns, C- or Fortran-ordered, and in blocks
-of 7 to 4,095 rows: a row's bits do not depend on how many rows share
-the product when the output is at least 8 columns wide (5 to 7 held too)
-and the blocks hold at least 7 rows, but they do change for outputs at
-most 4 wide and for 1-row products. So the output layer is never
-blocked, and a network with a hidden layer narrower than
-`_MIN_BLOCKED_WIDTH` = 8, or an input of fewer than 4,096 rows, takes
-`mlp_forward` and drops its cache. Beside the one activation, the
-largest part of the remaining peak is the output layer's all-rows
-product: with 2 BLAS threads it touches about 28 MB of OpenBLAS's pack
-buffer (256 x 13,824 x 8 bytes; a fresh process's RSS rose 31.4 MB
-across one (16000, 256) @ (256, 2) product, and 0.3 MB with 1 thread).
+4,096 rows, twice `_ROWS`, through the hidden layers in row blocks of
+equal size to within a row. This rests on how OpenBLAS's dgemm rounds,
+measured with scipy-openblas 0.3.31 on a 2-core AVX-512 Xeon VM, 1 and 2
+threads. A hidden layer's product gives each row the same bits however
+many rows share it when it is at least 8 columns wide and the blocks hold
+at least 7 rows (inputs of 4,096 to 16,000 rows, 1 to 256 columns, C- or
+Fortran-ordered, blocks of 7 to 4,095 rows). So a network with a hidden
+layer narrower than `_MIN_BLOCKED_WIDTH` = 8, or an input of fewer than
+4,096 rows, takes `mlp_forward` and drops its cache. A product at most 4
+wide follows one sharp rule: OpenBLAS runs a product of M * N * K at most
+`_SMALL_GEMM` = 100^3 through its small-matrix kernel, whose bits change
+with the row count. An (n, k) @ (k, w) product in row blocks matched the
+whole product bit for bit exactly when every block held more than
+10^6 / (k * w) rows (k from 16 to 256, w from 2 to 4, 8,000 to 64,000
+rows): at (k, w) = (256, 2) blocks of 1,953 rows differ and 1,954 match,
+at (128, 2) 3,906 differ and 3,907 match, at (128, 4) 1,953 differ and
+1,954 match.
+
+So when the output is at least 2 wide and the input holds at least 2
+blocks of r = max(`_ROWS`, 10^6 // (k * w) + 1) rows, it runs in n // r
+blocks, each of at least r rows, and each block writes its rows of the
+(n, w) output with ``np.matmul(..., out=)``; no array holds a whole
+hidden layer. A 16,000-row pass through two 256-wide hidden layers and a
+2-wide output takes 7 blocks of 2,285 or 2,286 rows and holds two 4.7 MB
+blocks where the cached pass holds two 32.8 MB activations; 8,000 rows
+through 128-wide layers take 2 blocks of 4,000. Otherwise the input runs
+in n // `_ROWS` blocks of 2,048 to 3,072 rows, the last hidden layer is
+written whole, and the output layer runs once over all rows, as in
+`mlp_forward`. That covers a 1-wide output, the discriminator's, which
+numpy runs through gemv: gemv's bits depend on how the rows are split,
+and it touches no pack buffer. An all-rows (16000, 256) @ (256, 2)
+dgemm with 2 BLAS threads touches about 28 MB of OpenBLAS's pack buffer
+(a fresh process's RSS rose 31.4 MB across it, and 0.3 MB with 1
+thread), so blocking the output layer, and dropping the whole last hidden
+layer with it, took `modes32-wide-classic`'s peak RSS from 121.6 to 79.7
+MB (median of 10 `bench/run.py` runs).
 
 A network stores one float64 vector, `flat`, and nothing
 else that changes: its `params` are reshaped views of it, in the order
@@ -105,6 +118,10 @@ _BLOCK = 32_768
 # hidden layer whose product keeps its bits in such blocks (module docstring)
 _ROWS = 2_048
 _MIN_BLOCKED_WIDTH = 8
+# OpenBLAS's small-matrix cut-off: a product of M * N * K at most this many
+# multiply-adds takes a kernel whose bits change with the row count, one
+# above it keeps its bits in row blocks (module docstring)
+_SMALL_GEMM = 100 ** 3
 
 
 @dataclass(frozen=True)
@@ -328,25 +345,32 @@ def _forward_uncached(spec: MlpSpec, params: list[np.ndarray], h: np.ndarray) ->
     """`mlp_forward`'s output on rows `h`, bit for bit, without its cache.
 
     At least 2 * `_ROWS` rows through hidden layers all at least
-    `_MIN_BLOCKED_WIDTH` wide run the hidden layers in n // `_ROWS` row
-    blocks of equal size to within a row, and only the last hidden layer is
-    written whole; the output layer runs once over all rows (module
-    docstring). Any other input is `mlp_forward`'s pass.
+    `_MIN_BLOCKED_WIDTH` wide run the hidden layers in row blocks of equal
+    size to within a row, and the output layer too when it is at least 2
+    wide and at least 2 blocks each make a product above `_SMALL_GEMM`.
+    Only the last layer run in blocks is written whole; an output layer
+    not run in blocks runs once over all rows (module docstring). Any
+    other input is `mlp_forward`'s pass.
     """
     n = h.shape[0]
     if n < 2 * _ROWS or min(spec.widths[1:-1]) < _MIN_BLOCKED_WIDTH:
         return mlp_forward(spec, params, h)[0]
-    n_hidden, n_blocks = len(spec.widths) - 2, n // _ROWS
-    last = np.empty((n, spec.widths[-2]))
+    k, w = spec.widths[-2:]
+    rows = max(_ROWS, _SMALL_GEMM // (k * w) + 1)
+    blocked_output = w > 1 and n // rows >= 2
+    n_hidden = len(spec.widths) - 2
+    n_blocked = n_hidden + blocked_output  # the layers that run in row blocks
+    n_blocks = n // (rows if blocked_output else _ROWS)
+    written = np.empty((n, spec.widths[n_blocked]))  # the last of them, whole
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         a = h[start:stop]
-        for i in range(n_hidden):
-            a = np.matmul(a, params[2 * i], out=last[start:stop] if i == n_hidden - 1 else None)
+        for i in range(n_blocked):
+            a = np.matmul(a, params[2 * i], out=written[start:stop] if i == n_blocked - 1 else None)
             a += params[2 * i + 1]
-            _leaky_relu_inplace(a, spec.hidden_slope)
-    out = last @ params[-2]
-    out += params[-1]
+            if i < n_hidden:
+                _leaky_relu_inplace(a, spec.hidden_slope)
+    out = written if blocked_output else written @ params[-2] + params[-1]
     return np.tanh(out) if spec.output_activation == "tanh" else out
 
 

@@ -216,14 +216,16 @@ def sample_pair_batch(
 
 
 def draw_pairings(ds: ConditionalDataset, gen: Generator, size: int,
-                  rng: np.random.Generator, ac_mode: str):
+                  rng: np.random.Generator, ac_mode: str, *, cache: bool = True):
     """The (x, y) pairings of a fresh batch in `PAIRINGS` order, and `gen_forward`'s cache.
 
-    Draws from `rng` the batch (`sample_pair_batch`), then the generator's noise.
+    Draws from `rng` the batch (`sample_pair_batch`), then the generator's
+    noise. `cache` is passed to `gen_forward`: evaluation, which never
+    backpropagates, passes False and gets the same pairings and a None cache.
     """
     batch = sample_pair_batch(ds, size, rng, ac_mode)
     x, y, x_tilde = ds.xs[batch.idx], ds.ys[batch.idx], ds.xs[batch.ac_source_idx]
-    y_g, cache = gen_forward(gen, x, rng)
+    y_g, cache = gen_forward(gen, x, rng, cache=cache)
     return ((x, y), (x, y_g), (x_tilde, y), (x_tilde, y_g)), cache
 
 

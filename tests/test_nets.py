@@ -419,9 +419,11 @@ def test_gen_forward_peak_memory_two_activations():
     assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
 
 
-def test_cache_free_gen_forward_peak_memory_one_activation_and_a_block():
-    # the same pass without a cache: the last hidden layer is the one
-    # full-size array, the first comes and goes in blocks of 2,048 rows
+def test_cache_free_gen_forward_peak_memory_half_an_activation_and_a_block():
+    # the same pass without a cache: both hidden layers and the 2-wide
+    # output layer run in blocks of 2,048 rows, so the peak is two blocks
+    # (a layer's input and output, half an activation here) and no
+    # full-size array; keeping the last hidden layer whole would make it 1.27
     gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
     x = np.eye(32)[np.arange(8192) % 32]
     activation_bytes = 8192 * 256 * 8
@@ -432,8 +434,31 @@ def test_cache_free_gen_forward_peak_memory_one_activation_and_a_block():
     finally:
         tracemalloc.stop()
     assert cache is None
-    assert peak < 1.5 * activation_bytes
+    assert peak < 0.75 * activation_bytes
     assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+
+
+@pytest.mark.parametrize("k, w, n, n_blocks", [
+    # the smallest blocks the rule admits: 10^6 // (k * w) + 1 rows each
+    (256, 2, 2 * 1_954, 2), (128, 2, 2 * 3_907, 2), (128, 4, 3 * 1_954, 3),
+    # the blocks `_forward_uncached` takes at the benchmark's sizes
+    (256, 2, 16_000, 7), (128, 2, 8_000, 2), (128, 4, 8_000, 3),
+])
+def test_narrow_product_in_row_blocks_above_the_small_gemm_cutoff_keeps_its_bits(k, w, n, n_blocks):
+    # the premise of the blocked output layer (`nets` module docstring):
+    # above OpenBLAS's small-matrix cut-off a row block of an (n, k) @ (k, w)
+    # product has the whole product's bits; a numpy or BLAS upgrade that
+    # breaks this fails here first
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]  # as `_forward_uncached` splits
+    assert min(np.diff(bounds)) * k * w > nets._SMALL_GEMM
+    make = np.random.default_rng([k, w, n])
+    a = make.standard_normal((n, k))
+    _leaky_relu_inplace(a, 0.2)
+    weights = make.standard_normal((k, w))
+    blocked = np.empty((n, w))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        np.matmul(a[start:stop], weights, out=blocked[start:stop])
+    assert_same_bits(blocked, a @ weights)
 
 
 _R = nets._ROWS
@@ -445,6 +470,13 @@ _R = nets._ROWS
 @example(hidden=[128, 2], rows=2 * _R, noise_dim=2, dim_y=2, fortran=False, seed=0)
 @example(hidden=[128, 1], rows=2 * _R + 1, noise_dim=0, dim_y=5, fortran=False, seed=1)
 @example(hidden=[128], rows=5 * _R + 3, noise_dim=0, dim_y=2, fortran=True, seed=2)
+# the output layer blocked (2 blocks of 3,907 rows), kept whole (3,906
+# rows a block would be too few), and the benchmark's 256-wide generator
+@example(hidden=[128], rows=7_814, noise_dim=0, dim_y=2, fortran=False, seed=3)
+@example(hidden=[128], rows=7_812, noise_dim=2, dim_y=2, fortran=False, seed=4)
+@example(hidden=[256, 256], rows=16_000, noise_dim=0, dim_y=2, fortran=False, seed=5)
+# 1-wide outputs stay whole: in 3 blocks of 4,001 rows their gemv would change bits
+@example(hidden=[256], rows=12_003, noise_dim=0, dim_y=1, fortran=False, seed=6)
 @given(hidden=st.lists(st.sampled_from([1, 2, 4, 8, 16, 128]), min_size=1, max_size=2),
        rows=st.sampled_from([2 * _R - 1, 2 * _R, 2 * _R + 1, 5 * _R + 3]),
        noise_dim=st.sampled_from([0, 2]), dim_y=st.sampled_from([1, 2, 5]),
@@ -452,8 +484,10 @@ _R = nets._ROWS
 def test_cache_free_forward_is_the_cached_output_bit_for_bit(
         slope, activation, hidden, rows, noise_dim, dim_y, fortran, seed):
     # row-blocked from 2 * _ROWS rows when every hidden layer is at least 8
-    # wide; a product 1 to 4 wide changes its bits with its row count (the
-    # examples do, on OpenBLAS 0.3.31), so those widths take the unblocked pass
+    # wide; a product 1 to 4 wide changes its bits with its row count below
+    # OpenBLAS's small-matrix cut-off (the examples do, on OpenBLAS 0.3.31),
+    # so such an output layer is blocked only above it, and a hidden layer
+    # that narrow takes the unblocked pass
     dim_x = 3
     make = np.random.default_rng(seed)
     g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), slope, activation)

@@ -98,6 +98,13 @@ def test_draw_pairings_definitions(ac_mode, noise_dim, size, seed):
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
     assert rng.bit_generator.state == ref.bit_generator.state
     assert len(cache) == len(ref_cache) and all(map(_same_bits, cache, ref_cache))
+    # evaluation's cache-free draw: the same pairings and stream, no cache
+    rng_free = np.random.default_rng(seed)
+    pairs_free, none = draw_pairings(ds, gen, size, rng_free, ac_mode, cache=False)
+    assert none is None
+    for got, want in zip(pairs_free, pairs, strict=True):
+        assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+    assert rng_free.bit_generator.state == rng.bit_generator.state
 
 
 def test_shuffled_condition_always_differs():

@@ -13,10 +13,10 @@ noise (a `standard_normal` call whose arguments name `noise_dim`), fails:
 `nets.gen_forward` and `nets.disc_forward` are the one forward path.
 A module other than `pairing` that reads `sample_pair_batch` fails too:
 `pairing.draw_pairings` is the one pair-batch path. The evaluation
-modules, `evalcond` and `tasks`, call `gen_forward` and `disc_forward`
-only with ``cache=False``: they never backpropagate, and the cached pass
-holds every hidden activation (training, in `trainer` and
-`pairing.draw_pairings`, needs the cache). Last, a stream seeded
+modules, `evalcond` and `tasks`, call `gen_forward`, `disc_forward` and
+`draw_pairings` only with ``cache=False``: they never backpropagate, and
+the cached pass holds every hidden activation (training, in `trainer`,
+needs the cache). Last, a stream seeded
 ``default_rng([seed, KEY])`` must name `KEY` by a module-level constant,
 and no two such constants may hold one value, nor any the value 0: the
 stream ``[seed, 0]`` is the stream ``seed`` itself.
@@ -163,11 +163,12 @@ def test_only_pairing_draws_a_pair_batch(path):
 
 
 def cached_forwards(source: str) -> list[str]:
-    """Each `gen_forward` or `disc_forward` call of `source` that does not pass
-    ``cache=False``, as `line N`."""
+    """Each `gen_forward`, `disc_forward` or `draw_pairings` call of `source` that
+    does not pass ``cache=False``, as `line N`."""
     return [f"line {line}" for line in sorted(
         node.lineno for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and _name(node.func) in ("gen_forward", "disc_forward")
+        if isinstance(node, ast.Call)
+        and _name(node.func) in ("gen_forward", "disc_forward", "draw_pairings")
         and not any(k.arg == "cache" and isinstance(k.value, ast.Constant)
                     and k.value.value is False for k in node.keywords))]
 
@@ -175,8 +176,10 @@ def cached_forwards(source: str) -> list[str]:
 def test_cached_forward_checker_finds_cached_calls():
     source = ("y = gen_forward(gen, x, rng)[0]\ny = nets.gen_forward(gen, x, cache=True)\n"
               "f = disc_forward(disc, x, y, cache=False)[0]\nf = disc_forward(disc, x, y, cache=0)\n"
-              "y = gen_forward(gen, x, rng, cache=False)[0]\nf = disc_forward(disc, x, y)\n")
-    assert cached_forwards(source) == ["line 1", "line 2", "line 4", "line 6"]
+              "y = gen_forward(gen, x, rng, cache=False)[0]\nf = disc_forward(disc, x, y)\n"
+              "p = draw_pairings(ds, gen, 8, rng, mode)[0]\n"
+              "p = pairing.draw_pairings(ds, gen, 8, rng, mode, cache=False)[0]\n")
+    assert cached_forwards(source) == ["line 1", "line 2", "line 4", "line 6", "line 7"]
 
 
 @pytest.mark.parametrize("name", ["evalcond.py", "tasks.py"])
