@@ -26,10 +26,10 @@ because the sigmoid saturates and hides the mode structure. The report
 Evaluation never backpropagates, so it keeps no activation cache: it
 calls ``gen_forward``, ``disc_forward`` and ``draw_pairings`` with
 ``cache=False`` (`nets`), which gives the cached pass's bits. On a large
-input such a pass holds its hidden activations in row blocks, where the
-cached pass holds every layer whole. Only where the output layer cannot be
-blocked, as for the discriminator's 1-wide logit, is the last hidden layer
-written whole.
+input such a pass runs its first layers in row blocks, where the cached
+pass holds every layer whole. From the first layer that cannot run in
+blocks on, such as the discriminator's 1-wide logit, the layers run once
+over all rows, on the last blocked layer's output written whole.
 
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle

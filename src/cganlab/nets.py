@@ -44,54 +44,43 @@ read from the table ``[s, 1.0]`` at the uint8 view of the mask
 ``1.0``; the product is taken in place on the fresh ``g`` of the layer
 above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
 
-The cache-free pass (`_forward_uncached`) runs an input of at least
-4,096 rows, twice `_ROWS`, through the hidden layers in row blocks of
-equal size to within a row. This rests on how OpenBLAS's dgemm rounds,
-measured with scipy-openblas 0.3.31 on a 2-core AVX-512 Xeon VM, 1 and 2
-threads. A hidden layer's product gives each row the same bits however
-many rows share it when it is at least 8 columns wide and the blocks hold
-at least 7 rows (inputs of 4,096 to 16,000 rows, 1 to 256 columns, C- or
-Fortran-ordered, blocks of 7 to 4,095 rows). So a network with a hidden
-layer narrower than `_MIN_BLOCKED_WIDTH` = 8, or an input of fewer than
-4,096 rows, takes `mlp_forward` and drops its cache. A product at most 4
-wide follows one sharp rule: OpenBLAS runs a product of M * N * K at most
-`_SMALL_GEMM` = 100^3 through its small-matrix kernel, whose bits change
-with the row count. An (n, k) @ (k, w) product in row blocks matched the
-whole product bit for bit exactly when every block held more than
-10^6 / (k * w) rows (k from 16 to 256, w from 2 to 4, 8,000 to 64,000
-rows): at (k, w) = (256, 2) blocks of 1,953 rows differ and 1,954 match,
-at (128, 2) 3,906 differ and 3,907 match, at (128, 4) 1,953 differ and
-1,954 match.
+The cache-free pass (`_forward_uncached`) runs its first layers in row
+blocks, so that no array holds a whole hidden layer. That rests on how
+OpenBLAS's dgemm rounds (scipy-openblas 0.3.31, 2-core AVX-512 Xeon VM,
+1 and 2 threads): an (n, k) @ (k, w) product in row blocks gives each
+row the whole product's bits when
+- w >= `_MIN_BLOCKED_WIDTH` = 8 and each block holds at least 7 rows
+  (4,096 to 16,000 rows, 1 to 256 columns, C or Fortran order, blocks of
+  7 to 4,095 rows);
+- 2 <= w <= 7 and each block's product is above OpenBLAS's small-matrix
+  cut-off, rows * k * w > `_SMALL_GEMM` = 100^3. At or below it a kernel
+  whose bits change with the row count runs, and the boundary is sharp:
+  at (k, w) = (256, 2) blocks of 1,953 rows differ and 1,954 match, at
+  (128, 2) 3,906 differ and 3,907 match, at (128, 4) 1,953 differ and
+  1,954 match (k from 16 to 256, w from 2 to 4, 8,000 to 64,000 rows;
+  w from 5 to 7 at k = 128 in the tests).
+A 1-wide product, such as the discriminator's logit, runs through gemv,
+whose bits change with the split, and is never blocked. The pass walks
+the layers from the first, raising the block size r from `_ROWS` =
+2,048 to each layer's bound, and stops at the first layer that admits
+no blocks or leaves fewer than 2 blocks of r rows. The layers before it
+run in n // r blocks of equal size to within a row, the last of them
+writing its rows of one array with ``np.matmul(..., out=)``; the rest
+run once over all rows. 16,000 rows through two 256-wide hidden layers
+and a 2-wide output take 7 blocks of 2,285 or 2,286 rows: two 4.7 MB
+blocks where the cached pass holds two 32.8 MB activations, and no
+all-rows (16000, 256) @ (256, 2) product, whose dgemm with 2 threads
+touches about 28 MB of OpenBLAS's pack buffer.
 
-So when the output is at least 2 wide and the input holds at least 2
-blocks of r = max(`_ROWS`, 10^6 // (k * w) + 1) rows, it runs in n // r
-blocks, each of at least r rows, and each block writes its rows of the
-(n, w) output with ``np.matmul(..., out=)``; no array holds a whole
-hidden layer. A 16,000-row pass through two 256-wide hidden layers and a
-2-wide output takes 7 blocks of 2,285 or 2,286 rows and holds two 4.7 MB
-blocks where the cached pass holds two 32.8 MB activations; 8,000 rows
-through 128-wide layers take 2 blocks of 4,000. Otherwise the input runs
-in n // `_ROWS` blocks of 2,048 to 3,072 rows, the last hidden layer is
-written whole, and the output layer runs once over all rows, as in
-`mlp_forward`. That covers a 1-wide output, the discriminator's, which
-numpy runs through gemv: gemv's bits depend on how the rows are split,
-and it touches no pack buffer. An all-rows (16000, 256) @ (256, 2)
-dgemm with 2 BLAS threads touches about 28 MB of OpenBLAS's pack buffer
-(a fresh process's RSS rose 31.4 MB across it, and 0.3 MB with 1
-thread), so blocking the output layer, and dropping the whole last hidden
-layer with it, took `modes32-wide-classic`'s peak RSS from 121.6 to 79.7
-MB (median of 10 `bench/run.py` runs).
-
-A network stores one float64 vector, `flat`, and nothing
-else that changes: its `params` are reshaped views of it, in the order
-W0, b0, W1, b1, ..., built once when the network is made (`_unpack`).
-A copy or an unpickled network is made through its constructor, so it
-builds its views from its own vector. `_pack` is the only way a list of
-arrays becomes such a vector. The Adam moments and the gradient buffer
-of `trainer.AdamState` are vectors laid out the same way, so the
-optimizer updates one whole vector per call. `mlp_backward` writes the
-weight gradients with ``np.matmul(..., out=)`` and the bias gradients
-with ``np.sum(..., axis=0, out=)`` into views of such a buffer: the same
+A network stores one float64 vector, `flat`, and nothing else that
+changes: its `params` are reshaped views of it, in the order W0, b0,
+W1, b1, ..., built once when the network is made (`_unpack`). A copy or
+an unpickled network is made through its constructor, so it builds its
+views from its own vector. The Adam moments and the gradient buffer of
+`trainer.AdamState` are vectors laid out the same way, so the optimizer
+updates one whole vector per call. `mlp_backward` writes the weight
+gradients with ``np.matmul(..., out=)`` and the bias gradients with
+``np.sum(..., axis=0, out=)`` into views of such a buffer: the same
 BLAS call and the same row-by-row sum as without ``out``.
 
 Checkpoints store `flat` and each Adam moment as one string, the base64
@@ -114,8 +103,8 @@ WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 # elements per block of the hidden activation: a block and its scratch
 # take 512 KB, which stays in a 2 MB per-core L2 (module docstring)
 _BLOCK = 32_768
-# rows per block of the cache-free pass's hidden layers, and the narrowest
-# hidden layer whose product keeps its bits in such blocks (module docstring)
+# the fewest rows per block of the cache-free pass, and the narrowest layer
+# whose product keeps its bits in such blocks however small (module docstring)
 _ROWS = 2_048
 _MIN_BLOCKED_WIDTH = 8
 # OpenBLAS's small-matrix cut-off: a product of M * N * K at most this many
@@ -172,27 +161,13 @@ class MlpSpec:
         return sum(math.prod(s) for s in self.param_shapes())
 
 
-def init_params(spec: MlpSpec, seed: int) -> list[np.ndarray]:
-    """Weights from N(0, 0.02^2), biases zero; reproducible from seed."""
+def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
+    """A new network's `flat` from seed: weights N(0, 0.02^2) in order, biases zero."""
     rng = np.random.default_rng(seed)
-    params = []
-    for w_in, w_out in zip(spec.widths[:-1], spec.widths[1:]):
-        params.append(rng.normal(0.0, WEIGHT_INIT_STD, size=(w_in, w_out)))
-        params.append(np.zeros(w_out))
-    return params
-
-
-def _pack(arrays: list[np.ndarray], spec: MlpSpec, what: str) -> np.ndarray:
-    """`arrays`, one of each of `spec.param_shapes()` in order, copied into one new
-    float64 vector; raises ValueError, naming a misfit as `what`[i], when they do not fit."""
-    shapes = spec.param_shapes()
-    if len(arrays) != len(shapes):
-        raise ValueError(f"{what}: {len(arrays)} arrays, expected {len(shapes)}")
-    for i, (a, shape) in enumerate(zip(arrays, shapes)):
-        if np.shape(a) != shape:
-            raise ValueError(f"{what}[{i}] has shape {list(np.shape(a))}, "
-                             f"expected {list(shape)}")
-    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    flat = np.zeros(spec.n_params)
+    for weight in _unpack(flat, spec)[::2]:
+        weight[...] = rng.normal(0.0, WEIGHT_INIT_STD, size=weight.shape)
+    return flat
 
 
 def _unpack(flat: np.ndarray, spec: MlpSpec) -> list[np.ndarray]:
@@ -245,7 +220,7 @@ class Generator:
               output_activation="identity", seed=0) -> "Generator":
         spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y),
                        output_activation=output_activation)
-        return cls(spec, _pack(init_params(spec, seed), spec, "generator params"), noise_dim)
+        return cls(spec, init_params(spec, seed), noise_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +245,7 @@ class Discriminator:
     @classmethod
     def build(cls, dim_x, dim_y, hidden=(128, 128), seed=0) -> "Discriminator":
         spec = MlpSpec((dim_x + dim_y, *hidden, 1))
-        return cls(spec, _pack(init_params(spec, seed), spec, "discriminator params"))
+        return cls(spec, init_params(spec, seed))
 
 
 def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
@@ -292,20 +267,27 @@ def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
         np.maximum(block, times_slope, out=block)
 
 
+def _layer(spec: MlpSpec, params: list[np.ndarray], i: int, a: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Layer i on rows `a`: ``a @ W_i + b_i``, written into `out` when given,
+    then the leaky-ReLU unless i is the output layer."""
+    h = np.matmul(a, params[2 * i], out=out)
+    h += params[2 * i + 1]
+    if i < len(spec.widths) - 2:
+        _leaky_relu_inplace(h, spec.hidden_slope)
+    return h
+
+
 def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
                 h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Output of the MLP on rows `h`, and the cache `mlp_backward` needs.
 
     The cache holds each layer's input, then the output.
     """
-    n_layers = len(spec.widths) - 1
     cache = []
-    for i in range(n_layers):
+    for i in range(len(spec.widths) - 1):
         cache.append(h)
-        h = h @ params[2 * i]
-        h += params[2 * i + 1]
-        if i < n_layers - 1:
-            _leaky_relu_inplace(h, spec.hidden_slope)
+        h = _layer(spec, params, i, h)
     if spec.output_activation == "tanh":
         h = np.tanh(h)
     cache.append(h)
@@ -344,33 +326,27 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
 def _forward_uncached(spec: MlpSpec, params: list[np.ndarray], h: np.ndarray) -> np.ndarray:
     """`mlp_forward`'s output on rows `h`, bit for bit, without its cache.
 
-    At least 2 * `_ROWS` rows through hidden layers all at least
-    `_MIN_BLOCKED_WIDTH` wide run the hidden layers in row blocks of equal
-    size to within a row, and the output layer too when it is at least 2
-    wide and at least 2 blocks each make a product above `_SMALL_GEMM`.
-    Only the last layer run in blocks is written whole; an output layer
-    not run in blocks runs once over all rows (module docstring). Any
-    other input is `mlp_forward`'s pass.
+    The first layers that may run in row blocks do so, the last writing
+    its rows of one array; the rest run once over all rows (module docstring).
     """
-    n = h.shape[0]
-    if n < 2 * _ROWS or min(spec.widths[1:-1]) < _MIN_BLOCKED_WIDTH:
-        return mlp_forward(spec, params, h)[0]
-    k, w = spec.widths[-2:]
-    rows = max(_ROWS, _SMALL_GEMM // (k * w) + 1)
-    blocked_output = w > 1 and n // rows >= 2
-    n_hidden = len(spec.widths) - 2
-    n_blocked = n_hidden + blocked_output  # the layers that run in row blocks
-    n_blocks = n // (rows if blocked_output else _ROWS)
-    written = np.empty((n, spec.widths[n_blocked]))  # the last of them, whole
-    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        a = h[start:stop]
-        for i in range(n_blocked):
-            a = np.matmul(a, params[2 * i], out=written[start:stop] if i == n_blocked - 1 else None)
-            a += params[2 * i + 1]
-            if i < n_hidden:
-                _leaky_relu_inplace(a, spec.hidden_slope)
-    out = written if blocked_output else written @ params[-2] + params[-1]
+    n, n_layers = h.shape[0], len(spec.widths) - 1
+    rows, n_blocked = _ROWS, 0
+    for k, w in zip(spec.widths[:-1], spec.widths[1:]):
+        r = rows if w >= _MIN_BLOCKED_WIDTH else max(rows, _SMALL_GEMM // (k * w) + 1)
+        if w == 1 or n // r < 2:
+            break
+        rows, n_blocked = r, n_blocked + 1
+    out = h
+    if n_blocked:
+        out = np.empty((n, spec.widths[n_blocked]))
+        n_blocks = n // rows
+        bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            a = h[start:stop]
+            for i in range(n_blocked):
+                a = _layer(spec, params, i, a, out[start:stop] if i == n_blocked - 1 else None)
+    for i in range(n_blocked, n_layers):
+        out = _layer(spec, params, i, out)
     return np.tanh(out) if spec.output_activation == "tanh" else out
 
 

@@ -25,6 +25,10 @@ class GaussModesTask:
     def __post_init__(self):
         if self.n_modes < 2:
             raise ValueError("need at least 2 modes")
+        if not self.sigma >= 0:  # -s would draw what s draws, under another task dict
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         c = self.centers()
         d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
@@ -62,6 +66,8 @@ class CondRegressionTask:
             raise ValueError(f"dim_x and dim_y must be positive, got {self.dim_x}, {self.dim_y}")
         if self.map_seed < 0:
             raise ValueError(f"map_seed must be non-negative, got {self.map_seed}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.map_seed)

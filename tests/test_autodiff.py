@@ -20,7 +20,7 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _pack,
+    _unpack,
     disc_forward,
     gen_forward,
     init_params,
@@ -53,7 +53,7 @@ def assert_gradients_match_fd(spec, params, h, weights):
 def test_sigmoid_at_zero():
     # a zeroed discriminator's logit is 0, where D = sigmoid(0) = 0.5
     spec = MlpSpec((2, 3, 1))
-    params = [np.zeros_like(p) for p in init_params(spec, 0)]
+    params = [np.zeros(shape) for shape in spec.param_shapes()]
     out, _ = mlp_forward(spec, params, np.ones((2, 2)))
     np.testing.assert_array_equal(_sigmoid_parts(out)[1], np.full((2, 1), 0.5))
     assert float(_sigmoid_parts(np.array(0.0))[1]) == 0.5
@@ -133,7 +133,7 @@ def test_minimum_routes_gradient_to_smaller_operand():
 
 def test_bias_broadcast_gradient_sums_over_batch():
     spec = MlpSpec((3, 4, 2))
-    params = init_params(spec, 1)
+    params = _unpack(init_params(spec, 1), spec)
     _, cache = mlp_forward(spec, params, np.ones((5, 3)))
     g_out = np.arange(10.0).reshape(5, 2)
     grads, _ = mlp_backward(spec, params, cache, g_out, grads_out=fresh_grads(params))
@@ -167,7 +167,7 @@ def test_determinism_bitwise():
     def build(seed):
         rng = np.random.default_rng(seed)
         spec = MlpSpec((3, 3, 1), output_activation="tanh")
-        params = [rng.standard_normal(p.shape) for p in init_params(spec, 0)]
+        params = [rng.standard_normal(shape) for shape in spec.param_shapes()]
         out, cache = mlp_forward(spec, params, rng.standard_normal((2, 3)))
         grads, g_in = mlp_backward(spec, params, cache, np.full(out.shape, 0.5),
                                    grads_out=fresh_grads(params))
@@ -184,7 +184,7 @@ def test_finite_differences_on_random_expressions(seed):
     widths = tuple(int(w) for w in rng.integers(2, 5, size=rng.integers(3, 5)))
     spec = MlpSpec(widths, hidden_slope=(0.0, 0.2, 1.0)[seed % 3],
                    output_activation=OUTPUT_ACTIVATIONS[seed % len(OUTPUT_ACTIVATIONS)])
-    params = [rng.normal(0, 0.8, p.shape) for p in init_params(spec, seed)]
+    params = [rng.normal(0, 0.8, shape) for shape in spec.param_shapes()]
     h = rng.normal(0, 1.0, (3, widths[0]))
     assert_gradients_match_fd(spec, params, h, rng.uniform(0.5, 1.5, (3, widths[-1])))
 
@@ -193,8 +193,8 @@ def test_finite_differences_through_generator_and_concat():
     # a tanh G output, fused with x into D, under the non-saturating G loss
     rng = np.random.default_rng(7)
     g_spec, d_spec = MlpSpec((2, 4, 3), output_activation="tanh"), MlpSpec((5, 4, 1))
-    g_params = [rng.normal(0, 0.7, p.shape) for p in init_params(g_spec, 0)]
-    d_params = [rng.normal(0, 0.7, p.shape) for p in init_params(d_spec, 0)]
+    g_params = [rng.normal(0, 0.7, shape) for shape in g_spec.param_shapes()]
+    d_params = [rng.normal(0, 0.7, shape) for shape in d_spec.param_shapes()]
     x = rng.normal(0, 1.0, (3, 2))
     spec = LossSpec()
 
@@ -231,8 +231,8 @@ _away_from_zero = st.floats(-1.5, -0.05) | st.floats(0.05, 1.5)
 def _mlp_cases(draw, activation, slope, widths=None):
     widths = widths or tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
     spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
-    params = [draw(hnp.arrays(np.float64, p.shape, elements=_away_from_zero))
-              for p in init_params(spec, 0)]
+    params = [draw(hnp.arrays(np.float64, shape, elements=_away_from_zero))
+              for shape in spec.param_shapes()]
     h = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), widths[0]),
                         elements=_away_from_zero))
     weights = draw(hnp.arrays(np.float64, (h.shape[0], widths[-1]),
@@ -279,7 +279,7 @@ def test_unary_op_gradients_match_finite_differences(name, data):
 def test_matmul_and_concat_gradients_match_finite_differences(data, n, k, m):
     # D's input gradient, split at dim_x, against differences in x and in y apart
     spec, params, _, _ = data.draw(_mlp_cases("identity", 0.2, widths=(k + m, 3, 1)))
-    disc = Discriminator(spec, _pack(params, spec, "discriminator params"))
+    disc = Discriminator(spec, np.concatenate([p.ravel() for p in params]))
     x = data.draw(hnp.arrays(np.float64, (n, k), elements=_away_from_zero))
     y = data.draw(hnp.arrays(np.float64, (n, m), elements=_away_from_zero))
     w = data.draw(hnp.arrays(np.float64, (n, 1), elements=st.floats(0.5, 1.5)))

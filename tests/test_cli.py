@@ -270,6 +270,19 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
     _refused_from_gen_data(capsys, p, tmp_path / "r", "loss: classic ignores")
 
 
+@pytest.mark.parametrize("task, message", [
+    (dict(MINI_TASK, sigma=-0.25), "sigma must be non-negative, got -0.25"),
+    (dict(MINI_TASK, radius=-4.0), "radius must be positive, got -4.0"),
+    ({"type": "cond_regression", "noise_std": -0.05, "n_samples": 400},
+     "noise_std must be non-negative, got -0.05"),
+], ids=["sigma", "radius", "noise_std"])
+def test_impossible_task_noise_or_radius_refused(tmp_path, capsys, task, message):
+    # -0.25 would draw the data 0.25 draws, under a task dict of its own
+    p = write_config(tmp_path / "c.json", tmp_path / "r")
+    p.write_text(json.dumps(dict(json.loads(p.read_text()), task=task)))
+    _refused_from_gen_data(capsys, p, tmp_path / "r", f"task: {message}")
+
+
 @pytest.mark.parametrize("section, value, message", [
     ("loss", {"formulation": "classic", "lambdas": [1, 1, 1, 1]}, "classic ignores"),
     ("train", {"epochs": 1, "batch_size": 50, "lr": 0.0}, "lr must be positive"),

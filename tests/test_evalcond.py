@@ -23,7 +23,7 @@ from cganlab.evalcond import (
     oracle_accuracy,
     write_histogram_csv,
 )
-from cganlab.nets import Discriminator, Generator, MlpSpec, _pack, init_params
+from cganlab.nets import Discriminator, Generator, MlpSpec
 from cganlab.pairing import _row_keys
 from cganlab.tasks import CondRegressionTask, GaussModesTask, sample_dataset
 from cganlab.trainer import TrainConfig
@@ -41,10 +41,10 @@ def centroid_generator(task):
     # one-hot label in, exact mode centroid out: leaky-relu passes the
     # positive 2*e_k activation, and 2 * (c/2) is exact in floats
     spec = MlpSpec((task.n_modes, task.n_modes, 2))
-    params = [np.zeros_like(p) for p in init_params(spec, 0)]
-    params[0][:] = 2.0 * np.eye(task.n_modes)
-    params[2][:] = task.centers() / 2.0
-    return Generator(spec, _pack(params, spec, "generator params"))
+    gen = Generator(spec, np.zeros(spec.n_params))
+    gen.params[0][:] = 2.0 * np.eye(task.n_modes)
+    gen.params[2][:] = task.centers() / 2.0
+    return gen
 
 
 # -- collect_logits ------------------------------------------------------
@@ -216,9 +216,8 @@ def test_centroid_generator_scores_one():
 def test_condition_blind_generator_scores_chance():
     task = GaussModesTask()
     spec = MlpSpec((task.n_modes, task.n_modes, 2))
-    params = [np.zeros_like(p) for p in init_params(spec, 0)]
-    params[-1][:] = task.centers()[0]  # constant output at centroid 0
-    gen = Generator(spec, _pack(params, spec, "generator params"))
+    gen = Generator(spec, np.zeros(spec.n_params))
+    gen.params[-1][:] = task.centers()[0]  # constant output at centroid 0
     assert oracle_accuracy(gen, task, 50, seed=0) == 1.0 / task.n_modes
 
 

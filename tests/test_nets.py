@@ -15,7 +15,6 @@ from cganlab.nets import (
     Generator,
     MlpSpec,
     _leaky_relu_inplace,
-    _pack,
     _unpack,
     decode_vector,
     disc_forward,
@@ -34,24 +33,22 @@ def fresh_grads(params):
 
 def test_init_deterministic_from_seed():
     spec = MlpSpec((4, 8, 2))
-    a = init_params(spec, 123)
-    b = init_params(spec, 123)
-    for pa, pb in zip(a, b):
-        assert pa.tobytes() == pb.tobytes()
+    assert init_params(spec, 123).tobytes() == init_params(spec, 123).tobytes()
+    assert init_params(spec, 123).shape == (spec.n_params,)
 
 
 def test_init_weight_std_near_002():
     # ~1M weights: the sample std pins down the 0.02 target tightly
     spec = MlpSpec((1024, 512, 1024, 1))
-    params = init_params(spec, 0)
+    params = _unpack(init_params(spec, 0), spec)
     weights = np.concatenate([p.ravel() for p in params[::2]])
     assert weights.size >= 1_000_000
     assert 0.0195 <= weights.std() <= 0.0205
 
 
 def test_init_biases_exactly_zero():
-    params = init_params(MlpSpec((4, 8, 2)), 5)
-    for b in params[1::2]:
+    spec = MlpSpec((4, 8, 2))
+    for b in _unpack(init_params(spec, 5), spec)[1::2]:
         assert np.all(b == 0.0)
 
 
@@ -95,7 +92,7 @@ def test_generator_refuses_a_noise_dim_that_is_not_a_non_negative_int(noise_dim)
     # a checkpoint stores noise_dim as a JSON int, which a numpy integer is not
     spec = MlpSpec((5, 8, 2))
     with pytest.raises(ValueError, match="noise_dim must be a non-negative int"):
-        Generator(spec, _pack(init_params(spec, 0), spec, "generator params"), noise_dim)
+        Generator(spec, init_params(spec, 0), noise_dim)
 
 
 def test_zero_generator_identity_output_is_zero():
@@ -179,22 +176,14 @@ def test_batch_permutation_equivariance():
 def test_discriminator_output_width_enforced():
     spec = MlpSpec((5, 8, 2))
     with pytest.raises(ValueError, match="output width must be 1"):
-        Discriminator(spec, _pack(init_params(spec, 0), spec, "discriminator params"))
+        Discriminator(spec, init_params(spec, 0))
 
 
 @pytest.mark.parametrize("net", [Generator, Discriminator])
-@pytest.mark.parametrize("damage, message", [
-    (lambda ps: ps[:-1], "params: 5 arrays, expected 6"),
-    (lambda ps: [ps[0], np.zeros(1), *ps[2:]], r"params\[1\] has shape \[1\], expected \[8\]"),
-    (lambda ps: [ps[0].T, *ps[1:]], r"params\[0\] has shape \[8, 3\], expected \[3, 8\]"),
-], ids=["count", "bias", "transposed_weight"])
-def test_params_that_do_not_fit_the_spec_refused(net, damage, message):
-    # a list becomes a vector only through _pack, which names the misfit;
-    # a network takes a vector of exactly the spec's parameter count
+def test_a_vector_that_does_not_fit_the_spec_refused(net):
+    # a network takes a float64 vector of exactly the spec's parameter count
     spec = MlpSpec((3, 8, 4, 1))
-    with pytest.raises(ValueError, match=message):
-        _pack(damage(init_params(spec, 0)), spec, "params")
-    flat = _pack(init_params(spec, 0), spec, "params")
+    flat = init_params(spec, 0)
     for bad, got in [(flat[:-1], r"float64 \[72\]"), (flat.astype(np.float32), r"float32 \[73\]"),
                      (flat.reshape(1, -1), r"float64 \[1, 73\]"), (list(flat), "list")]:
         with pytest.raises(ValueError, match=f"vector of 73 elements, got {got}"):
@@ -243,7 +232,7 @@ def test_outputs_and_gradients_finite_at_saturation(activation):
 
 def test_params_jsonable_round_trip_exact():
     spec = MlpSpec((4, 8, 2))
-    flat = _pack(init_params(spec, 9), spec, "params")
+    flat = init_params(spec, 9)
     back = decode_vector(encode_vector(flat), spec.n_params, "params")
     assert back.shape == flat.shape == (spec.n_params,)
     assert back.tobytes() == flat.tobytes()
@@ -316,8 +305,8 @@ def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, activation, data
 def _assert_mlp_matches_where(slope, activation, data):
     widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
     spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
-    params = [data.draw(hnp.arrays(np.float64, p.shape, elements=_with_signed_zeros))
-              for p in init_params(spec, 0)]
+    params = [data.draw(hnp.arrays(np.float64, shape, elements=_with_signed_zeros))
+              for shape in spec.param_shapes()]
     rows = data.draw(st.integers(1, 6))
     h = data.draw(hnp.arrays(np.float64, (rows, widths[0]), elements=_with_signed_zeros))
     g_out = data.draw(hnp.arrays(np.float64, (rows, widths[-1]), elements=_with_signed_zeros))
@@ -402,6 +391,16 @@ def test_leaky_select_in_blocks_matches_where_bitwise(slope, block, case, data):
     assert_same_bits(h, expected)
 
 
+def _peak_bytes(forward):
+    """`forward()`'s output and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        out = forward()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gen_forward_peak_memory_two_activations():
     # 8,192 one-hot rows through (256, 256) hidden layers: one activation
     # is 16.8 MB. A layer's input and output must coexist, which is 2;
@@ -409,12 +408,7 @@ def test_gen_forward_peak_memory_two_activations():
     gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
     x = np.eye(32)[np.arange(8192) % 32]
     activation_bytes = 8192 * 256 * 8
-    tracemalloc.start()
-    try:
-        out, _ = gen_forward(gen, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (out, _), peak = _peak_bytes(lambda: gen_forward(gen, x))
     assert peak < 2.5 * activation_bytes
     assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
 
@@ -427,30 +421,41 @@ def test_cache_free_gen_forward_peak_memory_half_an_activation_and_a_block():
     gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
     x = np.eye(32)[np.arange(8192) % 32]
     activation_bytes = 8192 * 256 * 8
-    tracemalloc.start()
-    try:
-        out, cache = gen_forward(gen, x, cache=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (out, cache), peak = _peak_bytes(lambda: gen_forward(gen, x, cache=False))
     assert cache is None
     assert peak < 0.75 * activation_bytes
     assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
 
 
-@pytest.mark.parametrize("k, w, n, n_blocks", [
-    # the smallest blocks the rule admits: 10^6 // (k * w) + 1 rows each
-    (256, 2, 2 * 1_954, 2), (128, 2, 2 * 3_907, 2), (128, 4, 3 * 1_954, 3),
-    # the blocks `_forward_uncached` takes at the benchmark's sizes
-    (256, 2, 16_000, 7), (128, 2, 8_000, 2), (128, 4, 8_000, 3),
-])
-def test_narrow_product_in_row_blocks_above_the_small_gemm_cutoff_keeps_its_bits(k, w, n, n_blocks):
-    # the premise of the blocked output layer (`nets` module docstring):
-    # above OpenBLAS's small-matrix cut-off a row block of an (n, k) @ (k, w)
-    # product has the whole product's bits; a numpy or BLAS upgrade that
-    # breaks this fails here first
-    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]  # as `_forward_uncached` splits
-    assert min(np.diff(bounds)) * k * w > nets._SMALL_GEMM
+def test_cache_free_disc_forward_peak_memory_one_activation_and_blocks():
+    # the discriminator's 1-wide logit is not blocked, so its last hidden
+    # layer is written whole (one activation) beside the blocks of the
+    # layers before it; the cached pass holds every activation
+    disc = Discriminator.build(32, 2, hidden=(256, 256), seed=0)
+    x, y = np.eye(32)[np.arange(8192) % 32], np.ones((8192, 2))
+    activation_bytes = 8192 * 256 * 8
+    (out, cache), peak = _peak_bytes(lambda: disc_forward(disc, x, y, cache=False))
+    assert cache is None
+    assert peak < 1.6 * activation_bytes
+    h = np.concatenate([x, y], axis=1)
+    assert_same_bits(out, _where_forward(disc.spec, disc.params, h)[0])
+
+
+def test_cache_free_forward_blocks_past_a_narrow_hidden_layer():
+    # 3 -> 128 -> 4 -> 2 at 16,000 rows: the 128-wide layer and the 4-wide
+    # one after it run in blocks, so no 128-wide activation is made whole
+    gen = Generator.build(3, 2, hidden=(128, 4), seed=0)
+    x = np.random.default_rng(0).standard_normal((16_000, 3))
+    (out, _), peak = _peak_bytes(lambda: gen_forward(gen, x, cache=False))
+    assert peak < 0.5 * 16_000 * 128 * 8
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+
+
+def _assert_row_blocks_keep_bits(k, w, n, n_blocks):
+    """An (n, k) @ (k, w) product in n_blocks even row blocks, as
+    `_forward_uncached` splits, has the whole product's bits; returns the
+    smallest block's row count."""
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     make = np.random.default_rng([k, w, n])
     a = make.standard_normal((n, k))
     _leaky_relu_inplace(a, 0.2)
@@ -459,6 +464,32 @@ def test_narrow_product_in_row_blocks_above_the_small_gemm_cutoff_keeps_its_bits
     for start, stop in zip(bounds[:-1], bounds[1:]):
         np.matmul(a[start:stop], weights, out=blocked[start:stop])
     assert_same_bits(blocked, a @ weights)
+    return min(np.diff(bounds))
+
+
+@pytest.mark.parametrize("k, w, n, n_blocks", [
+    # the smallest blocks the rule admits: 10^6 // (k * w) + 1 rows each
+    (256, 2, 2 * 1_954, 2), (128, 2, 2 * 3_907, 2), (128, 4, 3 * 1_954, 3),
+    (128, 5, 2 * 1_563, 2), (128, 6, 2 * 1_303, 2), (128, 7, 2 * 1_117, 2),
+    # the blocks `_forward_uncached` takes at the benchmark's sizes
+    (256, 2, 16_000, 7), (128, 2, 8_000, 2), (128, 4, 8_000, 3),
+])
+def test_narrow_product_in_row_blocks_above_the_small_gemm_cutoff_keeps_its_bits(k, w, n, n_blocks):
+    # the premise of blocking a layer 2 to 7 wide (`nets` module docstring):
+    # above OpenBLAS's small-matrix cut-off a row block of an (n, k) @ (k, w)
+    # product has the whole product's bits; a numpy or BLAS upgrade that
+    # breaks this fails here first
+    assert 2 <= w < nets._MIN_BLOCKED_WIDTH
+    assert _assert_row_blocks_keep_bits(k, w, n, n_blocks) * k * w > nets._SMALL_GEMM
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_wide_product_in_row_blocks_below_the_small_gemm_cutoff_keeps_its_bits(k):
+    # the premise of blocking a layer at least 8 wide in blocks of `_ROWS`
+    # rows: its bits hold even where each block's product is small
+    rows = nets._ROWS
+    assert rows * k * 128 <= nets._SMALL_GEMM
+    assert _assert_row_blocks_keep_bits(k, 128, 2 * rows, 2) == rows
 
 
 _R = nets._ROWS
@@ -467,28 +498,34 @@ _R = nets._ROWS
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
 @pytest.mark.parametrize("slope", SELECT_SLOPES)
 @settings(max_examples=8, deadline=None)
-@example(hidden=[128, 2], rows=2 * _R, noise_dim=2, dim_y=2, fortran=False, seed=0)
-@example(hidden=[128, 1], rows=2 * _R + 1, noise_dim=0, dim_y=5, fortran=False, seed=1)
-@example(hidden=[128], rows=5 * _R + 3, noise_dim=0, dim_y=2, fortran=True, seed=2)
+@example(hidden=[128, 2], rows=2 * _R, dim_x=3, noise_dim=2, dim_y=2, fortran=False, seed=0)
+@example(hidden=[128, 1], rows=2 * _R + 1, dim_x=3, noise_dim=0, dim_y=5, fortran=False, seed=1)
+@example(hidden=[128], rows=5 * _R + 3, dim_x=3, noise_dim=0, dim_y=2, fortran=True, seed=2)
 # the output layer blocked (2 blocks of 3,907 rows), kept whole (3,906
 # rows a block would be too few), and the benchmark's 256-wide generator
-@example(hidden=[128], rows=7_814, noise_dim=0, dim_y=2, fortran=False, seed=3)
-@example(hidden=[128], rows=7_812, noise_dim=2, dim_y=2, fortran=False, seed=4)
-@example(hidden=[256, 256], rows=16_000, noise_dim=0, dim_y=2, fortran=False, seed=5)
+@example(hidden=[128], rows=7_814, dim_x=3, noise_dim=0, dim_y=2, fortran=False, seed=3)
+@example(hidden=[128], rows=7_812, dim_x=3, noise_dim=2, dim_y=2, fortran=False, seed=4)
+@example(hidden=[256, 256], rows=16_000, dim_x=3, noise_dim=0, dim_y=2, fortran=False, seed=5)
 # 1-wide outputs stay whole: in 3 blocks of 4,001 rows their gemv would change bits
-@example(hidden=[256], rows=12_003, noise_dim=0, dim_y=1, fortran=False, seed=6)
+@example(hidden=[256], rows=12_003, dim_x=3, noise_dim=0, dim_y=1, fortran=False, seed=6)
+# a 4-wide hidden layer blocked with the one before it (2 layers in 7
+# blocks), a 1-wide one ending the blocked run after layer 0, and a
+# 1-column input into 128-wide layers (every layer in 2 blocks of 4,000)
+@example(hidden=[128, 4], rows=16_000, dim_x=3, noise_dim=0, dim_y=2, fortran=False, seed=7)
+@example(hidden=[128, 1], rows=16_000, dim_x=3, noise_dim=0, dim_y=2, fortran=False, seed=8)
+@example(hidden=[128, 128], rows=8_000, dim_x=1, noise_dim=0, dim_y=2, fortran=False, seed=9)
 @given(hidden=st.lists(st.sampled_from([1, 2, 4, 8, 16, 128]), min_size=1, max_size=2),
        rows=st.sampled_from([2 * _R - 1, 2 * _R, 2 * _R + 1, 5 * _R + 3]),
-       noise_dim=st.sampled_from([0, 2]), dim_y=st.sampled_from([1, 2, 5]),
-       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       dim_x=st.sampled_from([1, 3]), noise_dim=st.sampled_from([0, 2]),
+       dim_y=st.sampled_from([1, 2, 5]), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_cache_free_forward_is_the_cached_output_bit_for_bit(
-        slope, activation, hidden, rows, noise_dim, dim_y, fortran, seed):
-    # row-blocked from 2 * _ROWS rows when every hidden layer is at least 8
-    # wide; a product 1 to 4 wide changes its bits with its row count below
-    # OpenBLAS's small-matrix cut-off (the examples do, on OpenBLAS 0.3.31),
-    # so such an output layer is blocked only above it, and a hidden layer
-    # that narrow takes the unblocked pass
-    dim_x = 3
+        slope, activation, hidden, rows, dim_x, noise_dim, dim_y, fortran, seed):
+    # the first layers run in row blocks while each one may: a layer at
+    # least 8 wide in blocks of at least `_ROWS` rows, one 2 to 7 wide in
+    # blocks whose product is above OpenBLAS's small-matrix cut-off, a
+    # 1-wide one never. Below the cut-off a product 1 to 4 wide changes its
+    # bits with its row count (the examples do, on OpenBLAS 0.3.31), and
+    # gemv, which runs a 1-wide one, changes them with the split.
     make = np.random.default_rng(seed)
     g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), slope, activation)
     d_spec = MlpSpec((dim_x + dim_y, *hidden, 1), slope, activation)

@@ -123,6 +123,29 @@ def test_overlapping_modes_rejected():
         GaussModesTask(n_modes=8, radius=4.0, sigma=0.8)
 
 
+@pytest.mark.parametrize("task, field, value, message", [
+    (GaussModesTask, "sigma", -0.25, "sigma must be non-negative, got -0.25"),
+    (GaussModesTask, "sigma", float("nan"), "sigma must be non-negative, got nan"),
+    (GaussModesTask, "radius", -4.0, "radius must be positive, got -4.0"),
+    (GaussModesTask, "radius", 0.0, "radius must be positive, got 0.0"),
+    (CondRegressionTask, "noise_std", -0.05, "noise_std must be non-negative, got -0.05"),
+], ids=["negative_sigma", "nan_sigma", "negative_radius", "zero_radius", "negative_noise_std"])
+def test_impossible_noise_or_radius_refused(task, field, value, message):
+    # a noise scale only multiplies a standard normal, so -s would draw the
+    # data s draws while recording another task
+    with pytest.raises(ValueError, match=message):
+        task(**{field: value})
+
+
+def test_zero_noise_allowed():
+    modes = GaussModesTask(sigma=0.0)
+    ds = sample_dataset(modes, 16, seed=0)
+    np.testing.assert_array_equal(ds.ys, modes.centers()[ds.labels])
+    regression = CondRegressionTask(noise_std=0.0)
+    ds = sample_dataset(regression, 16, seed=0)
+    np.testing.assert_array_equal(ds.ys, regression.clean_map(ds.xs))
+
+
 def test_regression_dataset_reproducible_map():
     task = CondRegressionTask(dim_x=4, dim_y=2, map_seed=11)
     w1, b1 = task.weights()

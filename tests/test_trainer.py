@@ -17,7 +17,6 @@ from cganlab.nets import (
     Discriminator,
     Generator,
     MlpSpec,
-    _pack,
     _unpack,
     decode_vector,
     disc_forward,
@@ -121,7 +120,7 @@ def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, lr, beta1
                 for s in spec.param_shapes()]
 
     def pack(arrays):
-        return _pack(arrays, spec, "arrays")
+        return np.concatenate([a.ravel() for a in arrays])
 
     params = draw_arrays()
     m = draw_arrays()
@@ -148,8 +147,8 @@ def _assert_views_of_flat(net):
 
 def test_networks_and_adam_state_are_packed_however_built(tmp_path):
     d_spec = MlpSpec((3, 5, 4, 1))
-    raw = init_params(d_spec, 1)
-    direct = Discriminator(d_spec, _pack(raw, d_spec, "discriminator params"))
+    raw = [p.copy() for p in _unpack(init_params(d_spec, 1), d_spec)]
+    direct = Discriminator(d_spec, np.concatenate([p.ravel() for p in raw]))
     assert not any(np.shares_memory(direct.flat, p) for p in raw)  # a copy
     assert [p.tobytes() for p in direct.params] == [p.tobytes() for p in raw]
     moments = AdamState(m=direct.flat.copy(), v=direct.flat ** 2, t=3)
@@ -281,8 +280,8 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
                           output_activation="tanh", seed=11)
     disc = Discriminator.build(task.dim_x, task.dim_y, hidden=(5, 4), seed=12)
     for net, offset in ((gen, 0), (disc, 50)):
-        net.flat[:] = _pack([np.random.default_rng(offset + i).normal(0, 0.7, p.shape)
-                             for i, p in enumerate(net.params)], net.spec, "params")
+        for i, p in enumerate(net.params):
+            p[...] = np.random.default_rng(offset + i).normal(0, 0.7, p.shape)
     config = TrainConfig(epochs=1, batch_size=8, seed=0, loss=loss)
     captured = {}
 
@@ -314,9 +313,8 @@ def _separable_setup(n=2000, seed=0):
     ds = ConditionalDataset(xs=rng.standard_normal((n, 1)),
                             ys=1.0 + 0.1 * rng.standard_normal((n, 1)))
     spec = MlpSpec((1, 8, 1))
-    params = [np.zeros_like(p) for p in init_params(spec, 0)]
-    params[-1][:] = -1.0
-    gen = Generator(spec, _pack(params, spec, "generator params"))
+    gen = Generator(spec, np.zeros(spec.n_params))
+    gen.params[-1][:] = -1.0
     disc = Discriminator.build(1, 1, hidden=(16, 16), seed=3)
     return ds, gen, disc
 

@@ -8,9 +8,10 @@ and a name bound by an import that no expression of the module reads
 fails the test. Likewise a module-level private name (a function, class
 or constant whose name starts with one underscore) that no module of the
 package reads fails: a helper that only tests call is dead code. And a
-module other than `nets` that reads `mlp_forward`, or draws generator
-noise (a `standard_normal` call whose arguments name `noise_dim`), fails:
-`nets.gen_forward` and `nets.disc_forward` are the one forward path.
+module other than `nets` that reads `mlp_forward` or `_layer` (every
+way to run a layer), or draws generator noise (a `standard_normal` call
+whose arguments name `noise_dim`), fails: `nets.gen_forward` and
+`nets.disc_forward` are the one forward path.
 A module other than `pairing` that reads `sample_pair_batch` fails too:
 `pairing.draw_pairings` is the one pair-batch path. The evaluation
 modules, `evalcond` and `tasks`, call `gen_forward`, `disc_forward` and
@@ -109,15 +110,16 @@ def _name(node):
 
 
 def forward_path_bypasses(source: str) -> list[str]:
-    """Each read of `mlp_forward` and each noise draw of `source`, as `line N: what`.
+    """Each read of `mlp_forward` or `_layer` and each noise draw of `source`,
+    as `line N: what`.
 
     A noise draw is a call of `standard_normal` (a name or an attribute)
     with `noise_dim`, as a name or an attribute, anywhere in its arguments.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if _name(node) == "mlp_forward" and isinstance(node.ctx, ast.Load):
-            found.append((node.lineno, "reads mlp_forward"))
+        if _name(node) in ("mlp_forward", "_layer") and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, f"reads {_name(node)}"))
         elif isinstance(node, ast.Call) and _name(node.func) == "standard_normal":
             names = {_name(n) for arg in [*node.args, *(k.value for k in node.keywords)]
                      for n in ast.walk(arg)}
@@ -130,10 +132,11 @@ def test_forward_path_checker_finds_bypasses():
     source = ("from .nets import mlp_forward\nimport numpy as np\n"
               "y = mlp_forward(spec, params, h)\nf = nets.mlp_forward\n"
               "z = rng.standard_normal((n, gen.noise_dim))\n"
-              "w = standard_normal(size=(n, noise_dim))\nv = rng.standard_normal((n, 2))\n")
+              "w = standard_normal(size=(n, noise_dim))\nv = rng.standard_normal((n, 2))\n"
+              "a = nets._layer(spec, params, 0, h)\n")
     assert forward_path_bypasses(source) == [
         "line 3: reads mlp_forward", "line 4: reads mlp_forward",
-        "line 5: draws noise", "line 6: draws noise"]
+        "line 5: draws noise", "line 6: draws noise", "line 8: reads _layer"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE_FILES if p.name != "nets.py"],
