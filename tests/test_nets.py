@@ -179,6 +179,26 @@ def test_discriminator_output_width_enforced():
         Discriminator(spec, init_params(spec, 0))
 
 
+def _concat(ps):
+    return np.concatenate([p.ravel() for p in ps])
+
+
+@pytest.mark.parametrize("net", [Generator, Discriminator])
+@pytest.mark.parametrize("damage, message", [
+    (lambda ps: _concat(ps[:-1]), r"float64 \[72\]"),
+    (lambda ps: _concat([ps[0], np.zeros(1), *ps[2:]]), r"float64 \[66\]"),
+    # a transposed weight keeps the element count, so only the list itself
+    # is refusable: a network takes no list of arrays
+    (lambda ps: [ps[0].T, *ps[1:]], "list"),
+], ids=["count", "bias", "transposed_weight"])
+def test_params_that_do_not_fit_the_spec_refused(net, damage, message):
+    # arrays that misfit the spec, packed or not, give no network
+    spec = MlpSpec((3, 8, 4, 1))
+    ps = _unpack(init_params(spec, 0), spec)
+    with pytest.raises(ValueError, match=f"vector of 73 elements, got {message}"):
+        net(spec, damage(ps))
+
+
 @pytest.mark.parametrize("net", [Generator, Discriminator])
 def test_a_vector_that_does_not_fit_the_spec_refused(net):
     # a network takes a float64 vector of exactly the spec's parameter count
