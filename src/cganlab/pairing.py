@@ -45,8 +45,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
     Equal to `np.unique(rows, axis=0, return_inverse=True)[1]`: rows are
     ranked in lexicographic order and equal rows share a rank (so 0.0 and
-    -0.0 are equal). A `lexsort` over the columns and one compare of
-    adjacent sorted rows, which is much faster on wide rows than
+    -0.0 are equal; on an int64 view of float rows they differ, as the keys
+    are then the rows' bits). A `lexsort` over the columns and one compare
+    of adjacent sorted rows, which is much faster on wide rows than
     `np.unique`'s sort of a structured view.
     """
     order = np.lexsort(rows.T[::-1])
@@ -229,24 +230,29 @@ def draw_pairings(ds: ConditionalDataset, gen: Generator, size: int,
     return ((x, y), (x, y_g), (x_tilde, y), (x_tilde, y_g)), cache
 
 
-# -- dataset CSV format (shared with tasks and cli) ----------------------
+# -- dataset CSV format (`dataset.csv`: written by gen-data, read by cli) --
 
 def save_dataset_csv(ds: ConditionalDataset, path) -> None:
     """Write the dataset as CSV: a header, then one row per sample.
 
     Floats are written with `repr`, so they load back bit-exact; lines end
-    in CRLF, as the `csv` module's default dialect writes them.
+    in CRLF, as the `csv` module's default dialect writes them. Each
+    distinct condition row is formatted once: rows are keyed by their bits,
+    so 0.0 and -0.0 print apart.
     """
     dx, dy = ds.xs.shape[1], ds.ys.shape[1]
     header = [f"x_{i}" for i in range(dx)] + [f"y_{i}" for i in range(dy)]
-    rows = np.hstack([ds.xs, ds.ys]).tolist()
-    lines = [",".join(map(repr, row)) for row in rows]
+    keys = _row_keys(ds.xs.view(np.int64))
+    rep = np.empty(keys.max() + 1, dtype=np.intp)
+    rep[keys] = np.arange(keys.size)  # any row of a key: its rows share their bits
+    x_text = [",".join(map(repr, row)) for row in ds.xs[rep].tolist()]
+    cols = [map(x_text.__getitem__, keys.tolist())] + [map(repr, c) for c in ds.ys.T.tolist()]
     if ds.labels is not None:
         header.append("label")
-        lines = [f"{line},{label}" for line, label in zip(lines, ds.labels.tolist())]
+        cols.append(map(str, ds.labels.tolist()))
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(line + "\r\n" for line in lines))
+        fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def load_dataset_csv(path) -> ConditionalDataset:

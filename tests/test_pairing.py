@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -409,15 +410,66 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.7
             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
 
 
-@pytest.mark.parametrize("labelled", [True, False])
-def test_dataset_csv_bytes_match_csv_writer(tmp_path, labelled):
-    ds = sample_dataset(GaussModesTask(), 200, seed=5)
+def _assert_csv_bytes_match_csv_writer(ds, tmp):
+    new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+    save_dataset_csv(ds, new)
+    _csv_writer_reference(ds, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+# the first two ids are labelled and unlabelled Gauss-modes data
+@pytest.mark.parametrize("dataset, labelled", [
+    ("gauss_modes", True), ("gauss_modes", False), ("cond_regression", False),
+    ("signed_zero_x", False),
+], ids=["True", "False", "cond_regression", "signed_zero_x"])
+def test_dataset_csv_bytes_match_csv_writer(tmp_path, dataset, labelled):
+    if dataset == "signed_zero_x":
+        # equal as values but not as bits: each row must print its own sign
+        ds = ConditionalDataset(xs=[[0.0], [-0.0], [0.0], [-0.0]], ys=np.zeros((4, 1)))
+    else:
+        task = GaussModesTask() if dataset == "gauss_modes" else CondRegressionTask()
+        ds = sample_dataset(task, 200, seed=5)
     ys = ds.ys.copy()
-    ys.ravel()[: len(EXTREMES)] = EXTREMES
+    ys.ravel()[: len(EXTREMES)] = EXTREMES[: ys.size]
     ds = ConditionalDataset(xs=ds.xs, ys=ys, labels=ds.labels if labelled else None)
-    save_dataset_csv(ds, tmp_path / "new.csv")
-    _csv_writer_reference(ds, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_csv_bytes_match_csv_writer(ds, tmp_path)
+
+
+# bit patterns the writer must keep apart or print specially: signed zeros,
+# NaN, the infinities and subnormals
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+            1e-310, -2.2250738585072009e-308, 1.0, -1.0]
+_pooled_value = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_distinct=st.integers(1, 4), n=st.integers(2, 24),
+       dx=st.integers(1, 3), dy=st.integers(1, 2), labelled=st.booleans())
+def test_dataset_csv_bytes_with_repeated_conditions_match_csv_writer(
+        data, n_distinct, n, dx, dy, labelled):
+    # conditions from a small pool, so keys repeat; the pool holds each row
+    # again with its zeros' signs flipped, which must not share a key
+    pool = data.draw(hnp.arrays(np.float64, (n_distinct, dx), elements=_pooled_value))
+    pool = np.concatenate([pool, np.where(pool == 0.0, -pool, pool)])
+    xs = pool[data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    ys = data.draw(hnp.arrays(np.float64, (n, dy), elements=_pooled_value))
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10**6))) \
+        if labelled else None
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_csv_bytes_match_csv_writer(ConditionalDataset(xs=xs, ys=ys, labels=labels), tmp)
+
+
+def test_dataset_csv_writer_peak_memory_below_four_file_sizes(tmp_path):
+    # 16,000 rows on 32 one-hot conditions: formatting every row peaks at
+    # about 10 file sizes, formatting each distinct condition once at under 3
+    ds = sample_dataset(GaussModesTask(n_modes=32, radius=8.0), 16000, 3)
+    tracemalloc.start()
+    try:
+        save_dataset_csv(ds, tmp_path / "ds.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (tmp_path / "ds.csv").stat().st_size
 
 
 _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES))
