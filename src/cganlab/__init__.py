@@ -3,8 +3,8 @@
 Classic and a-contrario conditional adversarial training on synthetic
 tasks, with the tooling to check conditionality claims directly (one
 `evaluate` call): optimal-discriminator logit histograms, per-pairing
-classification rates and AUROCs, oracle conditional accuracy, and NDB
-mode-collapse scoring. Everything is numpy: both networks are MLPs whose
+AUROCs against the real-conditional pairing, oracle conditional accuracy,
+and NDB mode-collapse scoring. Everything is numpy: both networks are MLPs whose
 gradients are written out in closed form (`mlp_forward`, `mlp_backward`),
 chained with the losses' gradients by the trainer.
 """
@@ -35,7 +35,7 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .evalcond import (EvalConfig, auroc, build_histogram, classification_rates, collect_logits,
-                       evaluate, ndb_score, oracle_accuracy)
+from .evalcond import (EvalConfig, auroc, build_histogram, collect_logits, evaluate, ndb_score,
+                       oracle_accuracy)
 
 __version__ = "0.1.0"

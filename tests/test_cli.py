@@ -84,6 +84,8 @@ def test_full_pipeline_outputs_and_schema(tmp_path):
         assert (out / name).exists(), name
 
     report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"classification_rates", "auroc", "oracle_accuracy", "regression",
+                           "ndb", "phase", "inputs"}
     rates = report["classification_rates"]
     assert set(rates) == {"real_cond", "gen_cond", "real_ac", "gen_ac"}
     assert all(0.0 <= v <= 1.0 for v in rates.values())
@@ -139,7 +141,11 @@ def test_report_compares_formulations(tmp_path):
         run_pipeline(cfg, out)
     assert main(["report", "--run-dir", str(tmp_path / "sweep")]) == 0
     summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+    assert set(summary) == {"runs", "baseline", "acontrario", "comparison"}
     assert {r["formulation"] for r in summary["runs"]} == {"classic", "acontrario"}
+    for run in summary["runs"]:
+        assert set(run) == {"name", "formulation", "seed", "oracle_accuracy", "ndb_over_k",
+                            "auroc_real_ac"}
     assert set(summary["comparison"]) == {"acontrario_auroc_real_ac_higher",
                                           "auroc_real_ac_sign_test", "oracle_accuracy_delta"}
     for group in ("baseline", "acontrario"):
@@ -159,8 +165,7 @@ def _fake_run(run_dir, name, formulation, seed=0, auroc_real_ac=0.5):
     (sub / "config.json").write_text(json.dumps({"seed": seed,
                                                  "loss": {"formulation": formulation}}))
     (sub / "report.json").write_text(json.dumps(
-        {"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": None, "ndb": None,
-         "auroc": {"real_ac": auroc_real_ac}}))
+        {"oracle_accuracy": None, "ndb": None, "auroc": {"real_ac": auroc_real_ac}}))
     return sub
 
 
@@ -198,18 +203,20 @@ def test_sign_test_is_the_two_sided_binomial_test(wins, losses):
     ("config.json", "{}", "missing loss.formulation"),
     ("config.json", '{"seed": 0, "loss": {"formulation": 3}}', "loss.formulation must be"),
     ("config.json", '{"seed": "0", "loss": {"formulation": "acontrario"}}', "seed must be"),
-    ("report.json", "[]", "missing classification_rates.real_ac"),
-    ("report.json", '{"classification_rates": {"real_ac": "0.5"}}', "real_ac must be"),
-    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
-                    '"ndb": {"ndb_over_k": [0.5]}}', "ndb.ndb_over_k must be"),
-    ("report.json", '{"classification_rates": ', "Expecting value"),
-    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
-                    '"ndb": null}', "missing auroc.real_ac"),
-    ("report.json", '{"classification_rates": {"real_ac": 0.5}, "oracle_accuracy": null, '
-                    '"ndb": null, "auroc": {"real_ac": null}}', "auroc.real_ac must be"),
-], ids=["config_empty", "config_formulation_number", "config_seed_string", "report_list",
-        "report_rate_string", "report_ndb_list", "report_truncated", "report_without_auroc",
-        "report_auroc_null"])
+    # a formulation without "acontrario" in it once counted as a baseline
+    ("config.json", '{"seed": 0, "loss": {"formulation": "clasic"}}',
+     'unknown loss.formulation "clasic"'),
+    ("report.json", "[]", "missing oracle_accuracy"),
+    ("report.json", '{"oracle_accuracy": "0.5"}', "oracle_accuracy must be"),
+    ("report.json", '{"oracle_accuracy": null, "ndb": {"ndb_over_k": [0.5]}}',
+     "ndb.ndb_over_k must be"),
+    ("report.json", '{"oracle_accuracy": ', "Expecting value"),
+    ("report.json", '{"oracle_accuracy": null, "ndb": null}', "missing auroc.real_ac"),
+    ("report.json", '{"oracle_accuracy": null, "ndb": null, "auroc": {"real_ac": null}}',
+     "auroc.real_ac must be"),
+], ids=["config_empty", "config_formulation_number", "config_seed_string",
+        "config_formulation_unknown", "report_list", "report_rate_string", "report_ndb_list",
+        "report_truncated", "report_without_auroc", "report_auroc_null"])
 def test_malformed_run_file_reported_as_bad(tmp_path, capsys, name, text, message):
     run_dir = tmp_path / "sweep"
     _fake_run(run_dir, "base", "classic")
@@ -249,6 +256,15 @@ def test_removed_ema_decay_key_refused(tmp_path, capsys):
     assert main(["gen-data", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config:") and "ema_decay" in err
+
+
+def test_removed_threshold_key_refused(tmp_path, capsys):
+    # the logit threshold is fixed at 0, where D = 0.5; no output read another one
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
+           "eval": dict(MINI_EVAL, threshold=0.0)}
+    p = tmp_path / "threshold.json"
+    p.write_text(json.dumps(cfg))
+    _refused_from_gen_data(capsys, p, tmp_path / "r", "threshold")
 
 
 def _refused_from_gen_data(capsys, p, out, message):
@@ -402,8 +418,7 @@ _KEYS = ([("gauss_modes", "seed", None, 0)]
 # of one of them that some stage refuses, gen-data refuses too
 _LOAD_CHECKED = ({("loss", k) for k in (*cli.LOSS_DEFAULTS, "lambdas")}
                  | {("model", k) for k in cli.MODEL_DEFAULTS}
-                 | {("eval", k) for k in ("n_bins", "phase_epochs", "alpha", "threshold",
-                                          "n_per_label")}
+                 | {("eval", k) for k in ("n_bins", "phase_epochs", "alpha", "n_per_label")}
                  | {("train", k) for k in ("lr", "beta1", "beta2", "epochs",
                                            "d_steps_per_g_step", "checkpoint_every")})
 _STRINGS = st.text(max_size=3) | st.sampled_from(
@@ -989,9 +1004,18 @@ def _rebytes(change):
     # equal to the configured 0 and 16, so only their type shows they were never written
     (("generator", "noise_dim"), float, "noise_dim must be a non-negative int, got 0.0"),
     (("generator", "spec", "widths", 1), lambda w: w + 0.5, "widths must be positive integers"),
+    # counters: a string once failed only on resuming, a negative t diverged at the
+    # first resumed step, and a negative or bool step trained without an error
+    (("adam_d", "t"), lambda t: "3", 'adam_d.t must be a non-negative int, got "3"'),
+    (("adam_d", "t"), lambda t: -5, "adam_d.t must be a non-negative int, got -5"),
+    (("step",), lambda step: "10", 'step must be a non-negative int, got "10"'),
+    (("step",), lambda step: -1, "step must be a non-negative int, got -1"),
+    (("step",), lambda step: True, "step must be a non-negative int, got true"),
+    (("seed",), float, "seed must be a non-negative int, got 0.0"),
 ], ids=["truncated_payload", "not_base64", "list_payload",
         "generator_flat_short", "discriminator_flat_long", "adam_moment_length",
-        "noise_dim_float", "width_fraction"])
+        "noise_dim_float", "width_fraction", "adam_t_string", "adam_t_negative",
+        "step_string", "step_negative", "step_bool", "seed_float"])
 def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0

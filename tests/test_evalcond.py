@@ -17,7 +17,6 @@ from cganlab.evalcond import (
     auroc,
     build_histogram,
     check_ndb_settings,
-    classification_rates,
     collect_logits,
     ndb_score,
     oracle_accuracy,
@@ -138,20 +137,15 @@ def test_histogram_csv_layout(tmp_path):
 
 # -- classification rates ------------------------------------------------
 
-def test_rates_trivial_cases():
-    ones = {name: np.ones(5) for name in PAIRINGS}
-    assert all(r == 1.0 for r in classification_rates(ones).values())
-    sym = {name: np.array([-1.0, 1.0]) for name in PAIRINGS}
-    assert all(r == 0.5 for r in classification_rates(sym).values())
-
-
-def test_rates_invariant_under_monotone_transform():
-    rng = np.random.default_rng(7)
-    logits = {name: rng.normal(0, 3, 500) for name in PAIRINGS}
-    base = classification_rates(logits, threshold=0.0)
-    probs = {name: 1.0 / (1.0 + np.exp(-a)) for name, a in logits.items()}
-    transformed = classification_rates(probs, threshold=0.5)
-    assert base == transformed
+def test_zero_discriminator_rates_and_aurocs():
+    # every logit is 0: none lies above the threshold 0, and every pair of
+    # pairings ties, so each AUROC counts all its pairs half
+    task, ds, gen, disc = setup_eval()
+    disc.flat[:] = 0.0
+    ev = EvalConfig(n_eval=200, ndb_k=4, n_per_label=20, phase_epochs=0)
+    report, _, _ = evalcond.evaluate(gen, disc, ds, task, TrainConfig(batch_size=50), ev)
+    assert report["classification_rates"] == {name: 0.0 for name in PAIRINGS}
+    assert report["auroc"] == {name: 0.5 for name in PAIRINGS[1:]}
 
 
 # -- auroc ---------------------------------------------------------------

@@ -447,6 +447,32 @@ def test_checkpoint_version_check(tmp_path):
         load_checkpoint(tmp_path / "junk.json")
 
 
+def test_checkpoint_counters_must_be_non_negative_ints(tmp_path):
+    # each of these once loaded: a string failed only when training resumed, a
+    # negative t diverged at the first resumed step, a negative or bool step trained on
+    ds = small_dataset()
+    gen, disc = small_nets()
+    cfg = small_config(1)
+    _, state = train(gen, disc, ds, cfg)
+    path = tmp_path / "ck.json"
+    save_checkpoint(gen, disc, state, cfg, path)
+    doc = json.loads(path.read_text())
+    assert load_checkpoint(path)[3]["step"] == doc["step"] == 10
+    for where, value in [(("step",), "10"), (("step",), -1), (("step",), True),
+                         (("step",), 10.0), (("seed",), -3), (("seed",), None),
+                         (("adam_g", "t"), False), (("adam_d", "t"), "3"),
+                         (("adam_d", "t"), -5)]:
+        bad = copy.deepcopy(doc)
+        parent = bad
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(CheckpointError, match=rf"{'.'.join(where)} must be a non-negative "
+                                                   rf"int, got {json.dumps(value)}$"):
+            load_checkpoint(path)
+
+
 def test_version_1_checkpoint_refused(tmp_path):
     # format 1 stored no task; it is refused by version, not by a missing key
     ds = small_dataset()
