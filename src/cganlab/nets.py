@@ -18,31 +18,29 @@ and an identity or tanh output, so its gradient is closed form:
 `mlp_forward` keeps each layer's input, and `mlp_backward` turns the
 gradient w.r.t. the output into parameter and input gradients.
 
-The hidden leaky-ReLU of slope s, 0 <= s <= 1, is applied without a
-data-dependent branch, and both passes give the same bits as
-``np.where(h > 0, h, s * h)`` forward and ``g * np.where(out > 0, 1.0, s)``
-backward. ``s * h`` lies between 0 and ``h``, so ``max(h, s * h)`` is
-``h`` where ``h > 0`` and ``s * h`` elsewhere. At ``h = +0.0`` and
-``-0.0`` both operands are that same zero, and a NaN propagates. Only
-``h = +inf`` at s = 0 differs (``0 * inf`` is NaN, which ``max``
-returns), and a run that reaches it has diverged. (A signaling NaN,
-which no arithmetic makes, comes back as it is, where ``np.where`` gives
-it quieted.)
+The hidden leaky-ReLU has slope `HIDDEN_SLOPE` = 0.2 and no
+data-dependent branch; both passes give the same bits as
+``np.where(h > 0, h, 0.2 * h)`` forward and ``g * np.where(out > 0, 1.0,
+0.2)`` backward. ``0.2 * h`` lies between 0 and ``h``, so ``max(h, 0.2 *
+h)`` is ``h`` where ``h > 0`` and ``0.2 * h`` elsewhere. At a zero or
+an infinity of either sign both operands are ``h``, and a NaN propagates;
+only a signaling NaN, which no arithmetic makes, comes back as it is,
+where ``np.where`` gives it quieted.
 
 An array of at most `_BLOCK` elements takes the one call
-``np.maximum(h, s * h, out=h)``. A larger one is done in blocks of at
-most `_BLOCK` elements of its flat view, each multiplied by s into one
-reused scratch array and then maxed into place, so no full-size ``s * h``
+``np.maximum(h, 0.2 * h, out=h)``. A larger one is done in blocks of at
+most `_BLOCK` elements of its flat view, each multiplied by 0.2 into one
+reused scratch array and then maxed into place, so no full-size ``0.2 * h``
 is allocated (one hidden activation fewer at the peak of a large forward
 pass). The bits do not change: the select is elementwise, and every
 element still goes through the same two ufuncs on the same operands.
 Block sizes from 4k to 128k elements were timed on a 2-core Xeon VM; 16k
 to 64k were fastest on every shape, and 32k took (16000, 256) from 13.4
 to 6.2 ms and (2048, 256) from 1.13 to 0.73 ms. The backward factor is
-read from the table ``[s, 1.0]`` at the uint8 view of the mask
-``out > 0``, so each element of ``g`` is multiplied by exactly ``s`` or
-``1.0``; the product is taken in place on the fresh ``g`` of the layer
-above (``g *= factor.take(...)``), which rounds as ``g * factor[...]``.
+read from the table `_SLOPE_FACTORS`, ``[0.2, 1.0]``, at the uint8 view
+of the mask ``out > 0``, so each element of ``g`` is multiplied by
+exactly 0.2 or 1.0, in place on the fresh ``g`` of the layer above
+(``g *= _SLOPE_FACTORS.take(...)`` rounds as ``g * _SLOPE_FACTORS[...]``).
 
 The cache-free pass (`_forward_uncached`) runs its first layers in row
 blocks, so that no array holds a whole hidden layer. That rests on how
@@ -99,6 +97,10 @@ import numpy as np
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
+# pix2pix's hidden leaky-ReLU slope (Isola et al. 2017, arXiv 1611.07004), which
+# these conditional networks follow; `mlp_backward` reads it from the table
+HIDDEN_SLOPE = 0.2
+_SLOPE_FACTORS = np.array([HIDDEN_SLOPE, 1.0])
 
 # elements per block of the hidden activation: a block and its scratch
 # take 512 KB, which stays in a 2 MB per-core L2 (module docstring)
@@ -115,16 +117,14 @@ _SMALL_GEMM = 100 ** 3
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths plus activations; at least one hidden layer.
+    """Layer widths plus the output activation; at least one hidden layer.
 
     Each width is a positive integer, a Python or numpy one; a float or a
-    bool is refused, not rounded. The leaky-ReLU slope must lie in [0, 1],
-    so that a hidden unit's output is positive exactly where its
-    pre-activation is, and is ``max(h, slope * h)``.
+    bool is refused, not rounded. Every hidden layer is a leaky-ReLU of
+    slope `HIDDEN_SLOPE`.
     """
 
     widths: tuple[int, ...]
-    hidden_slope: float = 0.2
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -133,22 +133,20 @@ class MlpSpec:
         if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w <= 0
                for w in self.widths):
             raise ValueError(f"MlpSpec widths must be positive integers, got {self.widths}")
-        if not 0 <= self.hidden_slope <= 1:
-            raise ValueError(f"hidden_slope must lie in [0, 1], got {self.hidden_slope}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "hidden_slope": self.hidden_slope,
-            "output_activation": self.output_activation,
-        }
+        return {"widths": list(self.widths), "output_activation": self.output_activation}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(tuple(d["widths"]), d["hidden_slope"], d["output_activation"])
+        """The spec back from `to_dict`; any other key raises ValueError naming it."""
+        unknown = sorted(set(d) - {"widths", "output_activation"})
+        if unknown:
+            raise ValueError(f"unknown MlpSpec keys {unknown}")
+        return cls(tuple(d["widths"]), d["output_activation"])
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         """Shapes of W0, b0, W1, b1, ...: (w_in, w_out), then (w_out,), per layer."""
@@ -248,22 +246,22 @@ class Discriminator:
         return cls(spec, init_params(spec, seed))
 
 
-def _leaky_relu_inplace(h: np.ndarray, slope: float) -> None:
-    """h <- max(h, slope * h), which for 0 <= slope <= 1 and finite h is
-    np.where(h > 0, h, slope * h) bit for bit (module docstring).
+def _leaky_relu_inplace(h: np.ndarray) -> None:
+    """h <- max(h, HIDDEN_SLOPE * h): np.where(h > 0, h, HIDDEN_SLOPE * h)
+    bit for bit (module docstring).
 
     An array of more than `_BLOCK` elements is done in blocks of its flat
-    view through one scratch array, so no full-size ``slope * h`` is made.
+    view through one scratch array, so no full-size ``0.2 * h`` is made.
     """
     if h.size <= _BLOCK:
-        np.maximum(h, slope * h, out=h)
+        np.maximum(h, HIDDEN_SLOPE * h, out=h)
         return
     flat = h.reshape(-1, copy=False)  # a view, or ValueError: never a copy
     scratch = np.empty(_BLOCK)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start:start + _BLOCK]
         times_slope = scratch[:block.size]
-        np.multiply(slope, block, out=times_slope)
+        np.multiply(HIDDEN_SLOPE, block, out=times_slope)
         np.maximum(block, times_slope, out=block)
 
 
@@ -274,7 +272,7 @@ def _layer(spec: MlpSpec, params: list[np.ndarray], i: int, a: np.ndarray,
     h = np.matmul(a, params[2 * i], out=out)
     h += params[2 * i + 1]
     if i < len(spec.widths) - 2:
-        _leaky_relu_inplace(h, spec.hidden_slope)
+        _leaky_relu_inplace(h)
     return h
 
 
@@ -304,17 +302,16 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
     computes none when it is None. Returns (`grads_out`, gradient w.r.t.
     the input rows); the second is None, and not computed, when
     `input_grad` is false. A hidden unit passes the gradient where its
-    output is positive and scales it by the slope elsewhere.
+    output is positive and scales it by `HIDDEN_SLOPE` elsewhere.
     """
     out = cache[-1]
     g = g_out
     if spec.output_activation == "tanh":
         g = g * (1.0 - out * out)
-    factor = np.array([spec.hidden_slope, 1.0])
     n_layers = len(spec.widths) - 1
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:  # g is the fresh product of the layer above
-            g *= factor.take((cache[i + 1] > 0).view(np.uint8))
+            g *= _SLOPE_FACTORS.take((cache[i + 1] > 0).view(np.uint8))
         if grads_out is not None:
             np.matmul(cache[i].T, g, out=grads_out[2 * i])
             np.sum(g, axis=0, out=grads_out[2 * i + 1])

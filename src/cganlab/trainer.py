@@ -50,7 +50,7 @@ from .nets import (
 )
 from .pairing import AC_MODES, ConditionalDataset, draw_pairings
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 METRICS_COLUMNS = (
     "step", "d_real_cond", "d_gen_cond", "d_real_ac", "d_gen_ac", "d_total",
@@ -319,9 +319,10 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
     `"task"` (null when not given) so that a loader can refuse the
     checkpoint under another task.
 
-    Format 4 is one JSON object. `format_version`, `step`, `seed`, `task`,
-    both network specs, the generator's `noise_dim`, the Adam step counts
-    `t` and `rng_state` (the bit generator's state dict) are plain JSON;
+    Format 5 is one JSON object. `format_version`, `step`, `seed`, `task`,
+    both network specs (`widths` and `output_activation`), the generator's
+    `noise_dim`, the Adam step counts `t` and `rng_state` (the bit
+    generator's state dict) are plain JSON;
     `adam_g` is null for a frozen generator. Each network's `flat` and
     each Adam moment `m` and `v` is one string, the base64 of the vector's
     little-endian float64 bytes (`nets.encode_vector`), so a load gives
@@ -354,10 +355,11 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
     """Rebuild networks and train state; returns (gen, disc, state, meta).
 
     `meta` holds the run's seed, its step and the task dict stored by
-    `save_checkpoint` (None if none was given). Only the current format
-    version is read; an older file, a missing key, a `step`, `seed` or Adam
-    `t` that is not a non-negative int, or a vector that is not base64 or
-    not as long as its network's spec requires raises `CheckpointError`.
+    `save_checkpoint` (None if none was given). Only format 5, the current
+    one, is read; an older file, a missing key, a spec key other than
+    `widths` and `output_activation`, a `step`, `seed` or Adam `t` that is
+    not a non-negative int, or a vector that is not base64 or not as long
+    as its network's spec requires raises `CheckpointError`.
     """
     with open(path) as fh:
         try:

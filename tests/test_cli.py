@@ -952,11 +952,13 @@ def test_mid_run_checkpoint_task_mismatch(tmp_path, capsys):
     assert "task-mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3], ids=["format_1", "format_2", "format_3"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4],
+                         ids=["format_1", "format_2", "format_3", "format_4"])
 def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
-    # as formats 1 to 3 wrote it: a network's "params" and each Adam moment as one
-    # {"shape", "data"} entry per array, its data a JSON list of floats (formats 1
-    # and 2) or the base64 of its float64 bytes (format 3); no task in format 1
+    # as formats 1 to 4 wrote it: each spec with its "hidden_slope"; before format
+    # 4, a network's "params" and each Adam moment as one {"shape", "data"} entry
+    # per array, its data a JSON list of floats (formats 1 and 2) or the base64 of
+    # its float64 bytes (format 3); no task in format 1
     p1, out = _setup_run(tmp_path, "old")
     assert main(["train", "--config", str(p1)]) == 0
     ckpt = out / "checkpoint.json"
@@ -971,16 +973,20 @@ def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
 
     for net, adam in (("generator", "adam_g"), ("discriminator", "adam_d")):
         spec = MlpSpec.from_dict(doc[net]["spec"])
-        doc[net]["params"] = per_array(doc[net].pop("flat"), spec)
-        doc[adam] = dict(doc[adam], m=per_array(doc[adam]["m"], spec),
-                         v=per_array(doc[adam]["v"], spec))
+        doc[net]["spec"]["hidden_slope"] = 0.2
+        if version < 4:
+            doc[net]["params"] = per_array(doc[net].pop("flat"), spec)
+            doc[adam] = dict(doc[adam], m=per_array(doc[adam]["m"], spec),
+                             v=per_array(doc[adam]["v"], spec))
     if version == 1:
         del doc["task"]
     ckpt.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad-checkpoint:") and "format_version" in err
+    for stage in ("eval-conditionality", "ndb"):
+        capsys.readouterr()
+        assert main(_stage_args(stage, p1, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-checkpoint:") and "format_version" in err
+    assert not (out / "report.json").exists() and not (out / "ndb.json").exists()
 
 
 def _rebytes(change):
@@ -1012,10 +1018,13 @@ def _rebytes(change):
     (("step",), lambda step: -1, "step must be a non-negative int, got -1"),
     (("step",), lambda step: True, "step must be a non-negative int, got true"),
     (("seed",), float, "seed must be a non-negative int, got 0.0"),
+    # a slope edited into a spec would otherwise load as the constant 0.2
+    (("discriminator", "spec"), lambda spec: dict(spec, hidden_slope=0.5),
+     "unknown MlpSpec keys ['hidden_slope']"),
 ], ids=["truncated_payload", "not_base64", "list_payload",
         "generator_flat_short", "discriminator_flat_long", "adam_moment_length",
         "noise_dim_float", "width_fraction", "adam_t_string", "adam_t_negative",
-        "step_string", "step_negative", "step_bool", "seed_float"])
+        "step_string", "step_negative", "step_bool", "seed_float", "spec_unknown_key"])
 def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0

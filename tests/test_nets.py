@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from cganlab import nets
 from cganlab.nets import (
+    HIDDEN_SLOPE,
     OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
@@ -57,21 +59,28 @@ def test_spec_needs_hidden_layer():
         MlpSpec((4, 2))
 
 
-def test_spec_refuses_negative_slope():
-    # the backward pass reads the leaky-ReLU mask from the layer output
-    with pytest.raises(ValueError, match="hidden_slope"):
-        MlpSpec((4, 8, 2), hidden_slope=-0.1)
-
-
 @pytest.mark.parametrize("field, value, message", [
-    ("hidden_slope", 1.5, "hidden_slope"),
     ("output_activation", "sigmoid", "output activation"),
     ("output_activation", "softmax", "output activation"),
-], ids=["slope-1.5", "sigmoid", "softmax"])
+], ids=["sigmoid", "softmax"])
 def test_spec_refuses_slope_above_one_and_removed_outputs(field, value, message):
-    # above slope 1, max(h, s * h) is no longer the leaky-ReLU
+    # identity and tanh are the only output activations
     with pytest.raises(ValueError, match=message):
         MlpSpec((4, 8, 2), **{field: value})
+
+
+def test_spec_from_dict_reads_only_its_two_keys():
+    # a checkpoint's spec dict with any other key, such as the slope that
+    # format 4 stored, is refused rather than read as the constant slope
+    spec = MlpSpec((4, 8, 1), output_activation="tanh")
+    assert spec.to_dict() == {"widths": [4, 8, 1], "output_activation": "tanh"}
+    assert MlpSpec.from_dict(spec.to_dict()) == spec
+    for extra, named in (({"hidden_slope": 0.5}, "['hidden_slope']"),
+                         ({"hidden_slope": 0.2, "foo": 1}, "['foo', 'hidden_slope']")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown MlpSpec keys {named}")):
+            MlpSpec.from_dict(dict(spec.to_dict(), **extra))
+    with pytest.raises(KeyError, match="output_activation"):
+        MlpSpec.from_dict({"widths": [4, 8, 1]})
 
 
 @pytest.mark.parametrize("width", [8.0, 8.5, True, "8"], ids=["float", "fraction", "bool", "str"])
@@ -268,7 +277,7 @@ def _where_forward(spec, params, h):
         cache.append(h)
         h = h @ params[2 * i] + params[2 * i + 1]
         if i < n_layers - 1:
-            h = np.where(h > 0, h, spec.hidden_slope * h)
+            h = np.where(h > 0, h, HIDDEN_SLOPE * h)
     if spec.output_activation == "tanh":
         h = np.tanh(h)
     cache.append(h)
@@ -284,7 +293,7 @@ def _where_backward(spec, params, cache, g_out):
     grads = [None] * (2 * n_layers)
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:
-            g = g * np.where(cache[i + 1] > 0, 1.0, spec.hidden_slope)
+            g = g * np.where(cache[i + 1] > 0, 1.0, HIDDEN_SLOPE)
         grads[2 * i] = cache[i].T @ g
         grads[2 * i + 1] = g.sum(axis=0)
         g = g @ params[2 * i].T
@@ -297,34 +306,31 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-SELECT_SLOPES = (0.0, 0.2, 1.0)
 # exact zeros of both signs among weights, biases and inputs give zero
-# pre-activations and, at slope 0, -0.0 hidden outputs
+# pre-activations and -0.0 hidden outputs
 _with_signed_zeros = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
 
 
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("slope", SELECT_SLOPES)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
-    _assert_mlp_matches_where(slope, activation, data)
+def test_mlp_matches_where_formulation_bitwise(activation, data):
+    _assert_mlp_matches_where(activation, data)
 
 
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("slope", SELECT_SLOPES)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, activation, data):
+def test_mlp_matches_where_formulation_bitwise_in_blocks(activation, data):
     # hidden activations of up to 30 elements, so most take the blocked path
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "_BLOCK", 3)
-        _assert_mlp_matches_where(slope, activation, data)
+        _assert_mlp_matches_where(activation, data)
 
 
-def _assert_mlp_matches_where(slope, activation, data):
+def _assert_mlp_matches_where(activation, data):
     widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
-    spec = MlpSpec(widths, hidden_slope=slope, output_activation=activation)
+    spec = MlpSpec(widths, output_activation=activation)
     params = [data.draw(hnp.arrays(np.float64, shape, elements=_with_signed_zeros))
               for shape in spec.param_shapes()]
     rows = data.draw(st.integers(1, 6))
@@ -358,15 +364,13 @@ def _assert_mlp_matches_where(slope, activation, data):
     assert_same_bits(only_input, ref_g_in)
 
 
-@pytest.mark.parametrize("slope", SELECT_SLOPES)
-def test_leaky_select_exact_at_signed_zero(slope):
-    # a matmul sums from +0.0, so -0.0 pre-activations are fed to the select itself
+def test_leaky_select_exact_at_signed_zero():
+    # a matmul sums from +0.0, so -0.0 pre-activations are fed to the select
+    # itself; at slope 0.2 infinities of both signs keep their bits too
     tiny = np.finfo(np.float64).smallest_subnormal
-    h = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e308, -1e308, np.nan])
-    if slope > 0:  # at slope 0, 0 * inf is NaN: +inf is the one documented gap
-        h = np.append(h, [np.inf, -np.inf])
-    expected = np.where(h > 0, h, slope * h)
-    _leaky_relu_inplace(h, slope)
+    h = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e308, -1e308, np.nan, np.inf, -np.inf])
+    expected = np.where(h > 0, h, HIDDEN_SLOPE * h)
+    _leaky_relu_inplace(h)
     assert_same_bits(h, expected)
     assert np.signbit(h[1]) and not np.signbit(h[0])
 
@@ -395,19 +399,16 @@ def _blocked_shape(case, block, draw):
     (1, "row_wider_than_block"), (3, "row_wider_than_block"), (8, "row_wider_than_block"),
     (1, "1-D"), (3, "1-D"), (8, "1-D"),
 ])
-@pytest.mark.parametrize("slope", SELECT_SLOPES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_leaky_select_in_blocks_matches_where_bitwise(slope, block, case, data):
+def test_leaky_select_in_blocks_matches_where_bitwise(block, case, data):
     shape = _blocked_shape(case, block, data.draw)
-    special = [v for v in _SPECIAL if slope > 0 or v != np.inf]  # +inf at slope 0: the gap
     h = data.draw(hnp.arrays(np.float64, shape,
-                             elements=st.sampled_from(special) | st.floats(-2.0, 2.0)))
-    with np.errstate(invalid="ignore"):  # 0 * -inf
-        expected = np.where(h > 0, h, slope * h)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nets, "_BLOCK", block)
-            _leaky_relu_inplace(h, slope)
+                             elements=st.sampled_from(_SPECIAL) | st.floats(-2.0, 2.0)))
+    expected = np.where(h > 0, h, HIDDEN_SLOPE * h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_BLOCK", block)
+        _leaky_relu_inplace(h)
     assert_same_bits(h, expected)
 
 
@@ -424,7 +425,7 @@ def _peak_bytes(forward):
 def test_gen_forward_peak_memory_two_activations():
     # 8,192 one-hot rows through (256, 256) hidden layers: one activation
     # is 16.8 MB. A layer's input and output must coexist, which is 2;
-    # a full-size slope * h beside them would make it 3.
+    # a full-size 0.2 * h beside them would make it 3.
     gen = Generator.build(32, 2, hidden=(256, 256), seed=0)
     x = np.eye(32)[np.arange(8192) % 32]
     activation_bytes = 8192 * 256 * 8
@@ -478,7 +479,7 @@ def _assert_row_blocks_keep_bits(k, w, n, n_blocks):
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     make = np.random.default_rng([k, w, n])
     a = make.standard_normal((n, k))
-    _leaky_relu_inplace(a, 0.2)
+    _leaky_relu_inplace(a)
     weights = make.standard_normal((k, w))
     blocked = np.empty((n, w))
     for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -516,7 +517,6 @@ _R = nets._ROWS
 
 
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("slope", SELECT_SLOPES)
 @settings(max_examples=8, deadline=None)
 @example(hidden=[128, 2], rows=2 * _R, dim_x=3, noise_dim=2, dim_y=2, fortran=False, seed=0)
 @example(hidden=[128, 1], rows=2 * _R + 1, dim_x=3, noise_dim=0, dim_y=5, fortran=False, seed=1)
@@ -539,7 +539,7 @@ _R = nets._ROWS
        dim_x=st.sampled_from([1, 3]), noise_dim=st.sampled_from([0, 2]),
        dim_y=st.sampled_from([1, 2, 5]), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_cache_free_forward_is_the_cached_output_bit_for_bit(
-        slope, activation, hidden, rows, dim_x, noise_dim, dim_y, fortran, seed):
+        activation, hidden, rows, dim_x, noise_dim, dim_y, fortran, seed):
     # the first layers run in row blocks while each one may: a layer at
     # least 8 wide in blocks of at least `_ROWS` rows, one 2 to 7 wide in
     # blocks whose product is above OpenBLAS's small-matrix cut-off, a
@@ -547,8 +547,8 @@ def test_cache_free_forward_is_the_cached_output_bit_for_bit(
     # bits with its row count (the examples do, on OpenBLAS 0.3.31), and
     # gemv, which runs a 1-wide one, changes them with the split.
     make = np.random.default_rng(seed)
-    g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), slope, activation)
-    d_spec = MlpSpec((dim_x + dim_y, *hidden, 1), slope, activation)
+    g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), output_activation=activation)
+    d_spec = MlpSpec((dim_x + dim_y, *hidden, 1), output_activation=activation)
     gen = Generator(g_spec, make.standard_normal(sum(map(np.prod, g_spec.param_shapes()))),
                     noise_dim)
     disc = Discriminator(d_spec, make.standard_normal(sum(map(np.prod, d_spec.param_shapes()))))
