@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from cganlab import nets
 from cganlab.nets import (
-    HIDDEN_SLOPE,
     OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
@@ -269,7 +268,12 @@ def test_params_jsonable_round_trip_exact():
 
 # -- the branchless select against the np.where formulation, bit for bit --
 
-def _where_forward(spec, params, h):
+# the np.where references take pix2pix's slope as a literal rather than
+# reading nets.HIDDEN_SLOPE, so they also pin the constant
+PIX2PIX_SLOPE = 0.2
+
+
+def _where_forward(spec, params, h, slope):
     """`mlp_forward` with the hidden select written as np.where."""
     n_layers = len(spec.widths) - 1
     cache = []
@@ -277,14 +281,14 @@ def _where_forward(spec, params, h):
         cache.append(h)
         h = h @ params[2 * i] + params[2 * i + 1]
         if i < n_layers - 1:
-            h = np.where(h > 0, h, HIDDEN_SLOPE * h)
+            h = np.where(h > 0, h, slope * h)
     if spec.output_activation == "tanh":
         h = np.tanh(h)
     cache.append(h)
     return h, cache
 
 
-def _where_backward(spec, params, cache, g_out):
+def _where_backward(spec, params, cache, g_out, slope):
     """`mlp_backward` with the hidden factor written as np.where."""
     out, g = cache[-1], g_out
     if spec.output_activation == "tanh":
@@ -293,7 +297,7 @@ def _where_backward(spec, params, cache, g_out):
     grads = [None] * (2 * n_layers)
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:
-            g = g * np.where(cache[i + 1] > 0, 1.0, HIDDEN_SLOPE)
+            g = g * np.where(cache[i + 1] > 0, 1.0, slope)
         grads[2 * i] = cache[i].T @ g
         grads[2 * i + 1] = g.sum(axis=0)
         g = g @ params[2 * i].T
@@ -306,29 +310,33 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+# the case ids name the slope their np.where reference checks
+REFERENCE_SLOPES = (PIX2PIX_SLOPE,)
 # exact zeros of both signs among weights, biases and inputs give zero
 # pre-activations and -0.0 hidden outputs
 _with_signed_zeros = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
 
 
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("slope", REFERENCE_SLOPES)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise(activation, data):
-    _assert_mlp_matches_where(activation, data)
+def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
+    _assert_mlp_matches_where(slope, activation, data)
 
 
 @pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("slope", REFERENCE_SLOPES)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise_in_blocks(activation, data):
+def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, activation, data):
     # hidden activations of up to 30 elements, so most take the blocked path
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "_BLOCK", 3)
-        _assert_mlp_matches_where(activation, data)
+        _assert_mlp_matches_where(slope, activation, data)
 
 
-def _assert_mlp_matches_where(activation, data):
+def _assert_mlp_matches_where(slope, activation, data):
     widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
     spec = MlpSpec(widths, output_activation=activation)
     params = [data.draw(hnp.arrays(np.float64, shape, elements=_with_signed_zeros))
@@ -338,7 +346,7 @@ def _assert_mlp_matches_where(activation, data):
     g_out = data.draw(hnp.arrays(np.float64, (rows, widths[-1]), elements=_with_signed_zeros))
 
     out, cache = mlp_forward(spec, params, h)
-    ref_out, ref_cache = _where_forward(spec, params, h)
+    ref_out, ref_cache = _where_forward(spec, params, h, slope)
     assert_same_bits(out, ref_out)
     for c, r in zip(cache, ref_cache, strict=True):
         assert_same_bits(c, r)
@@ -347,7 +355,7 @@ def _assert_mlp_matches_where(activation, data):
     flat = np.full(sum(p.size for p in params), np.nan)
     grads_out = _unpack(flat, spec)
     grads, g_in = mlp_backward(spec, params, cache, g_out, grads_out=grads_out)
-    ref_grads, ref_g_in = _where_backward(spec, params, ref_cache, g_out)
+    ref_grads, ref_g_in = _where_backward(spec, params, ref_cache, g_out, slope)
     assert grads is grads_out
     assert flat.tobytes() == np.concatenate([r.ravel() for r in ref_grads]).tobytes()
     for g, r in zip(grads, ref_grads, strict=True):
@@ -364,12 +372,13 @@ def _assert_mlp_matches_where(activation, data):
     assert_same_bits(only_input, ref_g_in)
 
 
-def test_leaky_select_exact_at_signed_zero():
+@pytest.mark.parametrize("slope", REFERENCE_SLOPES)
+def test_leaky_select_exact_at_signed_zero(slope):
     # a matmul sums from +0.0, so -0.0 pre-activations are fed to the select
     # itself; at slope 0.2 infinities of both signs keep their bits too
     tiny = np.finfo(np.float64).smallest_subnormal
     h = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e308, -1e308, np.nan, np.inf, -np.inf])
-    expected = np.where(h > 0, h, HIDDEN_SLOPE * h)
+    expected = np.where(h > 0, h, slope * h)
     _leaky_relu_inplace(h)
     assert_same_bits(h, expected)
     assert np.signbit(h[1]) and not np.signbit(h[0])
@@ -399,13 +408,14 @@ def _blocked_shape(case, block, draw):
     (1, "row_wider_than_block"), (3, "row_wider_than_block"), (8, "row_wider_than_block"),
     (1, "1-D"), (3, "1-D"), (8, "1-D"),
 ])
+@pytest.mark.parametrize("slope", REFERENCE_SLOPES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_leaky_select_in_blocks_matches_where_bitwise(block, case, data):
+def test_leaky_select_in_blocks_matches_where_bitwise(slope, block, case, data):
     shape = _blocked_shape(case, block, data.draw)
     h = data.draw(hnp.arrays(np.float64, shape,
                              elements=st.sampled_from(_SPECIAL) | st.floats(-2.0, 2.0)))
-    expected = np.where(h > 0, h, HIDDEN_SLOPE * h)
+    expected = np.where(h > 0, h, slope * h)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "_BLOCK", block)
         _leaky_relu_inplace(h)
@@ -431,7 +441,7 @@ def test_gen_forward_peak_memory_two_activations():
     activation_bytes = 8192 * 256 * 8
     (out, _), peak = _peak_bytes(lambda: gen_forward(gen, x))
     assert peak < 2.5 * activation_bytes
-    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x, PIX2PIX_SLOPE)[0])
 
 
 def test_cache_free_gen_forward_peak_memory_half_an_activation_and_a_block():
@@ -445,7 +455,7 @@ def test_cache_free_gen_forward_peak_memory_half_an_activation_and_a_block():
     (out, cache), peak = _peak_bytes(lambda: gen_forward(gen, x, cache=False))
     assert cache is None
     assert peak < 0.75 * activation_bytes
-    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x, PIX2PIX_SLOPE)[0])
 
 
 def test_cache_free_disc_forward_peak_memory_one_activation_and_blocks():
@@ -459,7 +469,7 @@ def test_cache_free_disc_forward_peak_memory_one_activation_and_blocks():
     assert cache is None
     assert peak < 1.6 * activation_bytes
     h = np.concatenate([x, y], axis=1)
-    assert_same_bits(out, _where_forward(disc.spec, disc.params, h)[0])
+    assert_same_bits(out, _where_forward(disc.spec, disc.params, h, PIX2PIX_SLOPE)[0])
 
 
 def test_cache_free_forward_blocks_past_a_narrow_hidden_layer():
@@ -469,7 +479,7 @@ def test_cache_free_forward_blocks_past_a_narrow_hidden_layer():
     x = np.random.default_rng(0).standard_normal((16_000, 3))
     (out, _), peak = _peak_bytes(lambda: gen_forward(gen, x, cache=False))
     assert peak < 0.5 * 16_000 * 128 * 8
-    assert_same_bits(out, _where_forward(gen.spec, gen.params, x)[0])
+    assert_same_bits(out, _where_forward(gen.spec, gen.params, x, PIX2PIX_SLOPE)[0])
 
 
 def _assert_row_blocks_keep_bits(k, w, n, n_blocks):
