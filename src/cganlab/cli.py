@@ -408,7 +408,7 @@ def cmd_eval_conditionality(run: Run, checkpoint_path) -> None:
     ds = _load_run_dataset(run)
     _require_pairable(ds, run.train.ac_mode, run.train.batch_size, ev.n_eval)
     with _invalid("eval"):  # before any work, what `generator_ndb` would refuse later
-        check_ndb_settings(ds.ys, len(ds), ev.ndb_k, ev.alpha)
+        check_ndb_settings(ds.ys, len(ds), ev.ndb_k)
     gen, disc, _, _ = _load_run_checkpoint(checkpoint_path, run)
     phase_path = os.path.join(out, "phase_metrics.csv")
     with _log_kept_on_divergence(phase_path):
@@ -423,7 +423,7 @@ def cmd_ndb(run: Run, checkpoint_path) -> None:
     if ndb is None:
         ds = _load_run_dataset(run)
         with _invalid("eval"):
-            check_ndb_settings(ds.ys, len(ds), run.eval.ndb_k, run.eval.alpha)
+            check_ndb_settings(ds.ys, len(ds), run.eval.ndb_k)
         gen, _, _, _ = _load_run_checkpoint(checkpoint_path, run)
         ndb = generator_ndb(gen, ds, run.eval, run.train.seed).to_dict()
     write_json(ndb, os.path.join(run.cfg["out_dir"], "ndb.json"))

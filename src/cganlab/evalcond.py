@@ -17,7 +17,9 @@ because the sigmoid saturates and hides the mode structure. The report
   the other one null. `regression` is `tasks.regression_error` on
   `n_eval` conditions held out from the dataset: drawn from a stream of
   their own, not the dataset's first rows;
-- `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it;
+- `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it: NDB
+  (Richardson & Weiss 2018) over `ndb_k` k-means bins, each bin tested at
+  level 0.05;
 - `phase`: `steps`, the number of steps the optimal-discriminator phase
   ran, and `d_total_first` and `d_total_last`, the first and last
   `d_total` of its log (`phase_metrics.csv`); 0, null and null when
@@ -56,24 +58,28 @@ from .tasks import GaussModesTask, _nearest_centroid, oracle_classify, regressio
 from .trainer import RunLog, TrainConfig, optimal_discriminator_phase
 
 _NDB_STREAM = 2  # decorrelates `generator_ndb`'s noise from the other draws of the seed
+# two-sided critical value of NDB's per-bin z-test at level 0.05
+_NDB_Z_CRIT = NormalDist().inv_cdf(0.975)
 
 
 @dataclass
 class EvalConfig:
-    """What `evaluate` computes and at what size: a run config's `eval` section."""
+    """What `evaluate` computes and at what size: a run config's `eval` section.
+
+    NDB's significance level is fixed at 0.05; `ndb_k` sets its bin count.
+    """
 
     n_eval: int = 4000  # pair rows of the logits, and conditions of `regression`
     n_bins: int = 50
     ndb_k: int = 20
-    alpha: float = 0.05
     n_per_label: int = 1000  # generated samples per label of `oracle_accuracy`
     phase_epochs: int = 1
 
     def __post_init__(self):
-        for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1)):
+        for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1),
+                         ("ndb_k", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
-        check_ndb_parameters(self.ndb_k, self.alpha)
 
 
 @dataclass
@@ -85,7 +91,6 @@ class FourWayHistogram:
 @dataclass
 class NdbReport:
     k: int
-    alpha: float
     real_proportions: np.ndarray
     gen_proportions: np.ndarray
     z_values: np.ndarray
@@ -95,7 +100,6 @@ class NdbReport:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "alpha": self.alpha,
             "ndb_over_k": self.ndb_over_k,
             "per_bin": [
                 {
@@ -214,17 +218,10 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, None
 
 
-def check_ndb_parameters(k: int, alpha: float) -> None:
-    """Raise ValueError unless `k` bins can be tested at level `alpha`, whatever the samples."""
-    if not 0.0 < alpha < 1.0 or 1.0 - alpha / 2.0 == 1.0:  # else no critical value
-        raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha}")
-    if k < 1:
-        raise ValueError(f"ndb_k must be positive, got {k}")
-
-
-def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> None:
+def check_ndb_settings(real: np.ndarray, n_gen: int, k: int) -> None:
     """Raise ValueError unless `ndb_score` can score `n_gen` samples against `real`."""
-    check_ndb_parameters(k, alpha)
+    if k < 1:
+        raise ValueError(f"ndb_k must be at least 1, got {k}")
     if real.shape[0] < 10 * k or n_gen < 10 * k:
         raise ValueError(f"need at least 10*k={10 * k} samples per set")
     # more rows never hold fewer distinct ones, so k among the first 10 * k
@@ -234,18 +231,18 @@ def check_ndb_settings(real: np.ndarray, n_gen: int, k: int, alpha: float) -> No
 
 
 def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
-              alpha: float = 0.05, seed: int = 0) -> NdbReport:
+              seed: int = 0) -> NdbReport:
     """Number of statistically different bins, as a fraction of k.
 
     Bins are k-means clusters fitted on the real samples (fixed seed, at
     most 50 Lloyd iterations); each bin is tested with a pooled
-    two-proportion z-test at level alpha. The two-sided critical value is
-    the standard normal quantile at 1 - alpha/2, from the standard
-    library's `statistics.NormalDist().inv_cdf`.
+    two-proportion z-test at level 0.05, as Richardson & Weiss (2018) fix
+    it. The two-sided critical value is the standard normal quantile at
+    0.975, from the standard library's `statistics.NormalDist().inv_cdf`.
     """
     real = np.atleast_2d(np.asarray(real_samples, dtype=np.float64))
     gen = np.atleast_2d(np.asarray(gen_samples, dtype=np.float64))
-    check_ndb_settings(real, gen.shape[0], k, alpha)
+    check_ndb_settings(real, gen.shape[0], k)
 
     centroids, assign_r = _kmeans(real, k, np.random.default_rng(seed))
     if assign_r is None:
@@ -261,9 +258,8 @@ def ndb_score(real_samples: np.ndarray, gen_samples: np.ndarray, k: int = 20,
     z = np.zeros(k)
     nonzero = se > 0
     z[nonzero] = (p_r[nonzero] - p_g[nonzero]) / se[nonzero]
-    z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    significant = np.abs(z) > z_crit
-    return NdbReport(k=k, alpha=alpha, real_proportions=p_r, gen_proportions=p_g,
+    significant = np.abs(z) > _NDB_Z_CRIT
+    return NdbReport(k=k, real_proportions=p_r, gen_proportions=p_g,
                      z_values=z, significant=significant,
                      ndb_over_k=float(significant.sum() / k))
 
@@ -272,7 +268,7 @@ def generator_ndb(gen: Generator, ds: ConditionalDataset, ev: EvalConfig,
                   seed: int) -> NdbReport:
     """NDB of the generator's output over the dataset's conditions against the dataset."""
     y_g = gen_forward(gen, ds.xs, np.random.default_rng([seed, _NDB_STREAM]), cache=False)[0]
-    return ndb_score(ds.ys, y_g, k=ev.ndb_k, alpha=ev.alpha, seed=seed)
+    return ndb_score(ds.ys, y_g, k=ev.ndb_k, seed=seed)
 
 
 def write_histogram_csv(hist: FourWayHistogram, path) -> None:

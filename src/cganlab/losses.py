@@ -7,6 +7,8 @@ discriminator objective ``-E[log D(x,y)] - E[log(1 - D(x,G(x)))]`` is
 on the generated one, and the a-contrario extension adds ``E[softplus(l)]``
 on ``(x_tilde, y)`` and ``(x_tilde, G(x))``. Hinge replaces
 ``softplus(-s*l)`` by ``relu(1 - s*l)``. Expectations are batch means.
+The generator loss is non-saturating, ``-E[log D(x,G(x))]`` as in pix2pix
+(Isola et al. 2017), or ``-E[l]`` under hinge.
 
 Each loss returns its values together with its gradient w.r.t. the
 logits (and, for the generator's L1 term, w.r.t. the generated rows),
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FORMULATIONS = ("classic", "acontrario", "hinge_classic", "hinge_acontrario")
-GEN_LOSS_MODES = ("minmax", "non_saturating")
 
 # default weighting: all four terms equal for the a-contrario
 # formulations, the two conditional terms otherwise
@@ -35,20 +36,18 @@ DEFAULT_LAMBDAS = {f: [1.0, 1.0, 1.0, 1.0] if "acontrario" in f else [1.0, 1.0, 
 class LossSpec:
     """Which adversarial formulation is active, plus its weights.
 
+    The generator loss follows the formulation: non-saturating or hinge.
     `lambdas` left None is `DEFAULT_LAMBDAS[formulation]`: (1, 1, 1, 1) for
     the a-contrario formulations, (1, 1, 0, 0) for the classic ones.
     """
 
     formulation: str = "classic"
     lambdas: tuple[float, float, float, float] | None = None
-    gen_loss_mode: str = "non_saturating"
     recon_weight: float = 0.0
 
     def __post_init__(self):
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.gen_loss_mode not in GEN_LOSS_MODES:
-            raise ValueError(f"unknown gen_loss_mode {self.gen_loss_mode!r}")
         given = DEFAULT_LAMBDAS[self.formulation] if self.lambdas is None else self.lambdas
         lam = tuple(float(v) for v in given)
         object.__setattr__(self, "lambdas", lam)
@@ -63,8 +62,6 @@ class LossSpec:
             )
         if self.recon_weight < 0:
             raise ValueError("recon_weight must be non-negative")
-        if self.is_hinge and self.gen_loss_mode == "minmax":
-            raise ValueError(f"{self.formulation} has the generator loss -E[l], not minmax")
 
     @property
     def is_hinge(self) -> bool:
@@ -142,9 +139,8 @@ def g_loss(logit: np.ndarray, spec: LossSpec, y_g: np.ndarray | None = None,
            y_true: np.ndarray | None = None) -> tuple[dict, np.ndarray, np.ndarray | None]:
     """Generator loss on the generated-conditional logits, plus optional L1.
 
-    The adversarial part is E[-softplus(l)] for minmax (E[log(1 - D)]),
-    E[softplus(-l)] for non-saturating (-E[log D]), and -E[l] for hinge
-    whatever the mode. With recon_weight w > 0, w * mean|y_g - y_true| is
+    The adversarial part is non-saturating, E[softplus(-l)] (-E[log D]),
+    or -E[l] for hinge. With recon_weight w > 0, w * mean|y_g - y_true| is
     added. Returns (values, dL/dlogit, dL/dy_g): values maps g_adv, g_recon
     and g_total to floats; dL/dy_g is None when w is 0.
     """
@@ -152,10 +148,6 @@ def g_loss(logit: np.ndarray, spec: LossSpec, y_g: np.ndarray | None = None,
     if spec.is_hinge:
         adv = -float(logit.mean())
         g_logit = np.full(logit.shape, -inv_b)
-    elif spec.gen_loss_mode == "minmax":
-        value, slope = _softplus(logit)
-        adv = -float(value.mean())
-        g_logit = -inv_b * slope
     else:
         value, slope = _softplus(-logit)
         adv = float(value.mean())

@@ -72,14 +72,19 @@ class ConditionalDataset:
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
         self.ys = np.asarray(self.ys, dtype=np.float64)
-        if self.xs.shape[0] != self.ys.shape[0]:
-            raise ValueError(
-                f"dataset xs/ys row counts differ: {self.xs.shape[0]} vs {self.ys.shape[0]}"
-            )
+        if self.xs.ndim != 2 or self.ys.ndim != 2 or self.xs.shape[0] != self.ys.shape[0]:
+            raise ValueError(f"dataset xs and ys must be 2-D with equal row counts, "
+                             f"got shapes {self.xs.shape} and {self.ys.shape}")
         if self.xs.shape[0] < 2:
             raise ValueError("dataset needs at least 2 rows")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            given = np.asarray(self.labels)
+            if given.shape != (len(self),):
+                raise ValueError(f"dataset labels must have shape ({len(self)},), "
+                                 f"got {given.shape}")
+            self.labels = given.astype(np.int64, copy=False)
+            if not np.array_equal(self.labels, given):
+                raise ValueError("dataset labels must be integers")
         self.keys = _row_keys(self.xs) if self.labels is None \
             else np.unique(self.labels, return_inverse=True)[1]
         self.key_counts = np.bincount(self.keys)
@@ -263,15 +268,12 @@ def load_dataset_csv(path) -> ConditionalDataset:
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
     y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
-    has_label = "label" in header
     if not x_cols or not y_cols:
         raise ValueError(f"dataset csv {path} missing x_*/y_* columns")
     if body.shape[0] == 0 or body.shape[1] != len(header):
         raise ValueError(f"dataset csv {path} has no rows of {len(header)} columns")
-    labels = None
-    if has_label:
-        column = body[:, header.index("label")]
-        labels = column.astype(np.int64)
-        if not np.array_equal(labels, column):
-            raise ValueError(f"dataset csv {path} has a non-integer label")
-    return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels)
+    labels = body[:, header.index("label")] if "label" in header else None
+    try:
+        return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels)
+    except ValueError as e:
+        raise ValueError(f"dataset csv {path}: {e}") from None

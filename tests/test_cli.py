@@ -30,8 +30,7 @@ from cganlab.trainer import TrainConfig, load_checkpoint
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,
              "n_samples": 400}
-MINI_EVAL = {"n_eval": 200, "n_bins": 20, "ndb_k": 4, "alpha": 0.05,
-             "n_per_label": 50, "phase_epochs": 1}
+MINI_EVAL = {"n_eval": 200, "n_bins": 20, "ndb_k": 4, "n_per_label": 50, "phase_epochs": 1}
 
 
 def write_config(path, out_dir, formulation="classic", seed=0, epochs=1):
@@ -347,7 +346,6 @@ def test_bad_value_refused_by_every_stage(tmp_path, capsys, section, value, mess
     ("train", "model", {"gen_hidden": [True]}),
     ("gen-data", "task", dict(MINI_TASK, sigma=float("nan"))),
     ("train", "loss", {"recon_weight": float("nan")}),
-    ("ndb", "eval", dict(MINI_EVAL, alpha=True)),
     ("train", "train", {"checkpoint_every": -5}),
     ("eval-conditionality", "eval", dict(MINI_EVAL, phase_epochs=-1)),
 ], ids=["task-list", "task-string", "task-type-list", "loss-list", "train-list",
@@ -355,7 +353,7 @@ def test_bad_value_refused_by_every_stage(tmp_path, capsys, section, value, mess
         "n_samples-string", "n_eval-string", "ndb_k-string", "epochs-float",
         "noise_dim-float", "phase_epochs-float", "threshold-string", "epochs-bool",
         "lr-bool", "checkpoint_every-bool", "seed-bool", "hidden-float", "hidden-bool",
-        "sigma-nan", "recon_weight-nan", "alpha-bool", "checkpoint_every-negative",
+        "sigma-nan", "recon_weight-nan", "checkpoint_every-negative",
         "phase_epochs-negative"])
 def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, section,
                                                        value):
@@ -418,12 +416,11 @@ _KEYS = ([("gauss_modes", "seed", None, 0)]
 # of one of them that some stage refuses, gen-data refuses too
 _LOAD_CHECKED = ({("loss", k) for k in (*cli.LOSS_DEFAULTS, "lambdas")}
                  | {("model", k) for k in cli.MODEL_DEFAULTS}
-                 | {("eval", k) for k in ("n_bins", "phase_epochs", "alpha", "n_per_label")}
-                 | {("train", k) for k in ("lr", "beta1", "beta2", "epochs",
-                                           "d_steps_per_g_step", "checkpoint_every")})
+                 | {("eval", k) for k in set(cli.EVAL_DEFAULTS) - {"n_eval", "ndb_k"}}
+                 | {("train", k) for k in set(cli.TRAIN_DEFAULTS) - {"batch_size", "ac_mode"}})
 _STRINGS = st.text(max_size=3) | st.sampled_from(
     ["gauss_modes", "cond_regression", "tanh", "sigmoid", "acontrario", "hinge_classic",
-     "minmax", "outside_batch"])
+     "outside_batch"])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-10.0, 10.0)
     | st.sampled_from([math.nan, math.inf, -math.inf]) | _STRINGS,
@@ -470,14 +467,25 @@ def test_every_stage_runs_or_reports_invalid_config(key, data):
                 break
 
 
-def test_hinge_with_minmax_gen_loss_refused(tmp_path, capsys):
-    # the hinge generator loss is -E[l] whatever gen_loss_mode says
-    cfg = {"seed": 0, "out_dir": str(tmp_path / "r"), "task": MINI_TASK,
-           "loss": {"formulation": "hinge_acontrario", "gen_loss_mode": "minmax"}}
-    p = tmp_path / "c.json"
+@pytest.mark.parametrize("section, key, value", [
+    ("loss", "gen_loss_mode", "non_saturating"), ("eval", "alpha", 0.05),
+], ids=["loss.gen_loss_mode", "eval.alpha"])
+def test_removed_loss_and_eval_keys_refused_by_every_stage(tmp_path, capsys, section, key,
+                                                           value):
+    # the generator loss is non-saturating (or hinge) and NDB's level 0.05:
+    # a config that still sets either, even to that value, is refused
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+    cfg = json.loads(p.read_text())
+    cfg.setdefault(section, {})[key] = value
     p.write_text(json.dumps(cfg))
-    _refused_from_gen_data(capsys, p, tmp_path / "r", "minmax")
-    assert not (tmp_path / "r" / "metrics.csv").exists()
+    for stage in STAGES:
+        capsys.readouterr()
+        assert main(_stage_args(stage, p, out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid-config: unknown key(s) in section '{section}': ['{key}']\n"
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
 
 
 def _forbid(monkeypatch, name):
@@ -563,10 +571,8 @@ def test_zero_eval_batch_refused_before_the_phase(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("ndb_k", 0, "ndb_k"), ("ndb_k", 41, "10\\*k"), ("alpha", 0.0, "alpha"),
-    ("alpha", 1.5, "alpha"), ("n_bins", 0, "n_bins"), ("n_per_label", 0, "n_per_label"),
-    ("phase_epochs", -1, "phase_epochs"),
-    pytest.param("alpha", 1e-17, "alpha", id="alpha_below_resolution"),
+    ("ndb_k", 0, "ndb_k"), ("ndb_k", 41, "10\\*k"), ("n_bins", 0, "n_bins"),
+    ("n_per_label", 0, "n_per_label"), ("phase_epochs", -1, "phase_epochs"),
 ])
 def test_bad_eval_settings_refused_before_the_phase(tmp_path, capsys, monkeypatch, key,
                                                     value, message):
@@ -641,11 +647,9 @@ def test_diverged_run_writes_the_rows_before_it(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("key, value, message, signs", [
-    ("ndb_k", 0, "ndb_k", False), ("alpha", 1.5, "alpha", False),
-    ("ndb_k", 41, "10\\*k", False), ("ndb_k", 5, "distinct", True),
-    ("alpha", 1e-17, "alpha", False),
-], ids=["ndb_k_zero", "alpha_above_one", "ndb_k_above_rows", "ndb_k_above_distinct_points",
-        "alpha_below_resolution"])
+    ("ndb_k", 0, "ndb_k", False), ("ndb_k", 41, "10\\*k", False),
+    ("ndb_k", 5, "distinct", True),
+], ids=["ndb_k_zero", "ndb_k_above_rows", "ndb_k_above_distinct_points"])
 def test_bad_ndb_settings_refused_before_the_checkpoint(tmp_path, capsys, monkeypatch, key,
                                                         value, message, signs):
     # 41 bins need 410 rows and the dataset has 400; signs leave at most 4 distinct points
@@ -855,7 +859,7 @@ def test_ndb_reuses_the_report_of_the_same_inputs(tmp_path, monkeypatch, task):
 
 
 @pytest.mark.parametrize("change", [
-    "dataset_rewritten", "mid_run_checkpoint", "eval.alpha", "eval.ndb_k", "seed",
+    "dataset_rewritten", "mid_run_checkpoint", "eval.ndb_k", "seed",
     "report_without_inputs", "report_unparsable", "sources_edited", "sources_unreadable",
 ])
 def test_ndb_computes_when_an_input_changed(tmp_path, monkeypatch, change):
@@ -871,8 +875,8 @@ def test_ndb_computes_when_an_input_changed(tmp_path, monkeypatch, change):
                          out / "dataset.csv")
     elif change == "mid_run_checkpoint":
         ckpt = out / "checkpoints" / "step_00000004.json"
-    elif change.startswith("eval."):
-        cfg["eval"][change[5:]] = {"alpha": 0.1, "ndb_k": 5}[change[5:]]
+    elif change == "eval.ndb_k":
+        cfg["eval"]["ndb_k"] = 5
     elif change == "seed":
         cfg["seed"] = 1
     elif change == "report_without_inputs":

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from statistics import NormalDist
-
 from cganlab import cli, evalcond
 from cganlab.evalcond import (
     PAIRINGS,
@@ -173,20 +171,16 @@ def test_auroc_is_the_mean_over_all_pairs(pos, neg):
 # -- eval config ---------------------------------------------------------
 
 @pytest.mark.parametrize("values, message", [
-    ({"ndb_k": 0}, "ndb_k must be positive, got 0"),
-    ({"alpha": 0.0}, "alpha must lie in (2**-53, 1), got 0.0"),
-    ({"alpha": 1.5}, "alpha must lie in (2**-53, 1), got 1.5"),
-    ({"alpha": 1e-17}, "alpha must lie in (2**-53, 1), got 1e-17"),
+    ({"ndb_k": 0}, "ndb_k must be at least 1, got 0"),
     ({"n_bins": 0}, "n_bins must be at least 1, got 0"),
     ({"n_per_label": 0}, "n_per_label must be at least 1, got 0"),
     ({"phase_epochs": -1}, "phase_epochs must be at least 0, got -1"),
     ({"n_eval": 0}, "n_eval must be at least 2, got 0"),
-    # the range checks come before the NDB parameters, n_eval first
-    ({"alpha": 0.0, "n_bins": 0, "n_eval": 1}, "n_eval must be at least 2, got 1"),
-    ({"alpha": 0.0, "n_per_label": 0}, "n_per_label must be at least 1, got 0"),
-], ids=["ndb_k_zero", "alpha_zero", "alpha_above_one", "alpha_below_resolution", "n_bins_zero",
-        "n_per_label_zero", "phase_epochs_negative", "n_eval_zero", "n_eval_first",
-        "ranges_before_ndb"])
+    # the other range checks come before NDB's bin count, n_eval first
+    ({"ndb_k": 0, "n_bins": 0, "n_eval": 1}, "n_eval must be at least 2, got 1"),
+    ({"ndb_k": 0, "n_per_label": 0}, "n_per_label must be at least 1, got 0"),
+], ids=["ndb_k_zero", "n_bins_zero", "n_per_label_zero", "phase_epochs_negative", "n_eval_zero",
+        "n_eval_first", "ranges_before_ndb"])
 def test_eval_config_refuses_what_the_cli_refuses(tmp_path, values, message):
     # ndb_k above a tenth of the dataset's rows needs the dataset: the
     # stages refuse it through check_ndb_settings
@@ -271,13 +265,13 @@ def test_ndb_collapsed_generator_on_modes_task():
 
 
 def test_ndb_equal_distribution_false_positive_rate():
-    # with real == gen in distribution the per-bin test fires at ~alpha
+    # with real == gen in distribution the per-bin test fires at ~0.05, its level
     rng = np.random.default_rng(13)
     scores = []
     for _ in range(100):
         real = rng.standard_normal((250, 2))
         gen = rng.standard_normal((250, 2))
-        scores.append(ndb_score(real, gen, k=5, alpha=0.05, seed=0).ndb_over_k)
+        scores.append(ndb_score(real, gen, k=5, seed=0).ndb_over_k)
     assert np.mean(scores) <= 2 * 0.05
 
 
@@ -301,6 +295,8 @@ def test_ndb_preconditions():
     dup = np.tile(np.arange(3.0)[:, None], (100, 2))
     with pytest.raises(ValueError, match="distinct"):
         ndb_score(dup, big, k=8)
+    with pytest.raises(ValueError, match="ndb_k must be at least 1, got 0"):
+        ndb_score(big, big, k=0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,7 +323,7 @@ def test_distinct_points_check_matches_full_array_rule(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evalcond, "_row_keys", spy)
         try:
-            check_ndb_settings(real, 10 * k, k, 0.05)
+            check_ndb_settings(real, 10 * k, k)
             refused = False
         except ValueError as e:
             assert str(e) == f"k={k} exceeds the number of distinct real points"
@@ -337,38 +333,18 @@ def test_distinct_points_check_matches_full_array_rule(data):
         assert max(rows_keyed) <= 10 * k
 
 
-def test_ndb_alpha_outside_unit_interval_rejected():
-    rng = np.random.default_rng(16)
-    real = rng.standard_normal((100, 2))
-    for alpha in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match="alpha"):
-            ndb_score(real, real, k=4, alpha=alpha)
-
-
-def test_ndb_alpha_below_float_resolution_rejected():
-    # at or below 2**-53, 1 - alpha/2 rounds to 1 and has no normal quantile
-    rng = np.random.default_rng(16)
-    real = rng.standard_normal((100, 2))
-    with pytest.raises(ValueError, match="alpha"):
-        ndb_score(real, real, k=4, alpha=1e-17)
-    assert ndb_score(real, real, k=4, alpha=1.2e-16).ndb_over_k == 0.0
-
-
 def test_ndb_critical_value_matches_scipy_norm_ppf():
+    # the two-sided critical value at level 0.05
     from scipy import stats
 
-    alphas = np.concatenate([[0.001, 0.01, 0.05, 0.1, 0.2], np.linspace(1e-6, 0.999, 400)])
-    for alpha in alphas:
-        p = 1.0 - alpha / 2.0
-        assert abs(NormalDist().inv_cdf(p) - stats.norm.ppf(p)) <= 1e-12, alpha
-
+    z_crit = stats.norm.ppf(0.975)
+    assert abs(evalcond._NDB_Z_CRIT - z_crit) <= 1e-12
     rng = np.random.default_rng(17)
     real = rng.standard_normal((600, 2))
-    gen = rng.standard_normal((600, 2)) * 1.3 + 0.2
-    for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5):
-        report = ndb_score(real, gen, k=12, alpha=alpha, seed=2)
-        expected = np.abs(report.z_values) > stats.norm.ppf(1.0 - alpha / 2.0)
-        np.testing.assert_array_equal(report.significant, expected)
+    for shift in (0.0, 0.2, 0.5):
+        gen = rng.standard_normal((600, 2)) * 1.3 + shift
+        report = ndb_score(real, gen, k=12, seed=2)
+        np.testing.assert_array_equal(report.significant, np.abs(report.z_values) > z_crit)
 
 
 def _kmeans_fixed_iterations(points, k, rng, iters=50):

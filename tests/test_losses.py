@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from cganlab.losses import (
     DEFAULT_LAMBDAS,
     FORMULATIONS,
-    GEN_LOSS_MODES,
     LossSpec,
     d_loss_total,
     g_loss,
@@ -147,8 +146,8 @@ def test_losses_finite_under_saturation():
         bd, grad = d_loss_total(logits, spec)
         assert np.isfinite(bd.d_total) and bd.d_total > 1e4
         assert np.all(np.isfinite(grad))
-    for mode in GEN_LOSS_MODES:
-        values, g_logit, _ = g_loss(np.array([[-1e4], [1e4]]), LossSpec(gen_loss_mode=mode))
+    for spec in (LossSpec(), LossSpec("hinge_classic")):
+        values, g_logit, _ = g_loss(np.array([[-1e4], [1e4]]), spec)
         assert all(np.isfinite(v) for v in values.values())
         assert np.all(np.isfinite(g_logit))
 
@@ -173,10 +172,11 @@ def test_saturated_non_saturating_g_loss_exact():
 
 
 def test_g_loss_symmetry_point_both_modes():
-    minmax, _, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="minmax"))
-    assert abs(minmax["g_total"] + LN2) < 1e-15
-    nonsat, _, _ = g_loss(t([[0.0]]), LossSpec(gen_loss_mode="non_saturating"))
-    assert abs(nonsat["g_total"] - LN2) < 1e-15
+    # at D = 0.5 the non-saturating loss is ln 2 and the hinge one 0
+    nonsat, g_logit, _ = g_loss(t([[0.0]]), LossSpec())
+    assert abs(nonsat["g_total"] - LN2) < 1e-15 and g_logit[0, 0] == -0.5
+    hinge, g_logit, _ = g_loss(t([[0.0]]), LossSpec("hinge_classic"))
+    assert hinge["g_total"] == 0.0 and g_logit[0, 0] == -1.0
 
 
 def test_recon_zero_at_identity():
@@ -237,11 +237,8 @@ def test_hinge_ac_logits_at_margin_reduce_to_classic_hinge():
     assert abs(full.d_total - classic.d_total) < 1e-12
 
 
-def test_hinge_refuses_minmax_gen_loss_mode():
-    # the hinge generator loss is always -E[l]; a minmax setting would be ignored
+def test_hinge_g_loss_is_minus_the_mean_logit():
     for formulation, lam in (("hinge_classic", (1, 1, 0, 0)), ("hinge_acontrario", (1, 1, 1, 1))):
-        with pytest.raises(ValueError, match="minmax"):
-            LossSpec(formulation, lam, gen_loss_mode="minmax")
         spec = LossSpec(formulation, lam)
         values, g_logit, _ = g_loss(t([[3.0], [-1.0]]), spec)
         assert values["g_adv"] == -1.0
@@ -264,8 +261,6 @@ def test_spec_validation():
         LossSpec("acontrario", (1, 1, -0.1, 1))  # negative weight
     with pytest.raises(ValueError):
         LossSpec("wasserstein", (1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        LossSpec("classic", (1, 1, 0, 0), gen_loss_mode="bogus")
     with pytest.raises(ValueError):
         LossSpec("classic", (1, 1, 0, 0), recon_weight=-1.0)
 
@@ -306,15 +301,12 @@ def test_d_loss_gradient_matches_finite_differences(spec, data, b):
 
 
 @pytest.mark.parametrize("recon_weight", [0.0, 0.7])
-@pytest.mark.parametrize("formulation, mode", [("classic", "minmax"),
-                                               ("classic", "non_saturating"),
-                                               ("hinge_classic", "non_saturating")],
-                         ids=["minmax", "non_saturating", "hinge"])
+@pytest.mark.parametrize("formulation", ["classic", "hinge_classic"],
+                         ids=["non_saturating", "hinge"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), b=st.integers(1, 4), dim_y=st.integers(1, 3))
-def test_g_loss_gradients_match_finite_differences(formulation, mode, recon_weight, data, b,
-                                                   dim_y):
-    spec = LossSpec(formulation, (1, 1, 0, 0), gen_loss_mode=mode, recon_weight=recon_weight)
+def test_g_loss_gradients_match_finite_differences(formulation, recon_weight, data, b, dim_y):
+    spec = LossSpec(formulation, (1, 1, 0, 0), recon_weight=recon_weight)
     logit = data.draw(hnp.arrays(np.float64, (b, 1), elements=_logits))
     y_true = data.draw(hnp.arrays(np.float64, (b, dim_y), elements=st.floats(-3.0, 3.0)))
     offset = data.draw(hnp.arrays(np.float64, (b, dim_y), elements=st.floats(-2.0, 2.0).filter(

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -539,3 +540,32 @@ def test_dataset_invariants():
         ConditionalDataset(xs=np.ones((3, 2)), ys=np.ones((4, 2)))
     with pytest.raises(ValueError):
         ConditionalDataset(xs=np.ones((1, 2)), ys=np.ones((1, 2)))
+
+
+_FOUR = np.arange(4)
+
+
+@pytest.mark.parametrize("xs, ys, labels, message", [
+    (np.eye(4), np.ones((4, 2)), np.tile(_FOUR, 2), r"labels must have shape \(4,\), got \(8,\)"),
+    (np.eye(4)[np.tile(_FOUR, 2)], np.ones((8, 2)), _FOUR,
+     r"labels must have shape \(8,\), got \(4,\)"),
+    (np.eye(4), np.ones((4, 2)), _FOUR[:, None], r"labels must have shape \(4,\), got \(4, 1\)"),
+    (np.eye(4), np.ones((4, 2)), [0.5, 1.7, 2.0, 3.0], "labels must be integers"),
+    (np.eye(4), np.ones(4), _FOUR, r"got shapes \(4, 4\) and \(4,\)"),
+    (np.eye(4), np.ones((4, 2, 1)), _FOUR, r"got shapes \(4, 4\) and \(4, 2, 1\)"),
+    (np.ones(4), np.ones((4, 2)), None, r"got shapes \(4,\) and \(4, 2\)"),
+], ids=["more_labels_than_rows", "fewer_labels_than_rows", "labels_2d", "labels_fractional",
+        "ys_1d", "ys_3d", "xs_1d"])
+def test_dataset_refuses_arrays_that_break_later(xs, ys, labels, message):
+    # each of these was accepted and failed in the sampler, in np.bincount,
+    # or, for fractional labels, was truncated to other labels
+    with pytest.raises(ValueError, match=message):
+        ConditionalDataset(xs=xs, ys=ys, labels=labels)
+
+
+def test_csv_with_a_fractional_label_refused(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("x_0,y_0,label\r\n0.0,1.0,0\r\n1.0,2.0,0.5\r\n")
+    message = f"dataset csv {path}: dataset labels must be integers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset_csv(path)
