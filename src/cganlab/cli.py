@@ -227,10 +227,11 @@ def load_config(path, seed_override=None, out_override=None) -> Run:
         tc = TrainConfig(**cfg["train"], seed=cfg["seed"], loss=loss)
     m = cfg["model"]
     with _invalid("model"):
+        # the output layer is linear; the key stays while bench/workloads.py sets it
+        if (activation := m["gen_output_activation"]) != "identity":
+            raise ValueError(f"gen_output_activation must be 'identity', got {activation!r}")
         gen = Generator.build(task.dim_x, task.dim_y, hidden=tuple(m["gen_hidden"]),
-                              noise_dim=m["noise_dim"],
-                              output_activation=m["gen_output_activation"],
-                              seed=cfg["seed"] * 2 + 1)
+                              noise_dim=m["noise_dim"], seed=cfg["seed"] * 2 + 1)
         disc = Discriminator.build(task.dim_x, task.dim_y, hidden=tuple(m["disc_hidden"]),
                                    seed=cfg["seed"] * 2 + 2)
     with _invalid("eval"):

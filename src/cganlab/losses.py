@@ -51,8 +51,8 @@ class LossSpec:
         given = DEFAULT_LAMBDAS[self.formulation] if self.lambdas is None else self.lambdas
         lam = tuple(float(v) for v in given)
         object.__setattr__(self, "lambdas", lam)
-        if len(lam) != 4 or any(v < 0 for v in lam):
-            raise ValueError(f"lambdas must be 4 non-negative reals, got {lam}")
+        if len(lam) != 4 or not all(0 <= v < np.inf for v in lam):
+            raise ValueError(f"lambdas must be 4 finite non-negative reals, got {lam}")
         if not any(v > 0 for v in lam):
             raise ValueError("at least one lambda must be positive")
         if self.formulation in ("classic", "hinge_classic") and (lam[2] != 0 or lam[3] != 0):
@@ -60,8 +60,8 @@ class LossSpec:
                 f"{self.formulation} ignores the a-contrario terms; "
                 f"lambda3 and lambda4 must be 0, got {lam[2]}, {lam[3]}"
             )
-        if self.recon_weight < 0:
-            raise ValueError("recon_weight must be non-negative")
+        if not 0 <= self.recon_weight < np.inf:
+            raise ValueError(f"recon_weight must be finite and non-negative, got {self.recon_weight}")
 
     @property
     def is_hinge(self) -> bool:

@@ -14,9 +14,9 @@ The discriminator returns the raw logit ``f(x, y)`` of a plain MLP over
 the concatenation of condition and data; ``D(x, y) = sigmoid(f(x, y))`` is
 never formed, because the losses and the conditionality histograms all
 work on the logit. An MLP is affine layers with leaky-ReLU between them
-and an identity or tanh output, so its gradient is closed form:
-`mlp_forward` keeps each layer's input, and `mlp_backward` turns the
-gradient w.r.t. the output into parameter and input gradients.
+and a linear output, so its gradient is closed form: `mlp_forward` keeps
+each layer's input, and `mlp_backward` turns the gradient w.r.t. the
+output into parameter and input gradients.
 
 The hidden leaky-ReLU has slope `HIDDEN_SLOPE` = 0.2 and no
 data-dependent branch; both passes give the same bits as
@@ -94,8 +94,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OUTPUT_ACTIVATIONS = ("identity", "tanh")
-
 WEIGHT_INIT_STD = 0.02  # weights ~ N(0, 0.02^2), biases zero
 # pix2pix's hidden leaky-ReLU slope (Isola et al. 2017, arXiv 1611.07004), which
 # these conditional networks follow; `mlp_backward` reads it from the table
@@ -117,15 +115,14 @@ _SMALL_GEMM = 100 ** 3
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths plus the output activation; at least one hidden layer.
+    """Layer widths, input first and output last; at least one hidden layer.
 
     Each width is a positive integer, a Python or numpy one; a float or a
     bool is refused, not rounded. Every hidden layer is a leaky-ReLU of
-    slope `HIDDEN_SLOPE`.
+    slope `HIDDEN_SLOPE`, and the output layer is linear.
     """
 
     widths: tuple[int, ...]
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.widths) < 3:
@@ -133,20 +130,18 @@ class MlpSpec:
         if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w <= 0
                for w in self.widths):
             raise ValueError(f"MlpSpec widths must be positive integers, got {self.widths}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def to_dict(self) -> dict:
-        return {"widths": list(self.widths), "output_activation": self.output_activation}
+        return {"widths": list(self.widths)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
         """The spec back from `to_dict`; any other key raises ValueError naming it."""
-        unknown = sorted(set(d) - {"widths", "output_activation"})
+        unknown = sorted(set(d) - {"widths"})
         if unknown:
             raise ValueError(f"unknown MlpSpec keys {unknown}")
-        return cls(tuple(d["widths"]), d["output_activation"])
+        return cls(tuple(d["widths"]))
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         """Shapes of W0, b0, W1, b1, ...: (w_in, w_out), then (w_out,), per layer."""
@@ -214,10 +209,8 @@ class Generator:
         return type(self), (self.spec, self.flat, self.noise_dim)
 
     @classmethod
-    def build(cls, dim_x, dim_y, hidden=(128, 128), noise_dim=0,
-              output_activation="identity", seed=0) -> "Generator":
-        spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y),
-                       output_activation=output_activation)
+    def build(cls, dim_x, dim_y, hidden=(128, 128), noise_dim=0, seed=0) -> "Generator":
+        spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y))
         return cls(spec, init_params(spec, seed), noise_dim)
 
 
@@ -280,15 +273,12 @@ def mlp_forward(spec: MlpSpec, params: list[np.ndarray],
                 h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Output of the MLP on rows `h`, and the cache `mlp_backward` needs.
 
-    The cache holds each layer's input, then the output.
+    The cache holds each layer's input, `h` first, and not the output.
     """
     cache = []
     for i in range(len(spec.widths) - 1):
         cache.append(h)
         h = _layer(spec, params, i, h)
-    if spec.output_activation == "tanh":
-        h = np.tanh(h)
-    cache.append(h)
     return h, cache
 
 
@@ -297,17 +287,15 @@ def mlp_backward(spec: MlpSpec, params: list[np.ndarray], cache: list[np.ndarray
                  input_grad: bool = True) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of a loss from its gradient `g_out` w.r.t. the MLP output.
 
-    Writes the parameter gradients into `grads_out`, arrays shaped like
-    `params` (such as the views of a `trainer.AdamState.grads` vector), or
-    computes none when it is None. Returns (`grads_out`, gradient w.r.t.
-    the input rows); the second is None, and not computed, when
-    `input_grad` is false. A hidden unit passes the gradient where its
+    `cache` is `mlp_forward`'s, each layer's input; the output layer is
+    linear. Writes the parameter gradients into `grads_out`, arrays shaped
+    like `params` (such as the views of a `trainer.AdamState.grads`
+    vector), or computes none when it is None. Returns (`grads_out`,
+    gradient w.r.t. the input rows); the second is None, and not computed,
+    when `input_grad` is false. A hidden unit passes the gradient where its
     output is positive and scales it by `HIDDEN_SLOPE` elsewhere.
     """
-    out = cache[-1]
     g = g_out
-    if spec.output_activation == "tanh":
-        g = g * (1.0 - out * out)
     n_layers = len(spec.widths) - 1
     for i in reversed(range(n_layers)):
         if i < n_layers - 1:  # g is the fresh product of the layer above
@@ -344,7 +332,7 @@ def _forward_uncached(spec: MlpSpec, params: list[np.ndarray], h: np.ndarray) ->
                 a = _layer(spec, params, i, a, out[start:stop] if i == n_blocked - 1 else None)
     for i in range(n_blocked, n_layers):
         out = _layer(spec, params, i, out)
-    return np.tanh(out) if spec.output_activation == "tanh" else out
+    return out
 
 
 def gen_forward(gen: Generator, x, rng=None, *,

@@ -245,35 +245,42 @@ def save_dataset_csv(ds: ConditionalDataset, path) -> None:
     distinct condition row is formatted once: rows are keyed by their bits,
     so 0.0 and -0.0 print apart.
     """
-    dx, dy = ds.xs.shape[1], ds.ys.shape[1]
-    header = [f"x_{i}" for i in range(dx)] + [f"y_{i}" for i in range(dy)]
+    header = _csv_header(ds.xs.shape[1], ds.ys.shape[1], ds.labels is not None)
     keys = _row_keys(ds.xs.view(np.int64))
     rep = np.empty(keys.max() + 1, dtype=np.intp)
     rep[keys] = np.arange(keys.size)  # any row of a key: its rows share their bits
     x_text = [",".join(map(repr, row)) for row in ds.xs[rep].tolist()]
     cols = [map(x_text.__getitem__, keys.tolist())] + [map(repr, c) for c in ds.ys.T.tolist()]
     if ds.labels is not None:
-        header.append("label")
         cols.append(map(str, ds.labels.tolist()))
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
+def _csv_header(dx: int, dy: int, labelled: bool) -> list[str]:
+    return [f"x_{i}" for i in range(dx)] + [f"y_{i}" for i in range(dy)] + ["label"] * labelled
+
+
 def load_dataset_csv(path) -> ConditionalDataset:
+    """The dataset `save_dataset_csv` wrote; a header other than the one it
+    writes (`_csv_header`) raises ValueError naming the path and the header."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"dataset csv {path} is empty")
+        labelled = header[-1:] == ["label"]
+        dx = sum(h.startswith("x_") for h in header)
+        dy = len(header) - dx - labelled
+        if min(dx, dy) < 1 or header != _csv_header(dx, dy, labelled):
+            raise ValueError(f"dataset csv {path} has header {','.join(header)!r}, not "
+                             f"x_0..x_<dx-1>,y_0..y_<dy-1>[,label]")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-    y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
-    if not x_cols or not y_cols:
-        raise ValueError(f"dataset csv {path} missing x_*/y_* columns")
     if body.shape[0] == 0 or body.shape[1] != len(header):
         raise ValueError(f"dataset csv {path} has no rows of {len(header)} columns")
-    labels = body[:, header.index("label")] if "label" in header else None
+    labels = body[:, -1] if labelled else None
     try:
-        return ConditionalDataset(xs=body[:, x_cols], ys=body[:, y_cols], labels=labels)
+        return ConditionalDataset(xs=body[:, range(dx)], ys=body[:, range(dx, dx + dy)],
+                                  labels=labels)
     except ValueError as e:
         raise ValueError(f"dataset csv {path}: {e}") from None

@@ -27,8 +27,8 @@ class GaussModesTask:
             raise ValueError("need at least 2 modes")
         if not self.sigma >= 0:  # -s would draw what s draws, under another task dict
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         c = self.centers()
         d = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
@@ -66,8 +66,8 @@ class CondRegressionTask:
             raise ValueError(f"dim_x and dim_y must be positive, got {self.dim_x}, {self.dim_y}")
         if self.map_seed < 0:
             raise ValueError(f"map_seed must be non-negative, got {self.map_seed}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.map_seed)

@@ -50,7 +50,7 @@ from .nets import (
 )
 from .pairing import AC_MODES, ConditionalDataset, draw_pairings
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 METRICS_COLUMNS = (
     "step", "d_real_cond", "d_gen_cond", "d_real_ac", "d_gen_ac", "d_total",
@@ -88,8 +88,8 @@ class TrainConfig:
     ac_mode: str = "within_batch"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.batch_size < 2:
@@ -319,14 +319,14 @@ def save_checkpoint(gen: Generator, disc: Discriminator, state: TrainState,
     `"task"` (null when not given) so that a loader can refuse the
     checkpoint under another task.
 
-    Format 5 is one JSON object. `format_version`, `step`, `seed`, `task`,
-    both network specs (`widths` and `output_activation`), the generator's
+    Format 6 is one JSON object. `format_version`, `step`, `seed`, `task`,
+    both network specs (the key `widths` alone), the generator's
     `noise_dim`, the Adam step counts `t` and `rng_state` (the bit
-    generator's state dict) are plain JSON;
-    `adam_g` is null for a frozen generator. Each network's `flat` and
-    each Adam moment `m` and `v` is one string, the base64 of the vector's
-    little-endian float64 bytes (`nets.encode_vector`), so a load gives
-    back the same bits. The spec fixes the layout, so no shapes are stored.
+    generator's state dict) are plain JSON; `adam_g` is null for a frozen
+    generator. Each network's `flat` and each Adam moment `m` and `v` is
+    one string, the base64 of the vector's little-endian float64 bytes
+    (`nets.encode_vector`), so a load gives back the same bits. The spec
+    fixes the layout, so no shapes are stored.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -355,11 +355,11 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
     """Rebuild networks and train state; returns (gen, disc, state, meta).
 
     `meta` holds the run's seed, its step and the task dict stored by
-    `save_checkpoint` (None if none was given). Only format 5, the current
+    `save_checkpoint` (None if none was given). Only format 6, the current
     one, is read; an older file, a missing key, a spec key other than
-    `widths` and `output_activation`, a `step`, `seed` or Adam `t` that is
-    not a non-negative int, or a vector that is not base64 or not as long
-    as its network's spec requires raises `CheckpointError`.
+    `widths`, a `step`, `seed` or Adam `t` that is not a non-negative int,
+    or a vector that is not base64 or not as long as its network's spec
+    requires raises `CheckpointError`.
     """
     with open(path) as fh:
         try:

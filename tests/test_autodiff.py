@@ -6,6 +6,7 @@ when these checks covered a reverse-mode tape, which the closed form
 replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from cganlab.losses import LossSpec, _sigmoid_parts, _softplus, d_loss_total, g_loss
 from cganlab.nets import (
     HIDDEN_SLOPE,
-    OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
     MlpSpec,
@@ -167,7 +167,7 @@ def test_values_stay_finite_at_saturation():
 def test_determinism_bitwise():
     def build(seed):
         rng = np.random.default_rng(seed)
-        spec = MlpSpec((3, 3, 1), output_activation="tanh")
+        spec = MlpSpec((3, 3, 1))
         params = [rng.standard_normal(shape) for shape in spec.param_shapes()]
         out, cache = mlp_forward(spec, params, rng.standard_normal((2, 3)))
         grads, g_in = mlp_backward(spec, params, cache, np.full(out.shape, 0.5),
@@ -180,19 +180,19 @@ def test_determinism_bitwise():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_finite_differences_on_random_expressions(seed):
-    # each seed draws a depth, widths and output activation
+    # each seed draws a depth and widths
     rng = np.random.default_rng(seed)
     widths = tuple(int(w) for w in rng.integers(2, 5, size=rng.integers(3, 5)))
-    spec = MlpSpec(widths, output_activation=OUTPUT_ACTIVATIONS[seed % len(OUTPUT_ACTIVATIONS)])
+    spec = MlpSpec(widths)
     params = [rng.normal(0, 0.8, shape) for shape in spec.param_shapes()]
     h = rng.normal(0, 1.0, (3, widths[0]))
     assert_gradients_match_fd(spec, params, h, rng.uniform(0.5, 1.5, (3, widths[-1])))
 
 
 def test_finite_differences_through_generator_and_concat():
-    # a tanh G output, fused with x into D, under the non-saturating G loss
+    # G's output, fused with x into D, under the non-saturating G loss
     rng = np.random.default_rng(7)
-    g_spec, d_spec = MlpSpec((2, 4, 3), output_activation="tanh"), MlpSpec((5, 4, 1))
+    g_spec, d_spec = MlpSpec((2, 4, 3)), MlpSpec((5, 4, 1))
     g_params = [rng.normal(0, 0.7, shape) for shape in g_spec.param_shapes()]
     d_params = [rng.normal(0, 0.7, shape) for shape in d_spec.param_shapes()]
     x = rng.normal(0, 1.0, (3, 2))
@@ -216,16 +216,17 @@ def test_finite_differences_through_generator_and_concat():
 
 # -- property tests: each nonlinearity against central finite differences --
 
-# name -> output activation; every hidden layer is a leaky-ReLU of slope HIDDEN_SLOPE
-MLP_NONLINEARITIES = {"leaky_relu": "identity", "tanh": "tanh"}
+# an MLP's one nonlinearity is its hidden leaky-ReLU of slope HIDDEN_SLOPE, and
+# the losses' is softplus; every output layer is linear
+NONLINEARITIES = ("leaky_relu", "softplus")
 
 _away_from_zero = st.floats(-1.5, -0.05) | st.floats(0.05, 1.5)
 
 
 @st.composite
-def _mlp_cases(draw, activation, widths=None):
+def _mlp_cases(draw, widths=None):
     widths = widths or tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
-    spec = MlpSpec(widths, output_activation=activation)
+    spec = MlpSpec(widths)
     params = [draw(hnp.arrays(np.float64, shape, elements=_away_from_zero))
               for shape in spec.param_shapes()]
     h = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), widths[0]),
@@ -246,11 +247,12 @@ def _pre_activations_clear_of_kink(spec, params, h, margin=1e-3):
 
 
 def test_every_op_has_a_property_test():
-    # every output activation of nets
-    assert set(MLP_NONLINEARITIES.values()) == set(OUTPUT_ACTIVATIONS)
+    # a spec chooses widths only, so an MLP runs no nonlinearity but the
+    # hidden leaky-ReLU that NONLINEARITIES tests
+    assert [f.name for f in dataclasses.fields(MlpSpec)] == ["widths"]
 
 
-@pytest.mark.parametrize("name", sorted([*MLP_NONLINEARITIES, "softplus"]))
+@pytest.mark.parametrize("name", NONLINEARITIES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_unary_op_gradients_match_finite_differences(name, data):
@@ -261,7 +263,7 @@ def test_unary_op_gradients_match_finite_differences(name, data):
         numeric = central_differences(lambda: float((w * _softplus(a)[0]).sum()), a)
         np.testing.assert_allclose(w * _softplus(a)[1], numeric, rtol=1e-5, atol=1e-7)
         return
-    spec, params, h, weights = data.draw(_mlp_cases(MLP_NONLINEARITIES[name]))
+    spec, params, h, weights = data.draw(_mlp_cases())
     assume(_pre_activations_clear_of_kink(spec, params, h))
     assert_gradients_match_fd(spec, params, h, weights)
 
@@ -270,7 +272,7 @@ def test_unary_op_gradients_match_finite_differences(name, data):
 @given(data=st.data(), n=st.integers(1, 3), k=st.integers(1, 3), m=st.integers(1, 3))
 def test_matmul_and_concat_gradients_match_finite_differences(data, n, k, m):
     # D's input gradient, split at dim_x, against differences in x and in y apart
-    spec, params, _, _ = data.draw(_mlp_cases("identity", widths=(k + m, 3, 1)))
+    spec, params, _, _ = data.draw(_mlp_cases(widths=(k + m, 3, 1)))
     disc = Discriminator(spec, np.concatenate([p.ravel() for p in params]))
     x = data.draw(hnp.arrays(np.float64, (n, k), elements=_away_from_zero))
     y = data.draw(hnp.arrays(np.float64, (n, m), elements=_away_from_zero))

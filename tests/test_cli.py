@@ -2,6 +2,7 @@ import base64
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -287,9 +288,9 @@ def test_invalid_loss_config_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("task, message", [
     (dict(MINI_TASK, sigma=-0.25), "sigma must be non-negative, got -0.25"),
-    (dict(MINI_TASK, radius=-4.0), "radius must be positive, got -4.0"),
+    (dict(MINI_TASK, radius=-4.0), "radius must be positive and finite, got -4.0"),
     ({"type": "cond_regression", "noise_std": -0.05, "n_samples": 400},
-     "noise_std must be non-negative, got -0.05"),
+     "noise_std must be finite and non-negative, got -0.05"),
 ], ids=["sigma", "radius", "noise_std"])
 def test_impossible_task_noise_or_radius_refused(tmp_path, capsys, task, message):
     # -0.25 would draw the data 0.25 draws, under a task dict of its own
@@ -381,14 +382,49 @@ def test_config_defaults_are_the_dataclass_defaults(tmp_path, formulation):
 
 
 def test_removed_output_activation_refused(tmp_path, capsys):
-    p, _ = _setup_run(tmp_path, "r")
+    # every output layer is linear: the key stays while the benchmark's
+    # configs spell it out, but takes no value other than "identity"
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
     cfg = json.loads(p.read_text())
-    cfg["model"]["gen_output_activation"] = "sigmoid"
-    p.write_text(json.dumps(cfg))
-    capsys.readouterr()
-    assert main(["train", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-config:") and "sigmoid" in err
+    for activation in ("sigmoid", "tanh"):
+        cfg["model"]["gen_output_activation"] = activation
+        p.write_text(json.dumps(cfg))
+        for stage in STAGES:
+            capsys.readouterr()
+            assert main(_stage_args(stage, p, out)) == 1
+            assert capsys.readouterr().err == (
+                "error: invalid-config: model: gen_output_activation must be 'identity', "
+                f"got '{activation}'\n")
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+
+
+def _bench_workloads():
+    """`bench/workloads.py`, imported by path and only read."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_config_loads(tmp_path):
+    # the benchmark sends every key it sets, so refusing one it still sends
+    # (such as model.gen_output_activation) would fail every benchmark run
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        for tiny in (False, True):
+            cfg = workloads.make_config(name, 3, str(tmp_path / name), tiny)
+            p = tmp_path / f"{name}-{tiny}.json"
+            p.write_text(json.dumps(cfg))
+            try:
+                run = cli.load_config(p)
+            except cli.CliError as e:
+                pytest.fail(f"{name} (tiny={tiny}): {e.kind}: {e}")
+            for section, values in cfg.items():
+                if isinstance(values, dict):
+                    assert run.cfg[section] == dict(run.cfg[section], **values), (name, section)
 
 
 # a pipeline small enough to run once per drawn value
@@ -759,8 +795,7 @@ def _setup_run(tmp_path, name, task=MINI_TASK, seed=0, train_extra=None):
 @pytest.mark.parametrize("model", [
     {"gen_hidden": [8, 8], "disc_hidden": [8, 8]},
     {"gen_hidden": [16, 16], "disc_hidden": [16, 16], "noise_dim": 1},
-    {"gen_hidden": [16, 16], "disc_hidden": [16, 16], "gen_output_activation": "tanh"},
-], ids=["widths", "noise_dim", "output_activation"])
+], ids=["widths", "noise_dim"])
 def test_checkpoint_of_other_networks_refused(tmp_path, capsys, model):
     p, out = _setup_run(tmp_path, "r")  # [16, 16] networks
     assert main(["train", "--config", str(p)]) == 0
@@ -956,13 +991,14 @@ def test_mid_run_checkpoint_task_mismatch(tmp_path, capsys):
     assert "task-mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4],
-                         ids=["format_1", "format_2", "format_3", "format_4"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5],
+                         ids=["format_1", "format_2", "format_3", "format_4", "format_5"])
 def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
-    # as formats 1 to 4 wrote it: each spec with its "hidden_slope"; before format
-    # 4, a network's "params" and each Adam moment as one {"shape", "data"} entry
-    # per array, its data a JSON list of floats (formats 1 and 2) or the base64 of
-    # its float64 bytes (format 3); no task in format 1
+    # as formats 1 to 5 wrote it: each spec with its "output_activation", and
+    # before format 5 its "hidden_slope"; before format 4, a network's "params"
+    # and each Adam moment as one {"shape", "data"} entry per array, its data a
+    # JSON list of floats (formats 1 and 2) or the base64 of its float64 bytes
+    # (format 3); no task in format 1
     p1, out = _setup_run(tmp_path, "old")
     assert main(["train", "--config", str(p1)]) == 0
     ckpt = out / "checkpoint.json"
@@ -977,7 +1013,9 @@ def test_old_format_checkpoint_reported_as_bad(tmp_path, capsys, version):
 
     for net, adam in (("generator", "adam_g"), ("discriminator", "adam_d")):
         spec = MlpSpec.from_dict(doc[net]["spec"])
-        doc[net]["spec"]["hidden_slope"] = 0.2
+        doc[net]["spec"]["output_activation"] = "identity"
+        if version < 5:
+            doc[net]["spec"]["hidden_slope"] = 0.2
         if version < 4:
             doc[net]["params"] = per_array(doc[net].pop("flat"), spec)
             doc[adam] = dict(doc[adam], m=per_array(doc[adam]["m"], spec),
@@ -1097,7 +1135,8 @@ def test_checkpoint_with_removed_output_activation_reported_as_bad(tmp_path, cap
     capsys.readouterr()
     assert main(["ndb", "--config", str(p1), "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bad-checkpoint:") and "sigmoid" in err
+    # the run directory is named sigmoid, so the message must name the key
+    assert err.startswith("error: bad-checkpoint:") and "['output_activation']" in err
 
 
 def test_report_write_failure_keeps_previous_file(tmp_path, monkeypatch):

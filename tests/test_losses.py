@@ -263,6 +263,15 @@ def test_spec_validation():
         LossSpec("wasserstein", (1, 1, 1, 1))
     with pytest.raises(ValueError):
         LossSpec("classic", (1, 1, 0, 0), recon_weight=-1.0)
+    # a NaN lambda is neither active nor idle; the CLI refuses NaN and inf as JSON values
+    for formulation, lam in (("classic", (math.nan, 1, 0, 0)),
+                             ("acontrario", (1, 1, 1, math.inf))):
+        with pytest.raises(ValueError, match="lambdas must be 4 finite non-negative reals"):
+            LossSpec(formulation, lam)
+    for weight in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"recon_weight must be finite and non-negative, "
+                                             f"got {weight}"):
+            LossSpec("classic", (1, 1, 0, 0), recon_weight=weight)
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)

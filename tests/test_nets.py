@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from cganlab import nets
 from cganlab.nets import (
-    OUTPUT_ACTIVATIONS,
     Discriminator,
     Generator,
     MlpSpec,
@@ -58,28 +57,29 @@ def test_spec_needs_hidden_layer():
         MlpSpec((4, 2))
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("output_activation", "sigmoid", "output activation"),
-    ("output_activation", "softmax", "output activation"),
-], ids=["sigmoid", "softmax"])
-def test_spec_refuses_slope_above_one_and_removed_outputs(field, value, message):
-    # identity and tanh are the only output activations
-    with pytest.raises(ValueError, match=message):
-        MlpSpec((4, 8, 2), **{field: value})
+@pytest.mark.parametrize("activation", ["sigmoid", "softmax", "tanh", "identity"])
+def test_spec_refuses_slope_above_one_and_removed_outputs(activation):
+    # every output layer is linear, so a spec dict that names an output
+    # activation, as formats up to 5 stored, is refused, the identity too
+    with pytest.raises(ValueError, match=re.escape("unknown MlpSpec keys ['output_activation']")):
+        MlpSpec.from_dict({"widths": [4, 8, 2], "output_activation": activation})
+    with pytest.raises(TypeError, match="output_activation"):
+        MlpSpec((4, 8, 2), output_activation=activation)
 
 
 def test_spec_from_dict_reads_only_its_two_keys():
-    # a checkpoint's spec dict with any other key, such as the slope that
-    # format 4 stored, is refused rather than read as the constant slope
-    spec = MlpSpec((4, 8, 1), output_activation="tanh")
-    assert spec.to_dict() == {"widths": [4, 8, 1], "output_activation": "tanh"}
+    # the spec is its widths alone: a checkpoint's spec dict with any other
+    # key, such as the slope that format 4 stored, is refused rather than
+    # read as the constant slope
+    spec = MlpSpec((4, 8, 1))
+    assert spec.to_dict() == {"widths": [4, 8, 1]}
     assert MlpSpec.from_dict(spec.to_dict()) == spec
     for extra, named in (({"hidden_slope": 0.5}, "['hidden_slope']"),
                          ({"hidden_slope": 0.2, "foo": 1}, "['foo', 'hidden_slope']")):
         with pytest.raises(ValueError, match=re.escape(f"unknown MlpSpec keys {named}")):
             MlpSpec.from_dict(dict(spec.to_dict(), **extra))
-    with pytest.raises(KeyError, match="output_activation"):
-        MlpSpec.from_dict({"widths": [4, 8, 1]})
+    with pytest.raises(KeyError, match="widths"):
+        MlpSpec.from_dict({})
 
 
 @pytest.mark.parametrize("width", [8.0, 8.5, True, "8"], ids=["float", "fraction", "bool", "str"])
@@ -241,21 +241,9 @@ def test_forward_matches_mlp_forward_and_caches_layer_inputs():
     d_out, d_cache = disc_forward(disc, x, y)
     assert out.tobytes() == d_out.tobytes()
     assert [c.tobytes() for c in cache] == [c.tobytes() for c in d_cache]
-    assert [c.shape for c in cache] == [(5, 5), (5, 8), (5, 6), (5, 1)]
-    assert cache[-1] is out and d_cache[-1] is d_out
-
-
-@pytest.mark.parametrize("activation", ["tanh"])
-def test_outputs_and_gradients_finite_at_saturation(activation):
-    # pre-activations of +-1e4 saturate every output without overflow
-    spec = MlpSpec((2, 3, 2), output_activation=activation)
-    params = [np.zeros((2, 3)), np.array([1.0, 1.0, 1.0]),
-              np.full((3, 2), 1e4 / 3), np.array([0.0, -2e4])]
-    out, cache = mlp_forward(spec, params, np.zeros((2, 2)))
-    grads, g_in = mlp_backward(spec, params, cache, np.ones_like(out),
-                               grads_out=fresh_grads(params))
-    assert np.all(np.isfinite(out))
-    assert all(np.all(np.isfinite(g)) for g in grads) and np.all(np.isfinite(g_in))
+    # one input per layer; the output is not kept
+    assert [c.shape for c in cache] == [(5, 5), (5, 8), (5, 6)] and out.shape == (5, 1)
+    assert not any(c is out for c in cache) and not any(c is d_out for c in d_cache)
 
 
 def test_params_jsonable_round_trip_exact():
@@ -282,17 +270,12 @@ def _where_forward(spec, params, h, slope):
         h = h @ params[2 * i] + params[2 * i + 1]
         if i < n_layers - 1:
             h = np.where(h > 0, h, slope * h)
-    if spec.output_activation == "tanh":
-        h = np.tanh(h)
-    cache.append(h)
     return h, cache
 
 
 def _where_backward(spec, params, cache, g_out, slope):
     """`mlp_backward` with the hidden factor written as np.where."""
-    out, g = cache[-1], g_out
-    if spec.output_activation == "tanh":
-        g = g * (1.0 - out * out)
+    g = g_out
     n_layers = len(spec.widths) - 1
     grads = [None] * (2 * n_layers)
     for i in reversed(range(n_layers)):
@@ -317,28 +300,26 @@ REFERENCE_SLOPES = (PIX2PIX_SLOPE,)
 _with_signed_zeros = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
 
 
-@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
 @pytest.mark.parametrize("slope", REFERENCE_SLOPES)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise(slope, activation, data):
-    _assert_mlp_matches_where(slope, activation, data)
+def test_mlp_matches_where_formulation_bitwise(slope, data):
+    _assert_mlp_matches_where(slope, data)
 
 
-@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
 @pytest.mark.parametrize("slope", REFERENCE_SLOPES)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, activation, data):
+def test_mlp_matches_where_formulation_bitwise_in_blocks(slope, data):
     # hidden activations of up to 30 elements, so most take the blocked path
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "_BLOCK", 3)
-        _assert_mlp_matches_where(slope, activation, data)
+        _assert_mlp_matches_where(slope, data)
 
 
-def _assert_mlp_matches_where(slope, activation, data):
+def _assert_mlp_matches_where(slope, data):
     widths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4)))
-    spec = MlpSpec(widths, output_activation=activation)
+    spec = MlpSpec(widths)
     params = [data.draw(hnp.arrays(np.float64, shape, elements=_with_signed_zeros))
               for shape in spec.param_shapes()]
     rows = data.draw(st.integers(1, 6))
@@ -526,7 +507,6 @@ def test_wide_product_in_row_blocks_below_the_small_gemm_cutoff_keeps_its_bits(k
 _R = nets._ROWS
 
 
-@pytest.mark.parametrize("activation", OUTPUT_ACTIVATIONS)
 @settings(max_examples=8, deadline=None)
 @example(hidden=[128, 2], rows=2 * _R, dim_x=3, noise_dim=2, dim_y=2, fortran=False, seed=0)
 @example(hidden=[128, 1], rows=2 * _R + 1, dim_x=3, noise_dim=0, dim_y=5, fortran=False, seed=1)
@@ -549,7 +529,7 @@ _R = nets._ROWS
        dim_x=st.sampled_from([1, 3]), noise_dim=st.sampled_from([0, 2]),
        dim_y=st.sampled_from([1, 2, 5]), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_cache_free_forward_is_the_cached_output_bit_for_bit(
-        activation, hidden, rows, dim_x, noise_dim, dim_y, fortran, seed):
+        hidden, rows, dim_x, noise_dim, dim_y, fortran, seed):
     # the first layers run in row blocks while each one may: a layer at
     # least 8 wide in blocks of at least `_ROWS` rows, one 2 to 7 wide in
     # blocks whose product is above OpenBLAS's small-matrix cut-off, a
@@ -557,8 +537,8 @@ def test_cache_free_forward_is_the_cached_output_bit_for_bit(
     # bits with its row count (the examples do, on OpenBLAS 0.3.31), and
     # gemv, which runs a 1-wide one, changes them with the split.
     make = np.random.default_rng(seed)
-    g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y), output_activation=activation)
-    d_spec = MlpSpec((dim_x + dim_y, *hidden, 1), output_activation=activation)
+    g_spec = MlpSpec((dim_x + noise_dim, *hidden, dim_y))
+    d_spec = MlpSpec((dim_x + dim_y, *hidden, 1))
     gen = Generator(g_spec, make.standard_normal(sum(map(np.prod, g_spec.param_shapes()))),
                     noise_dim)
     disc = Discriminator(d_spec, make.standard_normal(sum(map(np.prod, d_spec.param_shapes()))))

@@ -512,6 +512,20 @@ def test_malformed_dataset_csv_rejected(tmp_path, body):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("header", [
+    "x_1,x_0,y_0,y_1", "x_0,y_0,y_0", "x_0,x_1,y_0,foo", "x_0,y_0,label,y_1", "y_0,x_0",
+    "label,x_0,y_0",
+], ids=["swapped", "duplicated", "extra_column", "label_not_last", "y_first", "label_first"])
+def test_dataset_csv_with_another_header_refused(tmp_path, header):
+    # each of these loaded, its columns taken by prefix: in file order, an
+    # extra one dropped, a duplicated y_0 read as one more y column
+    path = tmp_path / "ds.csv"
+    row = ",".join(["1"] * len(header.split(","))) + "\r\n"
+    path.write_bytes((header + "\r\n" + row * 2).encode())
+    with pytest.raises(ValueError, match=re.escape(f"dataset csv {path} has header {header!r}")):
+        load_dataset_csv(path)
+
+
 def test_empty_dataset_csv_rejected(tmp_path):
     # not even a header: the malformed bodies above all follow one
     path = tmp_path / "ds.csv"

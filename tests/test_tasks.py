@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,10 +128,15 @@ def test_overlapping_modes_rejected():
 @pytest.mark.parametrize("task, field, value, message", [
     (GaussModesTask, "sigma", -0.25, "sigma must be non-negative, got -0.25"),
     (GaussModesTask, "sigma", float("nan"), "sigma must be non-negative, got nan"),
-    (GaussModesTask, "radius", -4.0, "radius must be positive, got -4.0"),
-    (GaussModesTask, "radius", 0.0, "radius must be positive, got 0.0"),
-    (CondRegressionTask, "noise_std", -0.05, "noise_std must be non-negative, got -0.05"),
-], ids=["negative_sigma", "nan_sigma", "negative_radius", "zero_radius", "negative_noise_std"])
+    (GaussModesTask, "radius", -4.0, "radius must be positive and finite, got -4.0"),
+    (GaussModesTask, "radius", 0.0, "radius must be positive and finite, got 0.0"),
+    (GaussModesTask, "radius", math.inf, "radius must be positive and finite, got inf"),
+    (CondRegressionTask, "noise_std", -0.05,
+     "noise_std must be finite and non-negative, got -0.05"),
+    (CondRegressionTask, "noise_std", math.inf,
+     "noise_std must be finite and non-negative, got inf"),
+], ids=["negative_sigma", "nan_sigma", "negative_radius", "zero_radius", "infinite_radius",
+        "negative_noise_std", "infinite_noise_std"])
 def test_impossible_noise_or_radius_refused(task, field, value, message):
     # a noise scale only multiplies a standard normal, so -s would draw the
     # data s draws while recording another task

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -275,8 +276,7 @@ def test_chained_generator_gradient_matches_finite_differences(monkeypatch, loss
     # the G update chains g_loss -> D's input gradient on the y columns (+ L1) -> G
     ds = small_dataset(n=64)
     task = GaussModesTask()
-    gen = Generator.build(task.dim_x, task.dim_y, hidden=(6, 5), noise_dim=1,
-                          output_activation="tanh", seed=11)
+    gen = Generator.build(task.dim_x, task.dim_y, hidden=(6, 5), noise_dim=1, seed=11)
     disc = Discriminator.build(task.dim_x, task.dim_y, hidden=(5, 4), seed=12)
     for net, offset in ((gen, 0), (disc, 50)):
         for i, p in enumerate(net.params):
@@ -682,6 +682,9 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    for lr in (math.nan, math.inf):  # the CLI refuses both as JSON values
+        with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
+            TrainConfig(epochs=1, lr=lr)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
