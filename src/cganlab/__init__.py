@@ -19,13 +19,7 @@ from .pairing import (
     make_ac_permutation,
     sample_pair_batch,
 )
-from .tasks import (
-    CondRegressionTask,
-    GaussModesTask,
-    oracle_classify,
-    regression_error,
-    sample_dataset,
-)
+from .tasks import CondRegressionTask, GaussModesTask, sample_dataset
 from .trainer import (
     AdamState,
     TrainConfig,
@@ -36,6 +30,6 @@ from .trainer import (
     train,
 )
 from .evalcond import (EvalConfig, auroc, build_histogram, collect_logits, evaluate, ndb_score,
-                       oracle_accuracy)
+                       oracle_accuracy, oracle_classify, regression_error)
 
 __version__ = "0.1.0"

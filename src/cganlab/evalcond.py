@@ -14,7 +14,7 @@ because the sigmoid saturates and hides the mode structure. The report
 - `auroc`: `auroc` of `real_cond` against each other pairing, threshold-
   free. `real_ac` near 0.5 means the discriminator ignores the condition;
 - `oracle_accuracy` on mode tasks or `regression` on regression tasks,
-  the other one null. `regression` is `tasks.regression_error` on
+  the other one null. `regression` is `regression_error` on
   `n_eval` conditions held out from the dataset: drawn from a stream of
   their own, not the dataset's first rows;
 - `ndb`: `generator_ndb`'s report, as `NdbReport.to_dict` gives it: NDB
@@ -35,7 +35,7 @@ over all rows, on the last blocked layer's output written whole.
 
 NDB's bins are k-means clusters of the real samples. The fit's seeding
 and Lloyd iterations, the assignment of samples to bins and the oracle
-share one nearest-centroid kernel, `tasks._nearest_centroid`. They give
+share one nearest-centroid kernel, `_nearest_centroid`. They give
 the bits of the textbook loop (`argmin` over a broadcast (n, k, d)
 distance table, then each cluster's `mean`), which the tests keep as the
 reference: each coordinate's squared difference is added in the same
@@ -54,9 +54,10 @@ import numpy as np
 from .fileio import _atomic_open
 from .nets import Discriminator, Generator, disc_forward, gen_forward
 from .pairing import PAIRINGS, ConditionalDataset, _row_keys, draw_pairings
-from .tasks import GaussModesTask, _nearest_centroid, oracle_classify, regression_error
+from .tasks import CondRegressionTask, GaussModesTask
 from .trainer import RunLog, TrainConfig, optimal_discriminator_phase
 
+_HELD_OUT_STREAM = 0x0E  # decorrelates `regression_error`'s draw from `sample_dataset`'s
 _NDB_STREAM = 2  # decorrelates `generator_ndb`'s noise from the other draws of the seed
 # two-sided critical value of NDB's per-bin z-test at level 0.05
 _NDB_Z_CRIT = NormalDist().inv_cdf(0.975)
@@ -78,8 +79,11 @@ class EvalConfig:
     def __post_init__(self):
         for key, low in (("n_eval", 2), ("n_bins", 1), ("phase_epochs", 0), ("n_per_label", 1),
                          ("ndb_k", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an int, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -160,6 +164,75 @@ def auroc(pos: np.ndarray, neg: np.ndarray) -> float:
     ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
     n_pos, n_neg = len(pos), len(neg)
     return float((ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _nearest_centroid(points: np.ndarray, centroids: np.ndarray,
+                     buffers: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each point's nearest centroid, and its squared distance.
+
+    The index equals ``argmin`` over the squared distances
+    ``((points[:, None] - centroids[None]) ** 2).sum(-1)``: the lowest
+    index among equal distances, or the first NaN in a row that has one,
+    which takes a slower path. The distances are
+    those of that table bit for bit up to 7 coordinates (numpy sums so
+    short an axis in order). They are accumulated one coordinate at a time
+    into a (k, n) table, so each ufunc runs over n contiguous elements, not
+    over k-wide rows. `buffers` are two (k, n) float arrays to compute in,
+    for a caller that calls again at the same shape.
+    """
+    n, d = points.shape
+    if d != centroids.shape[1]:
+        raise ValueError(f"points have {d} coordinates, centroids {centroids.shape[1]}")
+    dist, scratch = buffers if buffers is not None else (
+        np.empty((centroids.shape[0], n)), np.empty((centroids.shape[0], n)))
+    columns = np.ascontiguousarray(points.T)
+    np.square(np.subtract(columns[0], centroids[:, 0, None], out=dist), out=dist)
+    for c in range(1, d):
+        np.square(np.subtract(columns[c], centroids[:, c, None], out=scratch), out=scratch)
+        dist += scratch
+    nearest = dist.min(axis=0)
+    if np.isnan(nearest).any():
+        return dist.argmin(axis=0), nearest  # argmin's rule: the first NaN wins
+    return (dist == nearest).argmax(axis=0), nearest
+
+
+def oracle_classify(task: GaussModesTask, ys: np.ndarray) -> np.ndarray:
+    """Nearest-centroid labels; ties resolve to the lowest label index."""
+    if not isinstance(task, GaussModesTask):
+        raise TypeError("oracle_classify requires a GaussModesTask")
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    return _nearest_centroid(ys, task.centers())[0]
+
+
+def regression_metrics(pred: np.ndarray, target: np.ndarray) -> dict:
+    """rmse and nrmse between prediction and target arrays.
+
+    nrmse is rmse over the rmse of predicting each target column's mean,
+    so 1.0 is no better than the mean; it is None when the target has no
+    spread.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
+    rmse = float(np.sqrt(np.mean((pred - target) ** 2)))
+    spread = float(np.sqrt(np.mean((target - target.mean(axis=0)) ** 2)))
+    return {"rmse": rmse, "nrmse": rmse / spread if spread > 0 else None}
+
+
+def regression_error(task: CondRegressionTask, gen: Generator, n_eval: int,
+                     seed: int = 0) -> dict:
+    """Generator error against the noiseless map on a fresh condition draw.
+
+    The conditions (then the generator's noise) come from a stream of their
+    own, not `sample_dataset`'s, so they are not the dataset's first rows.
+    """
+    if not isinstance(task, CondRegressionTask):
+        raise TypeError("regression_error requires a CondRegressionTask")
+    rng = np.random.default_rng([seed, _HELD_OUT_STREAM])
+    xs = rng.standard_normal((n_eval, task.dim_x))
+    return regression_metrics(gen_forward(gen, xs, rng, cache=False)[0], task.clean_map(xs))
 
 
 def oracle_accuracy(gen: Generator, task, n_per_label: int, seed: int = 0) -> float:

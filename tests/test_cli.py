@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 import cganlab
 from cganlab import cli, evalcond
 from cganlab.cli import main
-from cganlab.evalcond import EvalConfig, evaluate
+from cganlab.evalcond import EvalConfig, evaluate, regression_error
 from cganlab.losses import FORMULATIONS, LossSpec
 from cganlab.nets import MlpSpec, _unpack, decode_vector, encode_vector
 from cganlab.pairing import ConditionalDataset, load_dataset_csv, save_dataset_csv
-from cganlab.tasks import CondRegressionTask, regression_error
+from cganlab.tasks import CondRegressionTask
 from cganlab.trainer import TrainConfig, load_checkpoint
 
 MINI_TASK = {"type": "gauss_modes", "n_modes": 4, "radius": 3.0, "sigma": 0.25,

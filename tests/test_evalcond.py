@@ -12,12 +12,16 @@ from cganlab.evalcond import (
     PAIRINGS,
     EvalConfig,
     _kmeans,
+    _nearest_centroid,
     auroc,
     build_histogram,
     check_ndb_settings,
     collect_logits,
     ndb_score,
     oracle_accuracy,
+    oracle_classify,
+    regression_error,
+    regression_metrics,
     write_histogram_csv,
 )
 from cganlab.nets import Discriminator, Generator, MlpSpec
@@ -170,18 +174,30 @@ def test_auroc_is_the_mean_over_all_pairs(pos, neg):
 
 # -- eval config ---------------------------------------------------------
 
-@pytest.mark.parametrize("values, message", [
-    ({"ndb_k": 0}, "ndb_k must be at least 1, got 0"),
-    ({"n_bins": 0}, "n_bins must be at least 1, got 0"),
-    ({"n_per_label": 0}, "n_per_label must be at least 1, got 0"),
-    ({"phase_epochs": -1}, "phase_epochs must be at least 0, got -1"),
-    ({"n_eval": 0}, "n_eval must be at least 2, got 0"),
+@pytest.mark.parametrize("values, message, cli_message", [
+    ({"ndb_k": 0}, "ndb_k must be at least 1, got 0", None),
+    ({"n_bins": 0}, "n_bins must be at least 1, got 0", None),
+    ({"n_per_label": 0}, "n_per_label must be at least 1, got 0", None),
+    ({"phase_epochs": -1}, "phase_epochs must be at least 0, got -1", None),
+    ({"n_eval": 0}, "n_eval must be at least 2, got 0", None),
     # the other range checks come before NDB's bin count, n_eval first
-    ({"ndb_k": 0, "n_bins": 0, "n_eval": 1}, "n_eval must be at least 2, got 1"),
-    ({"ndb_k": 0, "n_per_label": 0}, "n_per_label must be at least 1, got 0"),
+    ({"ndb_k": 0, "n_bins": 0, "n_eval": 1}, "n_eval must be at least 2, got 1", None),
+    ({"ndb_k": 0, "n_per_label": 0}, "n_per_label must be at least 1, got 0", None),
+    # a bool or a float count: the CLI refuses its type before EvalConfig sees it
+    ({"n_bins": True}, "n_bins must be an int, got True",
+     "eval.n_bins must be of the type of 50, got true"),
+    ({"phase_epochs": True}, "phase_epochs must be an int, got True",
+     "eval.phase_epochs must be of the type of 1, got true"),
+    ({"n_per_label": True}, "n_per_label must be an int, got True",
+     "eval.n_per_label must be of the type of 1000, got true"),
+    ({"n_eval": 2.5}, "n_eval must be an int, got 2.5",
+     "eval.n_eval must be of the type of 4000, got 2.5"),
+    ({"ndb_k": 20.0}, "ndb_k must be an int, got 20.0",
+     "eval.ndb_k must be of the type of 20, got 20.0"),
 ], ids=["ndb_k_zero", "n_bins_zero", "n_per_label_zero", "phase_epochs_negative", "n_eval_zero",
-        "n_eval_first", "ranges_before_ndb"])
-def test_eval_config_refuses_what_the_cli_refuses(tmp_path, values, message):
+        "n_eval_first", "ranges_before_ndb", "bool_n_bins", "bool_phase_epochs",
+        "bool_n_per_label", "float_n_eval", "float_ndb_k"])
+def test_eval_config_refuses_what_the_cli_refuses(tmp_path, values, message, cli_message):
     # ndb_k above a tenth of the dataset's rows needs the dataset: the
     # stages refuse it through check_ndb_settings
     with pytest.raises(ValueError) as refused:
@@ -191,7 +207,138 @@ def test_eval_config_refuses_what_the_cli_refuses(tmp_path, values, message):
     p.write_text(json.dumps({"eval": values}))
     with pytest.raises(cli.CliError) as e:
         cli.load_config(p)
-    assert (e.value.kind, str(e.value)) == ("invalid-config", f"eval: {message}")
+    assert (e.value.kind, str(e.value)) == ("invalid-config", cli_message or f"eval: {message}")
+
+
+# -- oracle, nearest centroid and regression error -----------------------
+
+def test_oracle_fixed_points():
+    task = GaussModesTask()
+    labels = oracle_classify(task, task.centers())
+    np.testing.assert_array_equal(labels, np.arange(8))
+    assert oracle_classify(task, task.centers()[3:4])[0] == 3
+
+
+def test_oracle_tie_breaks_to_lowest_index():
+    # mirrored centers (+1, 0) / (-1, 0) make the tie exact in floats
+    task = GaussModesTask(n_modes=2, radius=1.0, sigma=0.1)
+    assert oracle_classify(task, np.array([[0.0, 0.5]]))[0] == 0
+
+
+def test_oracle_matches_brute_force_distance_table():
+    task = GaussModesTask()
+    rng = np.random.default_rng(3)
+    ys = rng.uniform(-6, 6, (10_000, 2))
+    fast = oracle_classify(task, ys)
+    centers = task.centers()
+    for i in range(0, 10_000, 117):  # spot-check a deterministic stride
+        dists = [float(np.sum((ys[i] - c) ** 2)) for c in centers]
+        assert fast[i] == int(np.argmin(dists))
+    slow = np.array([min(range(8), key=lambda k: float(np.sum((y - centers[k]) ** 2)))
+                     for y in ys])
+    np.testing.assert_array_equal(fast, slow)
+
+
+# few distinct values, so points repeat, sit on centroids and tie exactly
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_centroid_equals_argmin_over_broadcast_table(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    rows = st.lists(_COORDS, min_size=d, max_size=d)
+    centroids = np.array(data.draw(st.lists(rows, min_size=1, max_size=6), label="centroids"))
+    points = data.draw(st.lists(rows, min_size=1, max_size=12), label="points")
+    points += [list(centroids[i]) for i in data.draw(
+        st.lists(st.integers(0, len(centroids) - 1), max_size=3), label="on centroids")]
+    points = np.array(points)
+    for array in (points, centroids):
+        nan_row = data.draw(st.none() | st.integers(0, len(array) - 1), label="nan row")
+        if nan_row is not None:
+            array[nan_row, data.draw(st.integers(0, d - 1))] = np.nan
+    table = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+    buffers = (np.empty((len(centroids), len(points))), np.empty((len(centroids), len(points))))
+
+    assign, nearest = _nearest_centroid(points, centroids, buffers)
+    np.testing.assert_array_equal(assign, table.argmin(axis=1))
+    assert buffers[0].T.tobytes() == table.tobytes()
+    np.testing.assert_array_equal(nearest, table.min(axis=1))
+
+
+def test_nearest_centroid_refuses_other_dimensions():
+    with pytest.raises(ValueError, match="coordinates"):
+        _nearest_centroid(np.zeros((3, 2)), np.zeros((2, 3)))
+
+
+def test_real_data_oracle_accuracy_near_one():
+    # 4-sigma mode separation keeps the nearest-centroid oracle near-exact
+    task = GaussModesTask()
+    ds = sample_dataset(task, 8000, seed=4)
+    acc = np.mean(oracle_classify(task, ds.ys) == ds.labels)
+    assert acc >= 0.999
+
+
+def test_regression_metrics_identity_is_zero():
+    target = np.random.default_rng(6).standard_normal((50, 2))
+    m = regression_metrics(target, target)
+    assert m["rmse"] == 0.0 and m["nrmse"] == 0.0
+
+
+def test_regression_rmse_hand_value():
+    # zero prediction against constant [3, 4]: sqrt((9 + 16) / 2)
+    m = regression_metrics(np.zeros((1, 2)), np.array([[3.0, 4.0]]))
+    assert abs(m["rmse"] - 3.535534) < 1e-6
+    assert m["nrmse"] is None  # one row: the target has no spread
+
+
+def test_regression_metrics_match_one_pass_recomputation():
+    rng = np.random.default_rng(7)
+    pred = rng.standard_normal((300, 2))
+    target = rng.standard_normal((300, 2))
+    m = regression_metrics(pred, target)
+
+    # independent scalar-loop recomputation
+    se = spread = 0.0
+    n = 0
+    for j in range(2):
+        mean = sum(target[i, j] for i in range(300)) / 300
+        for i in range(300):
+            p, t = pred[i, j], target[i, j]
+            se += (p - t) ** 2
+            spread += (t - mean) ** 2
+            n += 1
+    assert abs(m["rmse"] - np.sqrt(se / n)) < 1e-10
+    assert abs(m["nrmse"] - np.sqrt(se / spread)) < 1e-10
+
+
+def test_regression_error_runs_against_generator():
+    task = CondRegressionTask()
+    gen = Generator.build(task.dim_x, task.dim_y, hidden=(8,), seed=0)
+    m = regression_error(task, gen, 500, seed=1)
+    assert set(m) == {"rmse", "nrmse"}
+    assert all(np.isfinite(v) for v in m.values())
+    with pytest.raises(TypeError):
+        regression_error(GaussModesTask(), gen, 10)
+
+
+def test_regression_error_scores_conditions_the_dataset_does_not_hold(monkeypatch):
+    # its conditions once were sample_dataset's first n_eval rows at the same seed
+    task = CondRegressionTask()
+    gen = Generator.build(task.dim_x, task.dim_y, hidden=(8,), noise_dim=1, seed=0)
+    seen = []
+    real_forward = evalcond.gen_forward
+
+    def spy(gen_, x, rng=None, **kwargs):
+        seen.append(x)
+        return real_forward(gen_, x, rng, **kwargs)
+
+    monkeypatch.setattr(evalcond, "gen_forward", spy)
+    regression_error(task, gen, 500, seed=3)
+    (xs,) = seen
+    assert xs.shape == (500, task.dim_x)
+    dataset_rows = {row.tobytes() for row in sample_dataset(task, 2000, seed=3).xs}
+    assert not dataset_rows & {row.tobytes() for row in xs}
 
 
 # -- oracle accuracy -----------------------------------------------------
@@ -215,7 +362,6 @@ def test_random_generator_matches_independent_monte_carlo():
     acc = oracle_accuracy(gen, task, 400, seed=9)
 
     # independent recomputation: same draw protocol, bare numpy forward
-    from cganlab.tasks import oracle_classify
     rng = np.random.default_rng(9)
     correct = 0
     for label in range(task.n_modes):

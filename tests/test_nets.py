@@ -58,7 +58,7 @@ def test_spec_needs_hidden_layer():
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "softmax", "tanh", "identity"])
-def test_spec_refuses_slope_above_one_and_removed_outputs(activation):
+def test_spec_refuses_an_output_activation_key(activation):
     # every output layer is linear, so a spec dict that names an output
     # activation, as formats up to 5 stored, is refused, the identity too
     with pytest.raises(ValueError, match=re.escape("unknown MlpSpec keys ['output_activation']")):
@@ -67,7 +67,7 @@ def test_spec_refuses_slope_above_one_and_removed_outputs(activation):
         MlpSpec((4, 8, 2), output_activation=activation)
 
 
-def test_spec_from_dict_reads_only_its_two_keys():
+def test_spec_from_dict_reads_only_widths():
     # the spec is its widths alone: a checkpoint's spec dict with any other
     # key, such as the slope that format 4 stored, is refused rather than
     # read as the constant slope

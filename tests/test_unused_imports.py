@@ -1,6 +1,7 @@
 """Each `cganlab` module reads every name it imports, the package reads
 every private name it defines, only `nets` runs a network, only
-`pairing` draws a pair batch, and each random stream has its own key.
+`pairing` draws a pair batch, `tasks` imports only `pairing`, and each
+random stream has its own key.
 
 A stdlib stand-in for a linter's unused-import rule: each module except
 the package `__init__` (which imports to re-export) is parsed with `ast`,
@@ -14,10 +15,13 @@ whose arguments name `noise_dim`), fails: `nets.gen_forward` and
 `nets.disc_forward` are the one forward path.
 A module other than `pairing` that reads `sample_pair_batch` fails too:
 `pairing.draw_pairings` is the one pair-batch path. The evaluation
-modules, `evalcond` and `tasks`, call `gen_forward`, `disc_forward` and
-`draw_pairings` only with ``cache=False``: they never backpropagate, and
+module, `evalcond`, calls `gen_forward`, `disc_forward` and
+`draw_pairings` only with ``cache=False``: it never backpropagates, and
 the cached pass holds every hidden activation (training, in `trainer`,
-needs the cache). Last, a stream seeded
+needs the cache). `tasks` makes data and judges nothing, so the only
+module of the package it imports is `pairing`, for `ConditionalDataset`:
+the generator and what scores it live in `nets` and `evalcond`. Last, a
+stream seeded
 ``default_rng([seed, KEY])`` must name `KEY` by a module-level constant,
 and no two such constants may hold one value, nor any the value 0: the
 stream ``[seed, 0]`` is the stream ``seed`` itself.
@@ -185,9 +189,39 @@ def test_cached_forward_checker_finds_cached_calls():
     assert cached_forwards(source) == ["line 1", "line 2", "line 4", "line 6", "line 7"]
 
 
-@pytest.mark.parametrize("name", ["evalcond.py", "tasks.py"])
+@pytest.mark.parametrize("name", ["evalcond.py"])
 def test_evaluation_runs_networks_without_a_cache(name):
     assert cached_forwards((PACKAGE_FILES[0].parent / name).read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The `cganlab` modules that `source` imports.
+
+    `from .x import ...`, `from . import x` and `import cganlab.x` each
+    import `x`, as do `from cganlab.x import ...` and `from cganlab import x`.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cganlab"):
+            module = (node.module or "").removeprefix("cganlab").lstrip(".").split(".")[0]
+            found.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("cganlab."))
+    return found
+
+
+def test_package_import_checker_finds_every_form():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport cganlab\n"
+              "from .nets import gen_forward\nfrom . import pairing, fileio as fio\n"
+              "import cganlab.trainer\nfrom cganlab.losses import g_loss\n"
+              "from cganlab import cli\nfrom json import dumps\n")
+    assert package_imports(source) == {"nets", "pairing", "fileio", "trainer", "losses", "cli"}
+
+
+def test_tasks_imports_only_pairing():
+    assert package_imports((PACKAGE_FILES[0].parent / "tasks.py").read_text()) == {"pairing"}
 
 
 def stream_key_problems(sources: dict[str, str]) -> list[str]:
