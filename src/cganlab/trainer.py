@@ -22,11 +22,11 @@ Each network stores its parameters as one vector, `flat`, and its
 vectors of the same layout. The backward pass writes its parameter
 gradients into views of `grads` (`nets._unpack`), and `adam_step`
 updates the whole vectors with 14 in-place ufunc calls over two scratch
-vectors of the state. Each of them computes
-one product, quotient, sum or square root of the per-array formula
-``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
-p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` with the same operands, so every
-element rounds as before; only the temporaries are gone.
+vectors of the state. Each of them computes one product, quotient, sum
+or square root of the per-array formula of pix2pix's Adam (Isola et al.
+2017), ``m = 0.5*m + (1-0.5)*g; v = 0.999*v + (1-0.999)*(g*g);
+p -= 2e-4*(m/bc1) / (sqrt(v/bc2) + 1e-8)``, with the same operands, so
+every element rounds as before; only the temporaries are gone.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ METRICS_COLUMNS = (
 
 _PHASE_STREAM = 0x0D  # decorrelates the phase rng from the training rng
 
+# pix2pix's Adam settings (Isola et al. 2017), which the paper keeps
+PIX2PIX_LR = 2e-4
+PIX2PIX_BETA1 = 0.5
+PIX2PIX_BETA2 = 0.999
+PIX2PIX_EPS = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """A loss term went non-finite; `log` holds the steps completed before it."""
@@ -74,13 +80,18 @@ class CheckpointError(ValueError):
     """Malformed checkpoint file or unsupported format version."""
 
 
+def _counter(value, name: str) -> int:
+    """`value` if it is a non-negative int (a bool is not), else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, "
+                         f"got {json.dumps(value, default=repr)}")
+    return value
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 16
     batch_size: int = 64
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
     seed: int = 0
     loss: LossSpec = field(default_factory=LossSpec)
     d_steps_per_g_step: int = 1
@@ -88,16 +99,10 @@ class TrainConfig:
     ac_mode: str = "within_batch"
 
     def __post_init__(self):
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if self.epochs < 0 or self.d_steps_per_g_step < 1:
-            raise ValueError("epochs must be >= 0 and d_steps_per_g_step >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        for name, least in (("epochs", 0), ("batch_size", 2), ("d_steps_per_g_step", 1),
+                            ("checkpoint_every", 0), ("seed", 0)):
+            if _counter(getattr(self, name), name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.ac_mode not in AC_MODES:
             raise ValueError(f"unknown ac_mode {self.ac_mode!r}, expected one of {AC_MODES}")
 
@@ -126,10 +131,11 @@ class AdamState:
         return cls(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState,
-              lr: float, beta1: float, beta2: float, eps: float = 1e-8) -> None:
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     """Bias-corrected Adam update of the parameter vector `p`, in place.
 
+    With pix2pix's settings: ``m = 0.5*m + (1-0.5)*g; v = 0.999*v + (1-0.999)*(g*g);
+    p -= 2e-4 * (m/(1-0.5**t)) / (sqrt(v/(1-0.999**t)) + 1e-8)`` at step `t`.
     `p`, the gradient `g`, `state.m` and `state.v` are vectors of one
     shape; anything else raises ValueError before any of them changes.
     """
@@ -138,21 +144,21 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState,
         raise ValueError(f"parameters {p.shape}, gradients {g.shape} and Adam moments "
                          f"{m.shape}, {v.shape} differ in shape")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - PIX2PIX_BETA1 ** state.t
+    bc2 = 1.0 - PIX2PIX_BETA2 ** state.t
     s, u = state.scratch
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=s)
+    m *= PIX2PIX_BETA1
+    np.multiply(g, 1.0 - PIX2PIX_BETA1, out=s)
     m += s
-    v *= beta2
+    v *= PIX2PIX_BETA2
     np.multiply(g, g, out=s)
-    s *= 1.0 - beta2
+    s *= 1.0 - PIX2PIX_BETA2
     v += s
     np.divide(m, bc1, out=s)
-    s *= lr
+    s *= PIX2PIX_LR
     np.divide(v, bc2, out=u)
     np.sqrt(u, out=u)
-    u += eps
+    u += PIX2PIX_EPS
     s /= u
     p -= s
 
@@ -198,12 +204,12 @@ def _check_finite(values: dict, step: int) -> None:
             raise TrainingDiverged(f"non-finite {term} at step {step}")
 
 
-def _update(net, cache, g, adam: AdamState, config: TrainConfig) -> float:
+def _update(net, cache, g, adam: AdamState) -> float:
     """Backpropagate `g` through `net`'s cache into `adam.grads` and take one
     Adam step of `net`; returns the mean |grad|."""
     grads = _unpack(adam.grads, net.spec)
     mlp_backward(net.spec, net.params, cache, g, grads_out=grads, input_grad=False)
-    adam_step(net.flat, adam.grads, adam, config.lr, config.beta1, config.beta2)
+    adam_step(net.flat, adam.grads, adam)
     return _mean_abs_grad(adam, grads)
 
 
@@ -224,7 +230,7 @@ def _step(gen, disc, ds, config, state: TrainState) -> dict:
         logits, d_cache = disc_forward(disc, d_x, d_y)
         breakdown, g_logits = d_loss_total(logits[:n], config.loss, logits[n:])
         _check_finite(vars(breakdown), step)
-        gnorm_d = _update(disc, [c[:n] for c in d_cache], g_logits, state.adam_d, config)
+        gnorm_d = _update(disc, [c[:n] for c in d_cache], g_logits, state.adam_d)
     row = {"step": step, **vars(breakdown), "g_adv": 0.0, "g_recon": 0.0, "g_total": 0.0,
            "grad_norm_G": 0.0, "grad_norm_D": gnorm_d}
     if state.adam_g is None:
@@ -238,7 +244,7 @@ def _step(gen, disc, ds, config, state: TrainState) -> dict:
     g_y_g = mlp_backward(disc.spec, disc.params, d_cache, g_logit)[1][:, x.shape[1]:]
     if g_y is not None:
         g_y_g = g_y_g + g_y
-    row.update(values, grad_norm_G=_update(gen, g_cache, g_y_g, state.adam_g, config))
+    row.update(values, grad_norm_G=_update(gen, g_cache, g_y_g, state.adam_g))
     return row
 
 
@@ -296,13 +302,6 @@ def optimal_discriminator_phase(gen: Generator, disc: Discriminator,
 
 def _adam_to_jsonable(state: AdamState) -> dict:
     return {"t": state.t, "m": encode_vector(state.m), "v": encode_vector(state.v)}
-
-
-def _counter(value, name: str) -> int:
-    """`value` if it is a non-negative int (a bool is not), else a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {json.dumps(value)}")
-    return value
 
 
 def _adam_from_jsonable(d: dict, size: int, name: str) -> AdamState:
@@ -378,7 +377,7 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator, TrainState, dict]:
         return _checkpoint_from_doc(doc)
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e}") from None
 
 

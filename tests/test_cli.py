@@ -301,7 +301,7 @@ def test_impossible_task_noise_or_radius_refused(tmp_path, capsys, task, message
 
 @pytest.mark.parametrize("section, value, message", [
     ("loss", {"formulation": "classic", "lambdas": [1, 1, 1, 1]}, "classic ignores"),
-    ("train", {"epochs": 1, "batch_size": 50, "lr": 0.0}, "lr must be positive"),
+    ("train", {"epochs": 1, "batch_size": 1}, "batch_size must be at least 2"),
     ("model", {"gen_hidden": [0], "disc_hidden": [16, 16]}, "widths must be positive"),
     ("eval", dict(MINI_EVAL, n_bins=0), "n_bins must be at least 1"),
 ], ids=["loss", "train", "model", "eval"])
@@ -340,7 +340,7 @@ def test_bad_value_refused_by_every_stage(tmp_path, capsys, section, value, mess
     ("eval-conditionality", "eval", dict(MINI_EVAL, phase_epochs=1.5)),
     ("eval-conditionality", "eval", dict(MINI_EVAL, threshold="0")),
     ("train", "train", {"epochs": True}),
-    ("train", "train", {"lr": True}),
+    ("train", "loss", {"recon_weight": True}),
     ("train", "train", {"checkpoint_every": True}),
     ("gen-data", "seed", True),
     ("train", "model", {"gen_hidden": [8.0]}),
@@ -353,7 +353,7 @@ def test_bad_value_refused_by_every_stage(tmp_path, capsys, section, value, mess
         "epochs-string", "hidden-int", "lambdas-int", "n_modes-string", "out_dir-int",
         "n_samples-string", "n_eval-string", "ndb_k-string", "epochs-float",
         "noise_dim-float", "phase_epochs-float", "threshold-string", "epochs-bool",
-        "lr-bool", "checkpoint_every-bool", "seed-bool", "hidden-float", "hidden-bool",
+        "recon_weight-bool", "checkpoint_every-bool", "seed-bool", "hidden-float", "hidden-bool",
         "sigma-nan", "recon_weight-nan", "checkpoint_every-negative",
         "phase_epochs-negative"])
 def test_config_type_errors_reported_as_invalid_config(tmp_path, capsys, stage, section,
@@ -397,6 +397,25 @@ def test_removed_output_activation_refused(tmp_path, capsys):
             assert capsys.readouterr().err == (
                 "error: invalid-config: model: gen_output_activation must be 'identity', "
                 f"got '{activation}'\n")
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+
+
+def test_removed_adam_settings_refused(tmp_path, capsys):
+    # Adam's settings are pix2pix's constants: a config that still sets one,
+    # even to that value, is refused by every stage
+    p, out = _setup_run(tmp_path, "r")
+    assert main(["train", "--config", str(p)]) == 0
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+    base = json.loads(p.read_text())
+    for key, value in (("lr", 2e-4), ("beta1", 0.5), ("beta2", 0.999)):
+        cfg = copy.deepcopy(base)
+        cfg["train"][key] = value
+        p.write_text(json.dumps(cfg))
+        for stage in STAGES:
+            capsys.readouterr()
+            assert main(_stage_args(stage, p, out)) == 1
+            assert capsys.readouterr().err == \
+                f"error: invalid-config: unknown key(s) in section 'train': ['{key}']\n"
     assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
 
 
@@ -1063,10 +1082,13 @@ def _rebytes(change):
     # a slope edited into a spec would otherwise load as the constant 0.2
     (("discriminator", "spec"), lambda spec: dict(spec, hidden_slope=0.5),
      "unknown MlpSpec keys ['hidden_slope']"),
+    # the bit generator's uint32 field once raised OverflowError through main
+    (("rng_state", "uinteger"), lambda u: -1, "malformed checkpoint"),
 ], ids=["truncated_payload", "not_base64", "list_payload",
         "generator_flat_short", "discriminator_flat_long", "adam_moment_length",
         "noise_dim_float", "width_fraction", "adam_t_string", "adam_t_negative",
-        "step_string", "step_negative", "step_bool", "seed_float", "spec_unknown_key"])
+        "step_string", "step_negative", "step_bool", "seed_float", "spec_unknown_key",
+        "rng_uinteger_negative"])
 def test_checkpoint_bad_payload_reported_as_bad(tmp_path, capsys, where, damage, message):
     p1, out = _setup_run(tmp_path, "damaged")
     assert main(["train", "--config", str(p1)]) == 0

@@ -1,8 +1,8 @@
 import copy
 import json
-import math
 import os
 import pickle
+import re
 import tempfile
 
 import numpy as np
@@ -70,7 +70,7 @@ def fresh_adam(n):
 def test_adam_zero_gradient_is_fixed_point():
     params = np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0])
     before = params.copy()
-    adam_step(params, np.zeros(6), fresh_adam(6), 0.1, 0.5, 0.999)
+    adam_step(params, np.zeros(6), fresh_adam(6))
     assert params.tobytes() == before.tobytes()
 
 
@@ -78,8 +78,8 @@ def test_adam_first_step_is_signed_lr():
     # first bias-corrected step reduces to -lr * sign(g), up to the epsilon
     params = np.zeros(3)
     g = np.array([3.0, -0.2, 1e-3])
-    adam_step(params, g, fresh_adam(3), lr=0.01, beta1=0.5, beta2=0.999)
-    np.testing.assert_allclose(params, -0.01 * np.sign(g), rtol=1e-4)
+    adam_step(params, g, fresh_adam(3))
+    np.testing.assert_allclose(params, -2e-4 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_trajectory_deterministic():
@@ -88,20 +88,23 @@ def test_adam_trajectory_deterministic():
         state = fresh_adam(3)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            adam_step(params, rng.standard_normal(3), state, 1e-3, 0.9, 0.999)
+            adam_step(params, rng.standard_normal(3), state)
         return params
 
     assert run().tobytes() == run().tobytes()
 
 
-def _reference_adam(params, m, v, t, grads, lr, beta1, beta2, eps=1e-8):
-    """One Adam step array by array, in the formula `adam_step` must match bit for bit."""
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+def _reference_adam(params, m, v, t, grads):
+    """One Adam step array by array, in the formula `adam_step` must match bit for bit.
+
+    The literals are pix2pix's lr 2e-4, beta1 0.5 and beta2 0.999, and Adam's eps 1e-8.
+    """
+    bc1 = 1.0 - 0.5 ** t
+    bc2 = 1.0 - 0.999 ** t
     for p, g, m_, v_ in zip(params, grads, m, v):
-        m_[...] = beta1 * m_ + (1.0 - beta1) * g
-        v_[...] = beta2 * v_ + (1.0 - beta2) * (g * g)
-        p -= lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+        m_[...] = 0.5 * m_ + (1.0 - 0.5) * g
+        v_[...] = 0.999 * v_ + (1.0 - 0.999) * (g * g)
+        p -= 2e-4 * (m_ / bc1) / (np.sqrt(v_ / bc2) + 1e-8)
 
 
 # signed zeros, subnormals and magnitudes whose squares overflow
@@ -110,10 +113,8 @@ _adam_values = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308])
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), steps=st.integers(1, 4),
-       lr=st.sampled_from([2e-4, 1e-3, 0.1, 1.0]), beta1=st.sampled_from([0.0, 0.5, 0.9]),
-       beta2=st.sampled_from([0.0, 0.9, 0.999]), t0=st.integers(0, 20) | st.just(10**6))
-def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, lr, beta1, beta2, t0):
+@given(data=st.data(), steps=st.integers(1, 4), t0=st.integers(0, 20) | st.just(10**6))
+def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, t0):
     spec = MlpSpec(tuple(data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))))
 
     def draw_arrays(elements=_adam_values):
@@ -132,8 +133,8 @@ def test_adam_on_packed_vectors_matches_per_array_formula(data, steps, lr, beta1
     for k in range(steps):
         grads = draw_arrays()
         with np.errstate(all="ignore"):  # squares overflow to inf, inf/inf is NaN
-            _reference_adam(*ref, t0 + k + 1, grads, lr, beta1, beta2)
-            adam_step(packed, pack(grads), state, lr, beta1, beta2)
+            _reference_adam(*ref, t0 + k + 1, grads)
+            adam_step(packed, pack(grads), state)
     assert state.t == t0 + steps
     for got, want in zip((packed, state.m, state.v), ref, strict=True):
         assert got.tobytes() == pack(want).tobytes()
@@ -198,7 +199,7 @@ def test_adam_shape_mismatch():
                                  (np.zeros((3, 1)), np.zeros(3), fresh_adam(3)),
                                  (np.zeros(3), np.zeros(3), AdamState(np.zeros(3), np.zeros(4)))]:
         with pytest.raises(ValueError, match="differ in shape"):
-            adam_step(params, grads, state, 1e-3, 0.9, 0.999)
+            adam_step(params, grads, state)
         assert state.t == 0 and not params.any()  # refused before any change
 
 
@@ -369,7 +370,7 @@ def test_negative_phase_epochs_and_checkpoint_interval_refused():
 
 def test_phase_separable_toy_reaches_99_percent():
     ds, gen, disc = _separable_setup()
-    cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
+    cfg = TrainConfig(epochs=1, batch_size=50, seed=1, loss=LossSpec("classic"))
     optimal_discriminator_phase(gen, disc, ds, cfg, epochs=10)
     real_logits = disc_forward(disc, ds.xs, ds.ys)[0]
     fake = gen_forward(gen, ds.xs)[0]
@@ -380,7 +381,7 @@ def test_phase_separable_toy_reaches_99_percent():
 
 def test_phase_loss_moving_average_non_increasing():
     ds, gen, disc = _separable_setup()
-    cfg = TrainConfig(epochs=1, batch_size=50, lr=1e-3, seed=1, loss=LossSpec("classic"))
+    cfg = TrainConfig(epochs=1, batch_size=50, seed=1, loss=LossSpec("classic"))
     log = optimal_discriminator_phase(gen, disc, ds, cfg, epochs=10)
     losses = np.array([row["d_total"] for row in log.rows])
     window = 100
@@ -457,18 +458,22 @@ def test_checkpoint_counters_must_be_non_negative_ints(tmp_path):
     save_checkpoint(gen, disc, state, cfg, path)
     doc = json.loads(path.read_text())
     assert load_checkpoint(path)[3]["step"] == doc["step"] == 10
-    for where, value in [(("step",), "10"), (("step",), -1), (("step",), True),
-                         (("step",), 10.0), (("seed",), -3), (("seed",), None),
-                         (("adam_g", "t"), False), (("adam_d", "t"), "3"),
-                         (("adam_d", "t"), -5)]:
+    counters = [(("step",), "10"), (("step",), -1), (("step",), True), (("step",), 10.0),
+                (("seed",), -3), (("seed",), None), (("adam_g", "t"), False),
+                (("adam_d", "t"), "3"), (("adam_d", "t"), -5)]
+    # the bit generator's uint32 and uint64 fields once raised OverflowError
+    rng_fields = [(("rng_state", "uinteger"), -1), (("rng_state", "uinteger"), 2**40),
+                  (("rng_state", "state", "state"), -1), (("rng_state", "state", "inc"), -1)]
+    for where, value in counters + rng_fields:
         bad = copy.deepcopy(doc)
         parent = bad
         for key in where[:-1]:
             parent = parent[key]
         parent[where[-1]] = value
         path.write_text(json.dumps(bad))
-        with pytest.raises(CheckpointError, match=rf"{'.'.join(where)} must be a non-negative "
-                                                   rf"int, got {json.dumps(value)}$"):
+        message = "malformed checkpoint" if where[0] == "rng_state" else \
+            rf"{'.'.join(where)} must be a non-negative int, got {json.dumps(value)}$"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
 
@@ -674,17 +679,25 @@ def test_frozen_generator_checkpoint_resumes_frozen(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, beta1=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, batch_size=1)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=-1)
-    for lr in (math.nan, math.inf):  # the CLI refuses both as JSON values
-        with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
-            TrainConfig(epochs=1, lr=lr)
+    # the float counts once failed only inside `train`, the bool counts and the
+    # fractional interval trained, and a bool or numpy seed failed only when
+    # its checkpoint was saved or loaded
+    for kw, message in [
+        ({"batch_size": 1}, "batch_size must be at least 2, got 1"),
+        ({"d_steps_per_g_step": 0}, "d_steps_per_g_step must be at least 1, got 0"),
+        ({"epochs": -1}, "epochs must be a non-negative int, got -1"),
+        ({"batch_size": 2.5}, "batch_size must be a non-negative int, got 2.5"),
+        ({"epochs": 1.5}, "epochs must be a non-negative int, got 1.5"),
+        ({"d_steps_per_g_step": 1.0}, "d_steps_per_g_step must be a non-negative int, got 1.0"),
+        ({"epochs": True}, "epochs must be a non-negative int, got true"),
+        ({"d_steps_per_g_step": True}, "d_steps_per_g_step must be a non-negative int, got true"),
+        ({"checkpoint_every": 2.5}, "checkpoint_every must be a non-negative int, got 2.5"),
+        ({"seed": True}, "seed must be a non-negative int, got true"),
+        ({"seed": np.int64(3)}, 'seed must be a non-negative int, got "np.int64(3)"'),
+        ({"seed": -1}, "seed must be a non-negative int, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**kw)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
